@@ -34,7 +34,7 @@ import numpy as np
 from . import design, evolution, mathieu, packets, physical
 from .core import CanonicalState, profile_from_dict
 from .design import SingularityError
-from .evolution import IntegrationError, IntegratorConfig
+from .evolution import DEFAULT_CONFIG, IntegrationError, IntegratorConfig
 from .mathieu import ConvergenceError
 
 SCHEMA_VERSION = 1
@@ -79,8 +79,8 @@ def _integrator_config(args) -> IntegratorConfig:
 def _add_integrator_flags(p: argparse.ArgumentParser):
     p.add_argument("--method", choices=("rk4", "adaptive"), default="rk4",
                    help="integrator (default fixed-step rk4)")
-    p.add_argument("--steps", type=int, default=20000,
-                   help="RK4 steps per interval (default 20000)")
+    p.add_argument("--steps", type=int, default=DEFAULT_CONFIG.steps,
+                   help=f"RK4 steps per interval (default {DEFAULT_CONFIG.steps})")
     p.add_argument("--rtol", type=float, default=1e-10)
     p.add_argument("--atol", type=float, default=1e-12)
 

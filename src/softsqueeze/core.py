@@ -177,7 +177,9 @@ class BetaProfile:
     def beta_array(self, taus) -> np.ndarray:
         taus = np.asarray(taus, dtype=float)
         self._check_domain_array(taus)
-        return np.array([self._beta_unchecked(float(t)) for t in taus])
+        return np.array(
+            [self._beta_unchecked(float(t)) for t in taus.ravel()]
+        ).reshape(taus.shape)
 
     def _beta_unchecked(self, tau: float) -> float:
         return self.beta(tau)

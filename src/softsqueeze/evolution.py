@@ -1,18 +1,30 @@
 """Integration of the evolution-matrix ODE and zone classification.
 
-Two equations are solved here, both linear in the matrix u:
+The forward equation du/dtau = L(tau) u, u(tau0, tau0) = 1, with
+L(tau) = [[0, 1], [-beta(tau), 0]], is solved by classical fixed-step RK4
+written as a step map: on a linear ODE one RK4 step is the 2x2 polynomial
+S_k in h and the beta samples at the step's node, midpoint and end.  Every
+fixed-step integration here (integrate, integrate_path, integrate_symmetric
+and the batched mathieu_batch) goes through one engine that builds these
+maps vectorised and multiplies them in order.
 
-  forward:   du/dtau = L(tau) u,            u(tau0, tau0) = 1
-  symmetric: du/dtau = L(tau) u + u L(tau), u(0, 0) = 1
+The engine keeps each map in delta form, D_k = S_k - 1, and multiplies by
+(1 + a)(1 + b) - 1 = a + b + ab, adding the identity once at the end.  The
+entries of D_k are O(h), so no product rounds them against the identity;
+multiplying the S_k themselves doubles the error against the 30-digit
+references of the tests.
 
-with L(tau) = [[0, 1], [-beta(tau), 0]].  The symmetric (anticommutator)
-form propagates u(tau, -tau) directly for profiles even in tau; its solution
-is always equidiagonal with u11 = u22 = theta'(tau)/2 where theta = u12.
+The product is the level-wise pairwise tree over all steps: each level
+multiplies neighbours, later step on the left, and an odd last element is
+carried up.  The engine walks it in aligned blocks of 2^k steps, sized so
+that a block times the batch width stays within a fixed element budget,
+which bounds memory for any step count.  The tree's shape depends only on
+the step count, never on the block size or the batch width, so a node's
+result is bit-identical alone or inside any batch, and run to run.
+Determinant drift is checked after every run and never silently corrected.
 
-The default integrator is classical fixed-step RK4.  Fixed stepping keeps
-runs bit-reproducible, which the scan machinery relies on; determinant drift
-is checked after every run and never silently corrected, since it is the
-accuracy diagnostic.
+For beta even in tau, u(tau, -tau) = U D U^-1 D with U = u(tau, 0) and
+D = diag(1, -1); its diagonal entries are equal by construction.
 """
 
 from __future__ import annotations
@@ -37,6 +49,7 @@ class IntegratorConfig:
 
     method: "rk4" (fixed step, default) or "adaptive" (scipy DOP853).
     steps:  number of RK4 steps per requested interval.
+    max_steps: most RK4 steps one call may take; more raise IntegrationError.
     det_tol: allowed |det - 1| drift of the result.
     """
 
@@ -55,6 +68,13 @@ class IntegratorConfig:
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("tolerances must be positive")
 
+    def check_steps(self, steps: int):
+        """Raise IntegrationError if a run of `steps` RK4 steps exceeds max_steps."""
+        if steps > self.max_steps:
+            raise IntegrationError(
+                f"{steps} RK4 steps exceed max_steps = {self.max_steps}"
+            )
+
 
 DEFAULT_CONFIG = IntegratorConfig()
 
@@ -71,116 +91,95 @@ class ZoneReport:
     a_minus: Optional[tuple] = None
 
 
-def _sample_beta(profile: BetaProfile, t0: float, t1: float, steps: int) -> list:
-    """beta at the 2*steps+1 nodes and midpoints of the RK4 grid."""
-    taus = np.linspace(t0, t1, 2 * steps + 1)
-    return profile.beta_array(taus).tolist()
+# ---------------------------------------------------------------------------
+# RK4 step-map engine
+
+# Step maps per block times batch width.  Bounds the engine's working set;
+# results do not depend on it (see the module docstring).
+_BLOCK_ELEMENTS = 4096
 
 
-def _rk4_forward(betas: list, h: float) -> tuple:
-    """Fixed-step RK4 for du/dtau = L(tau) u from the identity.
+def _grid(t0, t1, steps: int, j0: int, j1: int):
+    """Rows j0..j1-1 of np.linspace(t0, t1, 2*steps + 1), as a column per
+    interval: the RK4 nodes and midpoints, computed exactly as linspace
+    does, so a block's samples equal those of the whole grid."""
+    taus = np.arange(j0, j1, dtype=float)[:, None] * ((t1 - t0) / (2 * steps)) + t0
+    if j1 == 2 * steps + 1:
+        taus[-1] = t1
+    return taus
 
-    betas holds beta at nodes and midpoints alternately (2n+1 values for n
-    steps).  Runs on plain floats; the hot loop is cheap enough in Python
-    for the step counts used here.
+
+def _step_deltas(b, h):
+    """Entries (d11, d12, d21, d22) of S - 1 for the RK4 step maps, where b
+    holds beta at the 2m+1 nodes and midpoints of m steps, a row each:
+
+      d11 = b1 b2 h^4/24 - h^2 (b1/6 + b2/3)
+      d12 = h - b2 h^3/6
+      d21 = h ((b1 + b3) b2 h^2/12 - (b1 + 4 b2 + b3)/6)
+      d22 = b2 b3 h^4/24 - h^2 (b2/3 + b3/6)
+
+    with b1, b2 and b3 at a step's node, midpoint and end.
     """
-    u11, u12, u21, u22 = 1.0, 0.0, 0.0, 1.0
-    half = 0.5 * h
-    sixth = h / 6.0
-    n = (len(betas) - 1) // 2
-    for i in range(n):
-        b1 = betas[2 * i]
-        b2 = betas[2 * i + 1]
-        b3 = betas[2 * i + 2]
-
-        k1_11 = u21
-        k1_12 = u22
-        k1_21 = -b1 * u11
-        k1_22 = -b1 * u12
-
-        v11 = u11 + half * k1_11
-        v12 = u12 + half * k1_12
-        v21 = u21 + half * k1_21
-        v22 = u22 + half * k1_22
-        k2_11 = v21
-        k2_12 = v22
-        k2_21 = -b2 * v11
-        k2_22 = -b2 * v12
-
-        v11 = u11 + half * k2_11
-        v12 = u12 + half * k2_12
-        v21 = u21 + half * k2_21
-        v22 = u22 + half * k2_22
-        k3_11 = v21
-        k3_12 = v22
-        k3_21 = -b2 * v11
-        k3_22 = -b2 * v12
-
-        v11 = u11 + h * k3_11
-        v12 = u12 + h * k3_12
-        v21 = u21 + h * k3_21
-        v22 = u22 + h * k3_22
-        k4_11 = v21
-        k4_12 = v22
-        k4_21 = -b3 * v11
-        k4_22 = -b3 * v12
-
-        u11 += sixth * (k1_11 + 2.0 * (k2_11 + k3_11) + k4_11)
-        u12 += sixth * (k1_12 + 2.0 * (k2_12 + k3_12) + k4_12)
-        u21 += sixth * (k1_21 + 2.0 * (k2_21 + k3_21) + k4_21)
-        u22 += sixth * (k1_22 + 2.0 * (k2_22 + k3_22) + k4_22)
-    return u11, u12, u21, u22
+    b1, b2, b3 = b[:-1:2], b[1::2], b[2::2]
+    h2 = h * h
+    r = b2 * (h2 * h2 / 24.0) - h2 / 6.0
+    q = b2 * (h2 / 3.0)
+    return (
+        b1 * r - q,
+        h - b2 * (h2 * h / 6.0),
+        (b1 + b3) * (b2 * (h2 * h / 12.0) - h / 6.0) - b2 * (2.0 * h / 3.0),
+        b3 * r - q,
+    )
 
 
-def _rk4_anticommutator(betas: list, h: float) -> tuple:
-    """Fixed-step RK4 for du/dtau = L u + u L from the identity.
+def _merge(a, b):
+    """Delta form of (1 + a)(1 + b): a + b + ab, with a the later map."""
+    a11, a12, a21, a22 = a
+    b11, b12, b21, b22 = b
+    return (
+        a11 + b11 + (a11 * b11 + a12 * b21),
+        a12 + b12 + (a11 * b12 + a12 * b22),
+        a21 + b21 + (a21 * b11 + a22 * b21),
+        a22 + b22 + (a21 * b12 + a22 * b22),
+    )
 
-    Componentwise: du11 = du22 = u21 - b u12, du12 = u11 + u22,
-    du21 = -b (u11 + u22).
+
+def _tree(d):
+    """Level-wise pairwise product of the maps along the first axis of d."""
+    while len(d[0]) > 1:
+        m = len(d[0])
+        even = m - m % 2
+        merged = _merge([x[1:even:2] for x in d], [x[0:even:2] for x in d])
+        if m != even:
+            merged = [np.concatenate([y, x[-1:]]) for y, x in zip(merged, d)]
+        d = merged
+    return [x[0] for x in d]
+
+
+def _rk4(beta_at, t0, t1, steps: int, width: int) -> tuple:
+    """RK4 evolution entries (u11, u12, u21, u22) over [t0, t1] for a batch.
+
+    beta_at maps a (rows, 1) or (rows, width) array of taus to betas of
+    shape (rows, width); t0 and t1 are scalars or per-column arrays.  Full
+    blocks are pushed on a stack whose equal-sized neighbours merge at
+    once, and what is left is merged from right to left: together this is
+    the level-wise tree over all steps, whatever the block size.
     """
-    u11, u12, u21, u22 = 1.0, 0.0, 0.0, 1.0
-    half = 0.5 * h
-    sixth = h / 6.0
-    n = (len(betas) - 1) // 2
-    for i in range(n):
-        b1 = betas[2 * i]
-        b2 = betas[2 * i + 1]
-        b3 = betas[2 * i + 2]
-
-        k1_d = u21 - b1 * u12
-        k1_12 = u11 + u22
-        k1_21 = -b1 * (u11 + u22)
-
-        v11 = u11 + half * k1_d
-        v12 = u12 + half * k1_12
-        v21 = u21 + half * k1_21
-        v22 = u22 + half * k1_d
-        k2_d = v21 - b2 * v12
-        k2_12 = v11 + v22
-        k2_21 = -b2 * (v11 + v22)
-
-        v11 = u11 + half * k2_d
-        v12 = u12 + half * k2_12
-        v21 = u21 + half * k2_21
-        v22 = u22 + half * k2_d
-        k3_d = v21 - b2 * v12
-        k3_12 = v11 + v22
-        k3_21 = -b2 * (v11 + v22)
-
-        v11 = u11 + h * k3_d
-        v12 = u12 + h * k3_12
-        v21 = u21 + h * k3_21
-        v22 = u22 + h * k3_d
-        k4_d = v21 - b3 * v12
-        k4_12 = v11 + v22
-        k4_21 = -b3 * (v11 + v22)
-
-        d = sixth * (k1_d + 2.0 * (k2_d + k3_d) + k4_d)
-        u11 += d
-        u12 += sixth * (k1_12 + 2.0 * (k2_12 + k3_12) + k4_12)
-        u21 += sixth * (k1_21 + 2.0 * (k2_21 + k3_21) + k4_21)
-        u22 += d
-    return u11, u12, u21, u22
+    h = (t1 - t0) / steps
+    block = 1 << (max(_BLOCK_ELEMENTS // max(width, 1), 1).bit_length() - 1)
+    stack = []  # (steps covered, delta product)
+    for s0 in range(0, steps, block):
+        s1 = min(s0 + block, steps)
+        d = _tree(_step_deltas(beta_at(_grid(t0, t1, steps, 2 * s0, 2 * s1 + 1)), h))
+        n = s1 - s0
+        while stack and stack[-1][0] == n:
+            n *= 2
+            d = _merge(d, stack.pop()[1])
+        stack.append((n, d))
+    d = stack.pop()[1]
+    while stack:
+        d = _merge(d, stack.pop()[1])
+    return d[0] + 1.0, d[1], d[2], d[3] + 1.0
 
 
 def _adaptive_forward(profile, t0, t1, cfg) -> tuple:
@@ -192,23 +191,6 @@ def _adaptive_forward(profile, t0, t1, cfg) -> tuple:
 
     sol = solve_ivp(
         rhs, (t0, t1), (1.0, 0.0, 0.0, 1.0),
-        method="DOP853", rtol=cfg.rtol, atol=cfg.atol,
-    )
-    if not sol.success:
-        raise IntegrationError(f"adaptive integration failed: {sol.message}")
-    return tuple(sol.y[:, -1])
-
-
-def _adaptive_anticommutator(profile, tau, cfg) -> tuple:
-    from scipy.integrate import solve_ivp
-
-    def rhs(t, y):
-        b = profile.beta(t)
-        s = y[0] + y[3]
-        return (y[2] - b * y[1], s, -b * s, y[2] - b * y[1])
-
-    sol = solve_ivp(
-        rhs, (0.0, tau), (1.0, 0.0, 0.0, 1.0),
         method="DOP853", rtol=cfg.rtol, atol=cfg.atol,
     )
     if not sol.success:
@@ -233,7 +215,11 @@ def integrate(
     tau1: float,
     cfg: IntegratorConfig = DEFAULT_CONFIG,
 ) -> SymplecticMatrix2:
-    """Evolution matrix u(tau1, tau0) for q'' + beta(tau) q = 0."""
+    """Evolution matrix u(tau1, tau0) for q'' + beta(tau) q = 0.
+
+    With method "rk4", raises IntegrationError before sampling beta if
+    cfg.steps exceeds cfg.max_steps.
+    """
     if tau1 < tau0:
         raise ValueError(f"need tau1 >= tau0, got [{tau0}, {tau1}]")
     profile.check_interval(tau0, tau1)
@@ -242,9 +228,8 @@ def integrate(
     if cfg.method == "adaptive":
         entries = _adaptive_forward(profile, tau0, tau1, cfg)
     else:
-        h = (tau1 - tau0) / cfg.steps
-        betas = _sample_beta(profile, tau0, tau1, cfg.steps)
-        entries = _rk4_forward(betas, h)
+        cfg.check_steps(cfg.steps)
+        entries = [float(e[0]) for e in _rk4(profile.beta_array, tau0, tau1, cfg.steps, 1)]
     return _check_det(entries, cfg, f"integrate over [{tau0}, {tau1}]")
 
 
@@ -264,9 +249,11 @@ def integrate_symmetric(
     tau: float,
     cfg: IntegratorConfig = DEFAULT_CONFIG,
 ) -> SymplecticMatrix2:
-    """u(tau, -tau) via the anticommutator form, for beta even in tau.
+    """u(tau, -tau) for beta even in tau, as U D U^-1 D.
 
-    The result is equidiagonal: u11 = u22 = theta'(tau)/2 with theta = u12.
+    U = u(tau, 0) and D = diag(1, -1), so the result is
+    [[ad + bc, 2ab], [2cd, ad + bc]] for U = [[a, b], [c, d]]: equidiagonal,
+    u11 = u22 = theta'(tau)/2 with theta = u12.
     """
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
@@ -274,12 +261,9 @@ def integrate_symmetric(
     check_symmetry(profile, tau)
     if tau == 0.0:
         return SymplecticMatrix2.identity()
-    if cfg.method == "adaptive":
-        entries = _adaptive_anticommutator(profile, tau, cfg)
-    else:
-        h = tau / cfg.steps
-        betas = _sample_beta(profile, 0.0, tau, cfg.steps)
-        entries = _rk4_anticommutator(betas, h)
+    u = integrate(profile, 0.0, tau, cfg)
+    diag = u.u11 * u.u22 + u.u12 * u.u21
+    entries = (diag, 2.0 * u.u11 * u.u12, 2.0 * u.u21 * u.u22, diag)
     return _check_det(entries, cfg, f"symmetric integrate to tau = {tau}")
 
 
@@ -409,8 +393,11 @@ def integrate_path(
 ) -> list:
     """Cumulative matrices u(tau_i, taus[0]) along an increasing grid.
 
-    Step size is allocated so the whole span uses about cfg.steps RK4 steps,
-    with a floor per segment; segment matrices are composed left to right.
+    Each segment gets max(ceil(length / span * cfg.steps), 8) RK4 steps, so
+    the whole span uses about cfg.steps.  Segments with the same step count
+    run as one batch of the step-map engine, which gives each the matrix
+    integrate() gives it alone, bit for bit; each segment's determinant is
+    checked and the segments are composed left to right.
     """
     taus = [float(t) for t in taus]
     if len(taus) < 2:
@@ -418,26 +405,31 @@ def integrate_path(
     if any(b <= a for a, b in zip(taus, taus[1:])):
         raise ValueError("tau grid must be strictly increasing")
     profile.check_interval(taus[0], taus[-1])
-    span = taus[-1] - taus[0]
+    if cfg.method == "adaptive":
+        segs = [integrate(profile, a, b, cfg) for a, b in zip(taus, taus[1:])]
+    else:
+        segs = _rk4_segments(profile, taus, cfg)
     out = [SymplecticMatrix2.identity()]
-    acc = out[0]
-    for a, b in zip(taus, taus[1:]):
-        if cfg.method == "adaptive":
-            seg = integrate(profile, a, b, cfg)
-        else:
-            n = max(int(math.ceil((b - a) / span * cfg.steps)), 8)
-            seg_cfg = IntegratorConfig(
-                method="rk4", steps=n, rtol=cfg.rtol, atol=cfg.atol,
-                max_steps=cfg.max_steps, det_tol=cfg.det_tol,
-            )
-            seg = integrate(profile, a, b, seg_cfg)
-        acc = seg @ acc
-        out.append(acc)
+    for seg in segs:
+        out.append(seg @ out[-1])
     return out
 
 
-# ---------------------------------------------------------------------------
-# Vectorized fixed-step engine for Mathieu-type parameter sweeps.
+def _rk4_segments(profile: BetaProfile, taus: list, cfg: IntegratorConfig) -> list:
+    """Checked RK4 matrices of the segments of taus, batched by step count."""
+    span = taus[-1] - taus[0]
+    lo = np.array(taus[:-1])
+    hi = np.array(taus[1:])
+    counts = np.maximum(np.ceil((hi - lo) / span * cfg.steps).astype(int), 8)
+    cfg.check_steps(int(counts.sum()))
+    entries = np.empty((4, lo.size))
+    for n in np.unique(counts):
+        idx = np.flatnonzero(counts == n)
+        entries[:, idx] = _rk4(profile.beta_array, lo[idx], hi[idx], int(n), idx.size)
+    return [
+        _check_det(tuple(map(float, e)), cfg, f"integrate over [{a}, {b}]")
+        for a, b, e in zip(taus, taus[1:], entries.T)
+    ]
 
 
 def mathieu_batch(
@@ -448,84 +440,26 @@ def mathieu_batch(
     steps: int = 20000,
     phase=None,
 ):
-    """RK4 monodromy entries for many (beta0, beta1) pairs at once.
+    """RK4 evolution entries for many (beta0, beta1) pairs at once.
 
-    All cases share the tau grid, so cos(tau) is precomputed once; the
-    per-step arithmetic is the same expression sequence as the scalar
-    kernel.  Optional per-case phase shifts evaluate beta at tau + phase,
-    which is how trace-vs-starting-point checks are vectorized.
+    beta = beta0 + 2 beta1 cos(tau), or cos(tau + phase) with optional
+    per-case phase shifts, which is how trace-vs-starting-point checks are
+    vectorized.  The pairs are the batch axis of the step-map engine, so
+    each entry equals integrate(MathieuBeta(beta0, beta1), tau0, tau1) at
+    the same step count bit for bit, whatever the batch size.
 
-    Returns four arrays (u11, u12, u21, u22) of the input shape.
+    Returns four arrays (u11, u12, u21, u22) of the broadcast input shape.
     """
     beta0 = np.asarray(beta0, dtype=float)
     beta1 = np.asarray(beta1, dtype=float)
     shape = np.broadcast_shapes(beta0.shape, beta1.shape)
     beta0 = np.broadcast_to(beta0, shape).ravel()
-    beta1 = np.broadcast_to(beta1, shape).ravel()
-    ts = np.linspace(tau0, tau1, 2 * steps + 1)
-    if phase is None:
-        cos_t = np.cos(ts)
-
-        def beta_of(j):
-            return beta0 + (2.0 * cos_t[j]) * beta1
-    else:
+    two_beta1 = 2.0 * np.broadcast_to(beta1, shape).ravel()
+    if phase is not None:
         phase = np.broadcast_to(np.asarray(phase, dtype=float), shape).ravel()
 
-        def beta_of(j):
-            return beta0 + 2.0 * beta1 * np.cos(ts[j] + phase)
+    def beta_at(taus):
+        return beta0 + two_beta1 * np.cos(taus if phase is None else taus + phase)
 
-    n = beta0.size
-    u11 = np.ones(n)
-    u12 = np.zeros(n)
-    u21 = np.zeros(n)
-    u22 = np.ones(n)
-    h = (tau1 - tau0) / steps
-    half = 0.5 * h
-    sixth = h / 6.0
-    for i in range(steps):
-        b1 = beta_of(2 * i)
-        b2 = beta_of(2 * i + 1)
-        b3 = beta_of(2 * i + 2)
-
-        k1_11 = u21
-        k1_12 = u22
-        k1_21 = -b1 * u11
-        k1_22 = -b1 * u12
-
-        v11 = u11 + half * k1_11
-        v12 = u12 + half * k1_12
-        v21 = u21 + half * k1_21
-        v22 = u22 + half * k1_22
-        k2_11 = v21
-        k2_12 = v22
-        k2_21 = -b2 * v11
-        k2_22 = -b2 * v12
-
-        v11 = u11 + half * k2_11
-        v12 = u12 + half * k2_12
-        v21 = u21 + half * k2_21
-        v22 = u22 + half * k2_22
-        k3_11 = v21
-        k3_12 = v22
-        k3_21 = -b2 * v11
-        k3_22 = -b2 * v12
-
-        v11 = u11 + h * k3_11
-        v12 = u12 + h * k3_12
-        v21 = u21 + h * k3_21
-        v22 = u22 + h * k3_22
-        k4_11 = v21
-        k4_12 = v22
-        k4_21 = -b3 * v11
-        k4_22 = -b3 * v12
-
-        u11 = u11 + sixth * (k1_11 + 2.0 * (k2_11 + k3_11) + k4_11)
-        u12 = u12 + sixth * (k1_12 + 2.0 * (k2_12 + k3_12) + k4_12)
-        u21 = u21 + sixth * (k1_21 + 2.0 * (k2_21 + k3_21) + k4_21)
-        u22 = u22 + sixth * (k1_22 + 2.0 * (k2_22 + k3_22) + k4_22)
-    return (
-        u11.reshape(shape),
-        u12.reshape(shape),
-        u21.reshape(shape),
-        u22.reshape(shape),
-    )
+    entries = _rk4(beta_at, tau0, tau1, steps, beta0.size)
+    return tuple(e.reshape(shape) for e in entries)

@@ -5,9 +5,10 @@ node of a (beta0, beta1) grid, classifies each node by its trace, traces the
 curves where u12 or u21 vanishes, and refines their intersection: the double
 zero where the matrix becomes diag(lambda, 1/lambda), a pure q-p squeeze.
 
-All node integrations go through the vectorized fixed-step kernel in
-evolution.mathieu_batch with a fixed chunk size, so output is bit-identical
-run to run regardless of how the work is scheduled.
+All node integrations go through the batched step-map engine in
+evolution.mathieu_batch, whose result for a node does not depend on the
+batch it runs in, so output is bit-identical run to run regardless of how
+the work is chunked or scheduled.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .evolution import DEFAULT_CONFIG, IntegratorConfig
 HALF_PI = math.pi / 2.0
 DEFAULT_INTERVAL = (HALF_PI, 5.0 * HALF_PI)  # [pi/2, 5pi/2]
 
-_CHUNK = 4096  # fixed batch width; part of the deterministic-output contract
+_CHUNK = 4096  # nodes per mathieu_batch call; bounds memory, not results
 
 ZONE_NAMES = {0: "failed", 1: "I", 2: "II", 3: "III"}
 
@@ -129,8 +130,10 @@ def scan_grid(rect: ScanRect, cfg: IntegratorConfig = DEFAULT_CONFIG,
     """Evolution matrix and zone at every grid node.
 
     Nodes whose determinant drifts beyond cfg.det_tol are marked failed
-    (zone code 0) instead of aborting the scan.
+    (zone code 0) instead of aborting the scan.  Raises IntegrationError
+    before any work if cfg.steps exceeds cfg.max_steps.
     """
+    cfg.check_steps(cfg.steps)
     b0_axis = rect.beta0_axis()
     b1_axis = rect.beta1_axis()
     bb0, bb1 = np.meshgrid(b0_axis, b1_axis, indexing="ij")

@@ -153,6 +153,32 @@ def test_scan_double_zero_from_seed(capsys):
     assert math.hypot(out["beta0"] - 1.217, out["beta1"] - 0.844) < 0.02
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--profile", MATHIEU_REF, "--from", "pi/2", "--to", "5pi/2"],
+    ["scan", "--grid", "2,2"],
+    ["scan", "--locus", "u12", "--grid", "2,3"],
+    ["scan", "--double-zero", "--seed", "1.217,0.844"],
+])
+def test_steps_above_max_steps_is_numerical_failure(capsys, argv):
+    # the default max_steps is 10_000_000; the check runs before any sampling
+    assert main(argv + ["--steps", "10000001"]) == 3
+    assert "max_steps" in capsys.readouterr().err
+
+
+def test_steps_default_comes_from_default_config(monkeypatch, capsys):
+    from softsqueeze import cli
+    from softsqueeze.evolution import IntegratorConfig
+
+    monkeypatch.setattr(cli, "DEFAULT_CONFIG", IntegratorConfig(steps=1234))
+    parser = cli.build_parser()
+    args = parser.parse_args(["evolve", "--profile", MATHIEU_REF,
+                              "--from", "0", "--to", "1"])
+    assert args.steps == 1234
+    with pytest.raises(SystemExit):
+        parser.parse_args(["evolve", "--help"])
+    assert "(default 1234)" in capsys.readouterr().out
+
+
 def test_scan_double_zero_needs_seed():
     assert main(["scan", "--double-zero"]) == 2
 

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from softsqueeze import evolution
 from softsqueeze.core import (
+    BetaProfile,
     CanonicalState,
     ConstantBeta,
     MathieuBeta,
@@ -15,8 +17,15 @@ from softsqueeze.core import (
     rotation_matrix,
     squeezed_fourier,
 )
+from softsqueeze.design import (
+    ConstantTail,
+    build_chain,
+    quarter_period,
+    solve_theta_coeffs,
+)
 from softsqueeze.evolution import (
     DEFAULT_CONFIG,
+    IntegrationError,
     IntegratorConfig,
     apply_to_state,
     classify,
@@ -105,6 +114,49 @@ def test_adaptive_agrees_with_rk4():
     assert entrywise_err(u_fix, u_ada) < 1e-8
 
 
+class _UnsampledBeta(BetaProfile):
+    """A profile that fails the test if the integrator samples it."""
+
+    def beta(self, tau):
+        raise AssertionError("profile sampled")
+
+    def beta_array(self, taus):
+        raise AssertionError("profile sampled")
+
+
+def test_max_steps_enforced_before_sampling():
+    cfg = IntegratorConfig(steps=5000, max_steps=4000)
+    with pytest.raises(IntegrationError, match="max_steps"):
+        integrate(_UnsampledBeta(), 0.0, 1.0, cfg)
+    with pytest.raises(IntegrationError, match="max_steps"):
+        integrate_path(_UnsampledBeta(), [0.0, 0.5, 1.0], cfg)
+    with pytest.raises(IntegrationError, match="max_steps"):
+        integrate_symmetric(ConstantBeta(1.0), 1.0, cfg)
+    at_limit = IntegratorConfig(steps=4000, max_steps=4000)
+    assert integrate(ConstantBeta(1.0), 0.0, 1.0, at_limit).det == pytest.approx(1.0)
+
+
+class _ScalarOnlyBeta(BetaProfile):
+    """A profile that relies on the base class's beta_array."""
+
+    def beta(self, tau):
+        return 1.0
+
+
+def test_profile_with_scalar_beta_only():
+    u = integrate(_ScalarOnlyBeta(), 0.0, PI / 2, IntegratorConfig(steps=400))
+    assert entrywise_err(u, rotation_matrix(1.0, PI / 2)) < 1e-9
+
+
+def test_integrate_path_max_steps_counts_all_segments():
+    # three segments of ceil(4000 / 3) = 1334 steps: each fits, the sum does not
+    taus = np.linspace(0.0, 1.0, 4)
+    with pytest.raises(IntegrationError, match="4002"):
+        integrate_path(_UnsampledBeta(), taus, IntegratorConfig(steps=4000, max_steps=4000))
+    mats = integrate_path(ConstantBeta(1.0), taus, IntegratorConfig(steps=4000, max_steps=4002))
+    assert entrywise_err(mats[-1], rotation_matrix(1.0, 1.0)) < 1e-12
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(steps=0)
@@ -115,7 +167,7 @@ def test_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# symmetric (anticommutator) integration
+# symmetric-interval integration
 
 
 def test_symmetric_tau_zero_is_identity():
@@ -286,6 +338,26 @@ def test_integrate_path_consistency():
     assert entrywise_err(mats[-1], direct) < 1e-8
 
 
+@pytest.mark.parametrize("points", [9, 101])
+def test_integrate_path_equals_composed_segments(points):
+    # two designed stages and a constant tail; an uneven grid puts the
+    # segments into several step-count groups of the batched engine
+    pulse = build_chain(
+        [solve_theta_coeffs(2.0, 0.28), solve_theta_coeffs(1.5, 0.28)],
+        ConstantTail(0.28, quarter_period(0.28)),
+    )
+    lo, hi = pulse.interval
+    inner = np.sort(np.random.default_rng(points).uniform(lo, hi, points - 2))
+    taus = np.concatenate([[lo], inner, [hi]])
+    cfg = IntegratorConfig(steps=3000)
+    mats = integrate_path(pulse.profile, taus, cfg)
+    acc = SymplecticMatrix2.identity()
+    for k, (a, b) in enumerate(zip(taus, taus[1:])):
+        n = max(math.ceil((b - a) / (hi - lo) * cfg.steps), 8)
+        acc = integrate(pulse.profile, a, b, IntegratorConfig(steps=n)) @ acc
+        assert mats[k + 1] == acc
+
+
 # ---------------------------------------------------------------------------
 # batched Mathieu kernel
 
@@ -307,3 +379,43 @@ def test_mathieu_batch_det():
     u11, u12, u21, u22 = mathieu_batch(b0, b1, PI / 2, 5 * PI / 2, steps=20000)
     dets = u11 * u22 - u12 * u21
     assert np.max(np.abs(dets - 1.0)) < 1e-9
+
+
+def test_mathieu_batch_independent_of_batch_and_block_size(monkeypatch):
+    # the product tree depends only on the step count: a node gives the same
+    # bits alone, inside a 4096-wide batch, and under any block budget
+    rng = np.random.default_rng(4096)
+    b0 = rng.uniform(0.9, 1.9, size=4096)
+    b1 = rng.uniform(0.5, 1.6, size=4096)
+    steps = 1001  # odd, so elements are carried up the tree
+    wide = mathieu_batch(b0, b1, PI / 2, 5 * PI / 2, steps=steps)
+    for k in (0, 1234, 4095):
+        alone = mathieu_batch(b0[k], b1[k], PI / 2, 5 * PI / 2, steps=steps)
+        assert [float(w[k]) for w in wide] == [float(a) for a in alone]
+    for budget in (1, 64, 1 << 16):
+        monkeypatch.setattr(evolution, "_BLOCK_ELEMENTS", budget)
+        narrow = mathieu_batch(b0[:8], b1[:8], PI / 2, 5 * PI / 2, steps=steps)
+        for w, n in zip(wide, narrow):
+            assert np.array_equal(w[:8], n)
+
+
+# (beta0, beta1) and u(5pi/2, pi/2) from 30-digit mpmath.odefun solutions,
+# rounded to double, as written to bench/refs.json by bench/make_refs.py
+MPMATH_MATRICES = [
+    (1.217, 0.844, (0.22604473084135426, -0.07208895062404311,
+                    0.09633799705399115, 4.3931795764092145)),
+    (1.217, 1.6, (4.174729922655164, 8.26063879518505,
+                  10.398344423145916, 20.81499137847654)),
+    (1.9, 0.844, (-0.8781552476700916, 1.1525630169331589,
+                  -1.2346941286105584, 0.48176309483261254)),
+    (1.9, 1.6, (0.4437078164972663, 6.424932066286183,
+                0.08926653394065433, 3.5463234089121087)),
+]
+
+
+def test_mathieu_batch_matches_mpmath_reference():
+    # the delta-form product at the default 20000 steps is within 9.6e-14;
+    # multiplying the step matrices S_k themselves misses by 1.9e-13
+    b0, b1, ref = zip(*MPMATH_MATRICES)
+    got = np.array(mathieu_batch(np.array(b0), np.array(b1), PI / 2, 5 * PI / 2)).T
+    assert np.max(np.abs(got - np.array(ref))) <= 1.3e-13

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from softsqueeze.evolution import IntegratorConfig, integrate
+from softsqueeze.evolution import IntegrationError, IntegratorConfig, integrate
 from softsqueeze.core import MathieuBeta, rotation_matrix
 from softsqueeze.mathieu import (
     ConvergenceError,
@@ -59,6 +59,34 @@ def test_scan_grid_zone_structure():
     assert 3 in zones          # squeezing region present
     assert 1 in zones          # stable region present
     assert not res.failed.any()
+
+
+def test_scan_grid_zones_flip_across_mathieu_characteristic_curves():
+    # With tau = 2z, a = 4 beta0 and q = 4 beta1 the drive is Mathieu's
+    # equation (up to the sign of q, which only swaps a_r and b_r for odd r),
+    # whose |Gamma| = 2 boundaries are the characteristic values a_r(q),
+    # b_r(q) (DLMF 28.2, 28.7), computed by scipy without any of this
+    # package's code.  The box reaches the first three tongues b_r < a < a_r and lies
+    # between a_0 and b_4, so r = 1..3 decide every node.
+    from scipy.special import mathieu_a, mathieu_b
+
+    rect = ScanRect(0.2, 2.6, 0.1, 1.0, n0=25, n1=6)
+    res = scan_grid(rect, FAST)
+    tongues = set()
+    for i, b0 in enumerate(res.beta0s):
+        for j, b1 in enumerate(res.beta1s):
+            q = 4.0 * b1
+            assert mathieu_a(0, q) / 4 < rect.beta0_lo
+            assert mathieu_b(4, q) / 4 > rect.beta0_hi
+            lows = [mathieu_b(r, q) / 4 for r in (1, 2, 3)]
+            highs = [mathieu_a(r, q) / 4 for r in (1, 2, 3)]
+            if min(abs(b0 - c) for c in lows + highs) < 1e-6:
+                continue
+            inside = [r for r, lo, hi in zip((1, 2, 3), lows, highs) if lo < b0 < hi]
+            tongues.update(inside)
+            assert res.zone[i, j] == (3 if inside else 1), (b0, b1, res.gamma[i, j])
+    assert tongues == {1, 2, 3}
+    assert (res.zone == 1).any()
 
 
 def test_scan_grid_row_major_order():
@@ -177,3 +205,14 @@ def test_find_double_zero_location_regression(double_zero):
 def test_find_double_zero_rejects_stable_seed():
     with pytest.raises(ConvergenceError):
         find_double_zero((0.9, 0.5), FAST)
+
+
+def test_max_steps_enforced_by_scan_locus_and_double_zero():
+    cfg = IntegratorConfig(steps=3000, max_steps=2000)
+    rect = ScanRect(1.0, 1.1, 1.1, 1.35, n0=2, n1=3)
+    with pytest.raises(IntegrationError, match="max_steps"):
+        scan_grid(rect, cfg)
+    with pytest.raises(IntegrationError, match="max_steps"):
+        trace_locus(rect, "u12", cfg)
+    with pytest.raises(IntegrationError, match="max_steps"):
+        find_double_zero((1.217, 0.844), cfg)
