@@ -18,6 +18,11 @@ Profiles are JSON objects passed inline or as a file path:
     {"kind": "composite", "pieces": [{"from": a, "to": b, "profile": {...}}]}
 
 A JSON file of defaults can be supplied with --config; explicit flags win.
+Its keys are flag names ("steps", "tail-duration" or "tail_duration"); a key
+that names no flag of any subcommand is a configuration error.
+
+The one integrator is fixed-step RK4; --steps sets its step count per
+interval.
 """
 
 from __future__ import annotations
@@ -68,21 +73,12 @@ def _load_profile(source: str):
 
 
 def _integrator_config(args) -> IntegratorConfig:
-    return IntegratorConfig(
-        method=args.method,
-        steps=args.steps,
-        rtol=args.rtol,
-        atol=args.atol,
-    )
+    return IntegratorConfig(steps=args.steps)
 
 
 def _add_integrator_flags(p: argparse.ArgumentParser):
-    p.add_argument("--method", choices=("rk4", "adaptive"), default="rk4",
-                   help="integrator (default fixed-step rk4)")
     p.add_argument("--steps", type=int, default=DEFAULT_CONFIG.steps,
                    help=f"RK4 steps per interval (default {DEFAULT_CONFIG.steps})")
-    p.add_argument("--rtol", type=float, default=1e-10)
-    p.add_argument("--atol", type=float, default=1e-12)
 
 
 @contextmanager
@@ -188,7 +184,7 @@ def cmd_design(args) -> int:
     bs = [args.b]
     if args.chain:
         bs.extend(float(x) for x in args.chain.split(","))
-    ansatzes = [design.solve_theta_coeffs(b, args.beta0) for b in bs]
+    ansatzes = [design.ThetaAnsatz.from_targets(b, args.beta0) for b in bs]
 
     lemma_reports = []
     for a in ansatzes:
@@ -506,12 +502,16 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_solenoid)
 
     if defaults:
+        # a key no subcommand reads would be ignored silently; one file may
+        # serve several subcommands, so any subcommand's flag is accepted
+        known = {a.dest for sp in subparsers for a in sp._actions} - {"help"}
+        unknown = sorted(set(defaults) - known)
+        if unknown:
+            parser.error(f"unknown --config key(s): {', '.join(unknown)}")
         # subcommands parse into their own namespace, so the defaults have
         # to reach every subparser, not just the root
-        safe = {k: v for k, v in defaults.items()
-                if k not in ("handler", "command")}
         for sp in (parser, *subparsers):
-            sp.set_defaults(**safe)
+            sp.set_defaults(**defaults)
 
     return parser
 
@@ -533,9 +533,8 @@ def main(argv=None) -> int:
             print("error: --config must hold a JSON object", file=sys.stderr)
             return 2
         overrides = {k.replace("-", "_"): v for k, v in overrides.items()}
-    parser = build_parser(overrides)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(overrides).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -18,10 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Determinant tolerances: closed forms are exact up to rounding, integrated
-# matrices carry the integrator's drift.
+# Determinant tolerance of closed forms, which are exact up to rounding.
 ANALYTIC_DET_TOL = 1e-12
-INTEGRATED_DET_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -83,11 +81,6 @@ class CanonicalState:
     def __post_init__(self):
         if not (math.isfinite(self.q) and math.isfinite(self.p)):
             raise ValueError(f"canonical state must be finite, got ({self.q}, {self.p})")
-
-
-def compose(u: SymplecticMatrix2, v: SymplecticMatrix2) -> SymplecticMatrix2:
-    """Matrix product u @ v (v acts first)."""
-    return u @ v
 
 
 def rotation_matrix(kappa: float, dtau: float) -> SymplecticMatrix2:
@@ -178,11 +171,8 @@ class BetaProfile:
         taus = np.asarray(taus, dtype=float)
         self._check_domain_array(taus)
         return np.array(
-            [self._beta_unchecked(float(t)) for t in taus.ravel()]
+            [self.beta(float(t)) for t in taus.ravel()]
         ).reshape(taus.shape)
-
-    def _beta_unchecked(self, tau: float) -> float:
-        return self.beta(tau)
 
     def domain(self):
         """(lo, hi) interval of validity; infinite for unbounded profiles."""
@@ -351,12 +341,6 @@ class CompositeBeta(BetaProfile):
                 for t0, t1, prof in self.pieces
             ],
         }
-
-
-def beta_eval(profile: BetaProfile, tau: float) -> float:
-    """Evaluate beta(tau); raises ValueError outside the declared domain."""
-    profile._check_domain(tau)
-    return profile.beta(tau)
 
 
 def profile_from_dict(d: dict) -> BetaProfile:

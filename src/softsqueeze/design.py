@@ -71,10 +71,6 @@ class ThetaAnsatz:
         )
 
 
-def solve_theta_coeffs(b: float, beta0: float) -> ThetaAnsatz:
-    return ThetaAnsatz.from_targets(b, beta0)
-
-
 def theta_eval(ansatz: ThetaAnsatz, tau, order: int = 0):
     """n-th derivative of theta at tau (n in 0..3); accepts arrays."""
     if order not in (0, 1, 2, 3):
@@ -359,11 +355,6 @@ def _edge_derivs(ansatz: ThetaAnsatz) -> tuple:
     beta1 = -th3 / (2.0 * th)
     beta2 = -th4 / (2.0 * th) + (th2 / th) ** 2 + 2.0 * th2 / th**3
     return (beta, beta1, beta2)
-
-
-def build_pulse(ansatz: ThetaAnsatz, tail: Optional[ConstantTail] = None) -> DesignedPulse:
-    """Single designed stage on [-pi/2, pi/2], plus an optional constant tail."""
-    return build_chain([ansatz], tail)
 
 
 def build_chain(

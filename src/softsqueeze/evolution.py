@@ -1,12 +1,12 @@
 """Integration of the evolution-matrix ODE and zone classification.
 
 The forward equation du/dtau = L(tau) u, u(tau0, tau0) = 1, with
-L(tau) = [[0, 1], [-beta(tau), 0]], is solved by classical fixed-step RK4
-written as a step map: on a linear ODE one RK4 step is the 2x2 polynomial
-S_k in h and the beta samples at the step's node, midpoint and end.  Every
-fixed-step integration here (integrate, integrate_path, integrate_symmetric
-and the batched mathieu_batch) goes through one engine that builds these
-maps vectorised and multiplies them in order.
+L(tau) = [[0, 1], [-beta(tau), 0]], is solved by classical fixed-step RK4,
+the package's only integrator, written as a step map: on a linear ODE one
+RK4 step is the 2x2 polynomial S_k in h and the beta samples at the step's
+node, midpoint and end.  Every integration here (integrate, integrate_path,
+integrate_symmetric and the batched mathieu_batch) goes through one engine
+that builds these maps vectorised and multiplies them in order.
 
 The engine keeps each map in delta form, D_k = S_k - 1, and multiplies by
 (1 + a)(1 + b) - 1 = a + b + ab, adding the identity once at the end.  The
@@ -32,7 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -47,26 +47,23 @@ class IntegrationError(RuntimeError):
 class IntegratorConfig:
     """Numerical settings shared by all integrations.
 
-    method: "rk4" (fixed step, default) or "adaptive" (scipy DOP853).
+    There is one integrator, fixed-step RK4; `method` is the class constant
+    "rk4", not a setting.
     steps:  number of RK4 steps per requested interval.
     max_steps: most RK4 steps one call may take; more raise IntegrationError.
-    det_tol: allowed |det - 1| drift of the result.
+    det_tol: allowed |det - 1| drift of the result; must be positive.
     """
 
-    method: str = "rk4"
+    method: ClassVar[str] = "rk4"
     steps: int = 20000
-    rtol: float = 1e-10
-    atol: float = 1e-12
     max_steps: int = 10_000_000
     det_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.method not in ("rk4", "adaptive"):
-            raise ValueError(f"unknown method '{self.method}'")
         if self.steps <= 0 or self.max_steps <= 0:
             raise ValueError("step counts must be positive")
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not self.det_tol > 0:
+            raise ValueError(f"det_tol must be positive, got {self.det_tol}")
 
     def check_steps(self, steps: int):
         """Raise IntegrationError if a run of `steps` RK4 steps exceeds max_steps."""
@@ -182,29 +179,13 @@ def _rk4(beta_at, t0, t1, steps: int, width: int) -> tuple:
     return d[0] + 1.0, d[1], d[2], d[3] + 1.0
 
 
-def _adaptive_forward(profile, t0, t1, cfg) -> tuple:
-    from scipy.integrate import solve_ivp
-
-    def rhs(t, y):
-        b = profile.beta(t)
-        return (y[2], y[3], -b * y[0], -b * y[1])
-
-    sol = solve_ivp(
-        rhs, (t0, t1), (1.0, 0.0, 0.0, 1.0),
-        method="DOP853", rtol=cfg.rtol, atol=cfg.atol,
-    )
-    if not sol.success:
-        raise IntegrationError(f"adaptive integration failed: {sol.message}")
-    return tuple(sol.y[:, -1])
-
-
 def _check_det(entries: tuple, cfg: IntegratorConfig, what: str) -> SymplecticMatrix2:
     u = SymplecticMatrix2(*entries)
     drift = abs(u.det - 1.0)
     if not drift <= cfg.det_tol:
         raise IntegrationError(
             f"{what}: determinant drift {drift:.3e} exceeds {cfg.det_tol:.1e}; "
-            "refine the step or tolerances"
+            "refine the step"
         )
     return u
 
@@ -217,19 +198,16 @@ def integrate(
 ) -> SymplecticMatrix2:
     """Evolution matrix u(tau1, tau0) for q'' + beta(tau) q = 0.
 
-    With method "rk4", raises IntegrationError before sampling beta if
-    cfg.steps exceeds cfg.max_steps.
+    Raises IntegrationError before sampling beta if cfg.steps exceeds
+    cfg.max_steps.
     """
     if tau1 < tau0:
         raise ValueError(f"need tau1 >= tau0, got [{tau0}, {tau1}]")
     profile.check_interval(tau0, tau1)
     if tau1 == tau0:
         return SymplecticMatrix2.identity()
-    if cfg.method == "adaptive":
-        entries = _adaptive_forward(profile, tau0, tau1, cfg)
-    else:
-        cfg.check_steps(cfg.steps)
-        entries = [float(e[0]) for e in _rk4(profile.beta_array, tau0, tau1, cfg.steps, 1)]
+    cfg.check_steps(cfg.steps)
+    entries = [float(e[0]) for e in _rk4(profile.beta_array, tau0, tau1, cfg.steps, 1)]
     return _check_det(entries, cfg, f"integrate over [{tau0}, {tau1}]")
 
 
@@ -405,12 +383,8 @@ def integrate_path(
     if any(b <= a for a, b in zip(taus, taus[1:])):
         raise ValueError("tau grid must be strictly increasing")
     profile.check_interval(taus[0], taus[-1])
-    if cfg.method == "adaptive":
-        segs = [integrate(profile, a, b, cfg) for a, b in zip(taus, taus[1:])]
-    else:
-        segs = _rk4_segments(profile, taus, cfg)
     out = [SymplecticMatrix2.identity()]
-    for seg in segs:
+    for seg in _rk4_segments(profile, taus, cfg):
         out.append(seg @ out[-1])
     return out
 
@@ -437,7 +411,7 @@ def mathieu_batch(
     beta1,
     tau0: float,
     tau1: float,
-    steps: int = 20000,
+    steps: int = DEFAULT_CONFIG.steps,
     phase=None,
 ):
     """RK4 evolution entries for many (beta0, beta1) pairs at once.

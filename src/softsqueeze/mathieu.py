@@ -96,9 +96,6 @@ class ScanResult:
             float(self.u21[i, j]), float(self.u22[i, j]),
         )
 
-    def report_at(self, i: int, j: int) -> evolution.ZoneReport:
-        return evolution.classify(self.matrix_at(i, j))
-
     def iter_rows(self):
         """Row-major (beta0 outer, beta1 inner) scan rows for emission."""
         for i, b0 in enumerate(self.beta0s):
@@ -256,8 +253,7 @@ def find_double_zero(
     b0, b1 = float(seed[0]), float(seed[1])
 
     def entries(x0, x1):
-        u = evolution.integrate(MathieuBeta(x0, x1), tau0, tau1, cfg)
-        return u
+        return evolution.integrate(MathieuBeta(x0, x1), tau0, tau1, cfg)
 
     u = entries(b0, b1)
     rep = evolution.classify(u)

@@ -74,17 +74,6 @@ class PhysicalContext:
         return math.sqrt(self.hbar * self.m / self.T)
 
 
-@dataclass(frozen=True)
-class FieldEstimate:
-    """Laboratory magnitudes attached to one dimensionless design."""
-
-    phi0_volt: Optional[float] = None
-    phi1_volt: Optional[float] = None
-    b_peak_gauss: Optional[float] = None
-    operation_time_s: Optional[float] = None
-    radiative_ratio: Optional[float] = None
-
-
 def to_dimensionless(ctx: PhysicalContext, q: float, p: float, t: float) -> tuple:
     """(q cm, p g cm/s, t s) -> dimensionless (q_d, p_d, tau)."""
     return (q / ctx.length_scale, p / ctx.momentum_scale, t / ctx.T)

@@ -15,7 +15,6 @@ from softsqueeze.core import (
     CanonicalState,
     MathieuBeta,
     SymplecticMatrix2,
-    compose,
     rotation_matrix,
 )
 from softsqueeze.evolution import DEFAULT_CONFIG, IntegratorConfig
@@ -107,7 +106,7 @@ def test_double_zero_refinement():
 def test_single_stage_squeezed_fourier_maps():
     failures = []
     for b in (5.0 / 3.0, 184.0 / 95.0, 2.0):
-        pulse = design.build_pulse(design.solve_theta_coeffs(b, 0.0))
+        pulse = design.build_chain([design.ThetaAnsatz.from_targets(b, 0.0)])
         u = evolution.integrate(pulse.profile, -math.pi / 2, math.pi / 2,
                                 DEFAULT_CONFIG)
         for label, err in (("u11", abs(u.u11)), ("u22", abs(u.u22)),
@@ -121,8 +120,8 @@ def test_single_stage_squeezed_fourier_maps():
 
 def test_two_stage_chain_lambda():
     chain = design.build_chain([
-        design.solve_theta_coeffs(5.0 / 3.0, 0.0),
-        design.solve_theta_coeffs(184.0 / 95.0, 0.0),
+        design.ThetaAnsatz.from_targets(5.0 / 3.0, 0.0),
+        design.ThetaAnsatz.from_targets(184.0 / 95.0, 0.0),
     ])
     lo, hi = chain.interval
     u = evolution.integrate(chain.profile, lo, hi, DEFAULT_CONFIG)
@@ -138,8 +137,8 @@ def test_two_stage_chain_lambda():
 
 def test_stage_plus_tail_amplification():
     beta0 = 0.28
-    pulse = design.build_pulse(
-        design.solve_theta_coeffs(1.99, beta0),
+    pulse = design.build_chain(
+        [design.ThetaAnsatz.from_targets(1.99, beta0)],
         design.ConstantTail(beta0, design.quarter_period(beta0)),
     )
     lo, hi = pulse.interval
@@ -160,7 +159,7 @@ def test_symmetric_integration_agreement():
     cfg = IntegratorConfig(steps=2500)
     cases = [
         (MathieuBeta(1.217, 0.844), np.linspace(0.04, 2.0, 50)),
-        (design.ThetaDerivedBeta(design.solve_theta_coeffs(2.0, 0.0)),
+        (design.ThetaDerivedBeta(design.ThetaAnsatz.from_targets(2.0, 0.0)),
          np.linspace(0.03, math.pi / 2, 50)),
     ]
     worst = 0.0
@@ -244,7 +243,7 @@ def test_coefficient_residuals():
     for _ in range(N_CASES):
         b = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0)
         beta0 = rng.uniform(0.0, 1.5)
-        a = design.solve_theta_coeffs(b, beta0)
+        a = design.ThetaAnsatz.from_targets(b, beta0)
         worst = max(worst, float(np.max(np.abs(a.residuals()))))
     ok = worst <= 1e-12
     assert check(f"target-system residuals over {N_CASES} random designs", ok,
@@ -255,7 +254,7 @@ def test_profile_symmetry():
     rng = np.random.default_rng(SEED + 3)
     worst = 0.0
     for _ in range(N_CASES):
-        a = design.solve_theta_coeffs(rng.uniform(0.7, 2.8), rng.uniform(0.0, 0.9))
+        a = design.ThetaAnsatz.from_targets(rng.uniform(0.7, 2.8), rng.uniform(0.0, 0.9))
         prof = design.ThetaDerivedBeta(a)
         taus = rng.uniform(0.0, math.pi / 2, 4)
         worst = max(worst, float(np.max(np.abs(
@@ -274,7 +273,7 @@ def test_theta_round_trip():
         b = rng.uniform(0.7, 2.8)
         beta0 = rng.uniform(0.0, 0.9)
         tau = rng.uniform(0.05, math.pi / 2)
-        a = design.solve_theta_coeffs(b, beta0)
+        a = design.ThetaAnsatz.from_targets(b, beta0)
         prof = design.ThetaDerivedBeta(a)
         u = evolution.integrate_symmetric(prof, tau, cfg)
         worst = max(worst, abs(u.u12 - design.theta_eval(a, tau)))
@@ -292,7 +291,7 @@ def _random_symplectic(rng) -> SymplecticMatrix2:
     stretch = SymplecticMatrix2(s, 0.0, 0.0, 1.0 / s)
     left = rotation_matrix(1.0, rng.uniform(0.0, 2.0 * math.pi))
     right = rotation_matrix(1.0, rng.uniform(0.0, 2.0 * math.pi))
-    return compose(left, compose(stretch, right))
+    return left @ (stretch @ right)
 
 
 def test_width_dual_route():
@@ -323,8 +322,8 @@ def test_covariance_determinant_invariance():
 
 def test_congruence_endpoints():
     chain = design.build_chain([
-        design.solve_theta_coeffs(5.0 / 3.0, 0.0),
-        design.solve_theta_coeffs(184.0 / 95.0, 0.0),
+        design.ThetaAnsatz.from_targets(5.0 / 3.0, 0.0),
+        design.ThetaAnsatz.from_targets(184.0 / 95.0, 0.0),
     ])
     lam = -(184.0 / 95.0) / (5.0 / 3.0)
     lo, hi = chain.interval

@@ -412,6 +412,26 @@ def test_config_file_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("key", ["max_steps", "method", "rtol", "handler"])
+def test_config_unknown_key_is_config_error(tmp_path, capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"steps": 2000, key: 1}))
+    assert main(["--config", str(cfg), "units"]) == 2
+    assert f"unknown --config key(s): {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--profile", MATHIEU_REF, "--from", "0", "--to", "1"],
+    ["scan", "--grid", "2,2"],
+    ["design", "--b", "2"],
+    ["shadow", "--profile", THETA_B2],
+])
+def test_removed_integrator_flags_are_usage_errors(capsys, argv):
+    for flag, value in (("--method", "rk4"), ("--rtol", "1e-10"), ("--atol", "1e-12")):
+        assert main(argv + ["--steps", "200", flag, value]) == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
 def test_no_subcommand_is_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()

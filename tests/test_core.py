@@ -1,11 +1,13 @@
 """Matrix algebra, stiffness profiles, and closed-form generators."""
 
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
 
+import softsqueeze
 from softsqueeze.core import (
     CanonicalState,
     CompositeBeta,
@@ -13,8 +15,6 @@ from softsqueeze.core import (
     MathieuBeta,
     SampledBeta,
     SymplecticMatrix2,
-    beta_eval,
-    compose,
     free_motion,
     is_equidiagonal,
     profile_from_dict,
@@ -65,7 +65,7 @@ def test_matmul_matches_numpy():
 def test_compose_is_matrix_product():
     u = rotation_matrix(1.0, 0.7)
     v = free_motion(0.3)
-    assert compose(u, v) == u @ v
+    assert np.array_equal((u @ v).as_array(), u.as_array() @ v.as_array())
 
 
 def test_from_array_round_trip():
@@ -252,7 +252,7 @@ def test_composite_requires_contiguity():
 
 def test_beta_eval_helper():
     prof = MathieuBeta(1.0, 0.25)
-    assert beta_eval(prof, 0.0) == pytest.approx(1.5)
+    assert prof.beta(0.0) == pytest.approx(1.5)
 
 
 def test_domain_check_slack():
@@ -293,3 +293,13 @@ def test_sampled_json_round_trip():
 def test_profile_from_dict_rejects_unknown_kind():
     with pytest.raises(ValueError):
         profile_from_dict({"kind": "quartic", "beta": 1.0})
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from softsqueeze import *", namespace)
+    del namespace["__builtins__"]
+    public = {k for k, v in vars(softsqueeze).items()
+              if not k.startswith("_") and not inspect.ismodule(v)}
+    assert len(set(softsqueeze.__all__)) == len(softsqueeze.__all__)
+    assert set(namespace) == public == set(softsqueeze.__all__)

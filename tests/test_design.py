@@ -14,9 +14,7 @@ from softsqueeze.design import (
     ThetaDerivedBeta,
     beta_from_theta,
     build_chain,
-    build_pulse,
     quarter_period,
-    solve_theta_coeffs,
     theta_eval,
     validate_lemma,
     verify_design,
@@ -34,14 +32,14 @@ CFG = IntegratorConfig(steps=4000)
 
 
 def test_coeffs_closed_form_b2():
-    a = solve_theta_coeffs(2.0, 0.0)
+    a = ThetaAnsatz.from_targets(2.0, 0.0)
     assert a.a1 == pytest.approx(33.0 / 16.0, abs=1e-14)
     assert a.a3 == pytest.approx(1.0 / 32.0, abs=1e-14)
     assert a.a5 == pytest.approx(-1.0 / 32.0, abs=1e-14)
 
 
 def test_coeffs_closed_form_b_5_3():
-    a = solve_theta_coeffs(5.0 / 3.0, 0.0)
+    a = ThetaAnsatz.from_targets(5.0 / 3.0, 0.0)
     assert a.a1 == pytest.approx(1.7375, abs=1e-12)
     assert a.a3 == pytest.approx(0.0770833333333, abs=1e-12)
     assert a.a5 == pytest.approx(0.00625, abs=1e-12)
@@ -52,7 +50,7 @@ def test_coeffs_match_independent_solve():
     for _ in range(20):
         b = RNG.uniform(0.1, 10.0) * RNG.choice([-1.0, 1.0])
         beta0 = RNG.uniform(-5.0, 5.0)
-        a = solve_theta_coeffs(b, beta0)
+        a = ThetaAnsatz.from_targets(b, beta0)
         m = np.array([[1.0, 3.0, 5.0], [1.0, -1.0, 1.0], [-1.0, 9.0, -25.0]])
         rhs = np.array([2.0, b, -2.0 / b - 2.0 * b * beta0])
         det_m = np.linalg.det(m)
@@ -67,13 +65,13 @@ def test_coeffs_match_independent_solve():
 
 
 def test_coeffs_residuals_fig4_parameters():
-    a = solve_theta_coeffs(1.99, 0.28)
+    a = ThetaAnsatz.from_targets(1.99, 0.28)
     assert max(abs(r) for r in a.residuals()) < 1e-12
 
 
 def test_coeffs_reject_zero_b():
     with pytest.raises(ValueError):
-        solve_theta_coeffs(0.0, 1.0)
+        ThetaAnsatz.from_targets(0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +79,7 @@ def test_coeffs_reject_zero_b():
 
 
 def test_theta_basic_values():
-    a = solve_theta_coeffs(2.0, 0.0)
+    a = ThetaAnsatz.from_targets(2.0, 0.0)
     assert theta_eval(a, 0.0) == 0.0
     assert theta_eval(a, 0.0, 1) == pytest.approx(2.0, abs=1e-14)
     assert theta_eval(a, HALF_PI) == pytest.approx(a.b, abs=1e-14)
@@ -89,25 +87,25 @@ def test_theta_basic_values():
 
 
 def test_theta_third_derivative_at_zero():
-    a = solve_theta_coeffs(2.0, 0.0)
+    a = ThetaAnsatz.from_targets(2.0, 0.0)
     # -(a1 + 27 a3 + 125 a5)
     assert theta_eval(a, 0.0, 3) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_theta_is_odd():
-    a = solve_theta_coeffs(1.7, 0.3)
+    a = ThetaAnsatz.from_targets(1.7, 0.3)
     taus = RNG.uniform(0.0, HALF_PI, size=32)
     assert np.allclose(theta_eval(a, taus), -theta_eval(a, -taus), atol=1e-14)
 
 
 def test_theta_derivative_order_validation():
-    a = solve_theta_coeffs(2.0, 0.0)
+    a = ThetaAnsatz.from_targets(2.0, 0.0)
     with pytest.raises(ValueError):
         theta_eval(a, 0.0, 4)
 
 
 def test_theta_derivatives_against_finite_differences():
-    a = solve_theta_coeffs(1.3, -0.4)
+    a = ThetaAnsatz.from_targets(1.3, -0.4)
     h = 1e-5
     for tau in (0.3, 1.0, 1.4):
         for order in (1, 2, 3):
@@ -122,19 +120,19 @@ def test_theta_derivatives_against_finite_differences():
 
 def test_beta_edge_value_is_beta0():
     for b, beta0 in ((2.0, 0.0), (1.99, 0.28), (5.0 / 3.0, 0.0), (0.7, -1.1)):
-        a = solve_theta_coeffs(b, beta0)
+        a = ThetaAnsatz.from_targets(b, beta0)
         assert beta_from_theta(a, HALF_PI) == pytest.approx(beta0, abs=1e-12)
 
 
 def test_beta_limit_at_origin():
-    a = solve_theta_coeffs(2.0, 0.0)
+    a = ThetaAnsatz.from_targets(2.0, 0.0)
     # theta'(0) = 2, theta'''(0) = 1 so the limit is -2*1/16
     assert beta_from_theta(a, 0.0) == pytest.approx(-0.125, abs=1e-14)
 
 
 def test_beta_limit_matches_extrapolation_oracle():
     # Richardson in h^2 from regular-branch evaluations approaching 0
-    a = solve_theta_coeffs(2.0, 0.0)
+    a = ThetaAnsatz.from_targets(2.0, 0.0)
     h = 4e-3
     b_h = beta_from_theta(a, h)
     b_h2 = beta_from_theta(a, h / 2)
@@ -143,14 +141,14 @@ def test_beta_limit_matches_extrapolation_oracle():
 
 
 def test_beta_near_zero_continuity():
-    a = solve_theta_coeffs(1.99, 0.28)
+    a = ThetaAnsatz.from_targets(1.99, 0.28)
     lim = beta_from_theta(a, 0.0)
     for tau in (1e-4, -1e-4):
         assert abs(beta_from_theta(a, tau) - lim) <= 1e-4
 
 
 def test_beta_is_symmetric():
-    a = solve_theta_coeffs(1.6, 0.2)
+    a = ThetaAnsatz.from_targets(1.6, 0.2)
     taus = RNG.uniform(0.0, HALF_PI, size=64)
     assert np.allclose(beta_from_theta(a, taus), beta_from_theta(a, -taus),
                        atol=1e-10)
@@ -179,7 +177,7 @@ def test_beta_singularity_detected():
 
 
 def test_beta_array_matches_scalar():
-    a = solve_theta_coeffs(1.99, 0.28)
+    a = ThetaAnsatz.from_targets(1.99, 0.28)
     taus = np.linspace(-HALF_PI, HALF_PI, 41)
     arr = beta_from_theta(a, taus)
     scalars = [beta_from_theta(a, float(t)) for t in taus]
@@ -191,7 +189,7 @@ def test_beta_array_matches_scalar():
 
 
 def test_lemma_passes_for_designed_ansatz():
-    rep = validate_lemma(solve_theta_coeffs(2.0, 0.0))
+    rep = validate_lemma(ThetaAnsatz.from_targets(2.0, 0.0))
     assert rep.ok
     assert len(rep.theta_zeros) == 1
     z = rep.theta_zeros[0]
@@ -200,7 +198,7 @@ def test_lemma_passes_for_designed_ansatz():
 
 
 def test_lemma_reports_edge_fourier_points():
-    rep = validate_lemma(solve_theta_coeffs(1.99, 0.28))
+    rep = validate_lemma(ThetaAnsatz.from_targets(1.99, 0.28))
     taus = sorted(f.tau for f in rep.fourier_points)
     assert taus[0] == pytest.approx(-HALF_PI, abs=1e-9)
     assert taus[-1] == pytest.approx(HALF_PI, abs=1e-9)
@@ -225,7 +223,7 @@ def test_lemma_flags_bad_slope():
 
 
 def test_build_pulse_soft_borders():
-    pulse = build_pulse(solve_theta_coeffs(2.0, 0.0))
+    pulse = build_chain([ThetaAnsatz.from_targets(2.0, 0.0)])
     assert pulse.interval == (-HALF_PI, HALF_PI)
     assert pulse.profile.beta(HALF_PI) == pytest.approx(0.0, abs=1e-12)
     assert pulse.profile.beta(-HALF_PI) == pytest.approx(0.0, abs=1e-12)
@@ -233,15 +231,15 @@ def test_build_pulse_soft_borders():
 
 
 def test_build_pulse_tail_mismatch_rejected():
-    a = solve_theta_coeffs(2.0, 0.0)
+    a = ThetaAnsatz.from_targets(2.0, 0.0)
     with pytest.raises(ValueError):
-        build_pulse(a, ConstantTail(beta0=0.5, duration=1.0))
+        build_chain([a], ConstantTail(beta0=0.5, duration=1.0))
 
 
 def test_build_chain_stage_mismatch_rejected():
     with pytest.raises(ValueError):
-        build_chain([solve_theta_coeffs(2.0, 0.0),
-                     solve_theta_coeffs(1.5, 0.3)])
+        build_chain([ThetaAnsatz.from_targets(2.0, 0.0),
+                     ThetaAnsatz.from_targets(1.5, 0.3)])
 
 
 def test_quarter_period_values():
@@ -253,9 +251,9 @@ def test_quarter_period_values():
 
 
 def test_build_pulse_with_tail_layout():
-    a = solve_theta_coeffs(1.99, 0.28)
+    a = ThetaAnsatz.from_targets(1.99, 0.28)
     tail = ConstantTail(beta0=0.28, duration=quarter_period(0.28))
-    pulse = build_pulse(a, tail)
+    pulse = build_chain([a], tail)
     lo, hi = pulse.interval
     assert lo == pytest.approx(-HALF_PI)
     assert hi == pytest.approx(HALF_PI + tail.duration)
@@ -272,7 +270,7 @@ def test_build_pulse_with_tail_layout():
 
 
 def test_chain_join_continuity_between_equal_stages():
-    a = solve_theta_coeffs(2.0, 0.0)
+    a = ThetaAnsatz.from_targets(2.0, 0.0)
     pulse = build_chain([a, a])
     assert len(pulse.joins) == 1
     assert all(pulse.joins[0].ok)
@@ -280,7 +278,7 @@ def test_chain_join_continuity_between_equal_stages():
 
 def test_designed_profile_json_round_trip():
     from softsqueeze.core import profile_from_dict
-    a = solve_theta_coeffs(1.99, 0.28)
+    a = ThetaAnsatz.from_targets(1.99, 0.28)
     prof = ThetaDerivedBeta(a, offset=PI)
     again = profile_from_dict(prof.to_json_dict())
     taus = np.linspace(PI - HALF_PI, PI + HALF_PI, 33)
@@ -292,7 +290,7 @@ def test_designed_profile_json_round_trip():
 
 
 def test_verify_single_stage_squeezed_fourier():
-    pulse = build_pulse(solve_theta_coeffs(2.0, 0.0))
+    pulse = build_chain([ThetaAnsatz.from_targets(2.0, 0.0)])
     rep = verify_design(pulse, CFG)
     assert rep.ok
     m = rep.stage_matrices[0]
@@ -303,8 +301,8 @@ def test_verify_single_stage_squeezed_fourier():
 
 def test_verify_two_stage_amplifier():
     b1, b2 = 5.0 / 3.0, 184.0 / 95.0
-    pulse = build_chain([solve_theta_coeffs(b1, 0.0),
-                         solve_theta_coeffs(b2, 0.0)])
+    pulse = build_chain([ThetaAnsatz.from_targets(b1, 0.0),
+                         ThetaAnsatz.from_targets(b2, 0.0)])
     rep = verify_design(pulse, CFG)
     assert rep.ok
     assert rep.lam == pytest.approx(-b2 / b1, abs=1e-6)
@@ -313,8 +311,8 @@ def test_verify_two_stage_amplifier():
 
 
 def test_verify_stage_plus_tail_amplifier():
-    a = solve_theta_coeffs(1.99, 0.28)
-    pulse = build_pulse(a, ConstantTail(0.28, quarter_period(0.28)))
+    a = ThetaAnsatz.from_targets(1.99, 0.28)
+    pulse = build_chain([a], ConstantTail(0.28, quarter_period(0.28)))
     rep = verify_design(pulse, CFG)
     assert rep.ok
     b2 = 1.0 / math.sqrt(0.28)   # tail acts as squeezed Fourier with 5/sqrt(7)
@@ -325,7 +323,7 @@ def test_verify_stage_plus_tail_amplifier():
 
 def test_verify_round_trip_theta_identity():
     # u12(tau, -tau) of the designed profile reproduces theta on a grid
-    a = solve_theta_coeffs(2.0, 0.0)
+    a = ThetaAnsatz.from_targets(2.0, 0.0)
     prof = ThetaDerivedBeta(a)
     for tau in np.linspace(0.15, HALF_PI, 7):
         u = integrate_symmetric(prof, float(tau), CFG)
@@ -335,7 +333,7 @@ def test_verify_round_trip_theta_identity():
 
 
 def test_verify_report_json_shape():
-    pulse = build_pulse(solve_theta_coeffs(2.0, 0.0))
+    pulse = build_chain([ThetaAnsatz.from_targets(2.0, 0.0)])
     rep = verify_design(pulse, CFG)
     d = rep.to_json_dict()
     assert d["ok"] is True
@@ -344,8 +342,8 @@ def test_verify_report_json_shape():
 
 
 def test_verify_flags_non_quarter_tail():
-    a = solve_theta_coeffs(1.99, 0.28)
-    pulse = build_pulse(a, ConstantTail(0.28, 1.0))
+    a = ThetaAnsatz.from_targets(1.99, 0.28)
+    pulse = build_chain([a], ConstantTail(0.28, 1.0))
     rep = verify_design(pulse, CFG)
     # stage 1 still checked; the non-quarter tail is exempt from the
     # squeezed-Fourier stage check

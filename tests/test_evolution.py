@@ -19,9 +19,9 @@ from softsqueeze.core import (
 )
 from softsqueeze.design import (
     ConstantTail,
+    ThetaAnsatz,
     build_chain,
     quarter_period,
-    solve_theta_coeffs,
 )
 from softsqueeze.evolution import (
     DEFAULT_CONFIG,
@@ -106,14 +106,6 @@ def test_semigroup_property():
         assert entrywise_err(whole, split) < 1e-7
 
 
-def test_adaptive_agrees_with_rk4():
-    prof = MathieuBeta(1.217, 0.844)
-    u_fix = integrate(prof, PI / 2, 5 * PI / 2, DEFAULT_CONFIG)
-    u_ada = integrate(prof, PI / 2, 5 * PI / 2,
-                      IntegratorConfig(method="adaptive", rtol=1e-12, atol=1e-13))
-    assert entrywise_err(u_fix, u_ada) < 1e-8
-
-
 class _UnsampledBeta(BetaProfile):
     """A profile that fails the test if the integrator samples it."""
 
@@ -160,10 +152,12 @@ def test_integrate_path_max_steps_counts_all_segments():
 def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(steps=0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(rtol=-1.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(method="euler")
+    for det_tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="det_tol"):
+            IntegratorConfig(det_tol=det_tol)
+    with pytest.raises(TypeError):
+        IntegratorConfig(method="adaptive")
+    assert IntegratorConfig.method == DEFAULT_CONFIG.method == "rk4"
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +337,7 @@ def test_integrate_path_equals_composed_segments(points):
     # two designed stages and a constant tail; an uneven grid puts the
     # segments into several step-count groups of the batched engine
     pulse = build_chain(
-        [solve_theta_coeffs(2.0, 0.28), solve_theta_coeffs(1.5, 0.28)],
+        [ThetaAnsatz.from_targets(2.0, 0.28), ThetaAnsatz.from_targets(1.5, 0.28)],
         ConstantTail(0.28, quarter_period(0.28)),
     )
     lo, hi = pulse.interval

@@ -14,7 +14,7 @@ from softsqueeze.core import (
     rotation_matrix,
     squeezed_fourier,
 )
-from softsqueeze.design import build_chain, solve_theta_coeffs
+from softsqueeze.design import ThetaAnsatz, build_chain
 from softsqueeze.evolution import IntegratorConfig
 from softsqueeze.packets import (
     MomentState,
@@ -202,7 +202,7 @@ def test_congruence_rigid_rotation():
 
 
 def test_congruence_endpoint_linearity():
-    a = solve_theta_coeffs(2.0, 0.0)
+    a = ThetaAnsatz.from_targets(2.0, 0.0)
     pulse = build_chain([a])
     taus = np.linspace(-PI / 2, PI / 2, 5)
     s1 = CanonicalState(1.0, -1.0)
@@ -267,8 +267,8 @@ def test_shadow_csv_format():
 def test_shadow_two_stage_amplifier_endpoint():
     # shadow across the two-stage amplifier: final dq = |lambda|*sqrt(1/2)
     b1, b2 = 5.0 / 3.0, 184.0 / 95.0
-    pulse = build_chain([solve_theta_coeffs(b1, 0.0),
-                         solve_theta_coeffs(b2, 0.0)])
+    pulse = build_chain([ThetaAnsatz.from_targets(b1, 0.0),
+                         ThetaAnsatz.from_targets(b2, 0.0)])
     taus = np.linspace(-PI / 2, 3 * PI / 2, 33)
     res = shadow(pulse.profile, gaussian_init(1.0, 1.0, 1.0), taus, CFG)
     lam = b2 / b1
