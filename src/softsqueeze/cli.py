@@ -17,9 +17,10 @@ Profiles are JSON objects passed inline or as a file path:
     {"kind": "sampled", "tau": [...], "beta": [...], "order": 3}
     {"kind": "composite", "pieces": [{"from": a, "to": b, "profile": {...}}]}
 
-A JSON file of defaults can be supplied with --config; explicit flags win.
-Its keys are flag names ("steps", "tail-duration" or "tail_duration"); a key
-that names no flag of any subcommand is a configuration error.
+A JSON file of defaults can be supplied with --config (or --config=path);
+explicit flags win.  Its keys are flag names ("steps", "tail-duration" or
+"tail_duration"); a key that names no flag of any subcommand, or a value that
+fails its flag's type or choices, is a configuration error.
 
 The one integrator is fixed-step RK4; --steps sets its step count per
 interval.
@@ -51,17 +52,21 @@ _PI_RE = re.compile(
 
 
 def parse_angle(text: str) -> float:
-    """Decimal or exact pi fraction: '1.57', 'pi/2', '-5pi/2', '2*pi/3'."""
+    """Decimal or exact pi fraction: '1.57', 'pi/2', '-5pi/2', '2*pi/3'; finite."""
     m = _PI_RE.match(text)
-    if m:
-        sign = -1.0 if m.group(1) == "-" else 1.0
-        coef = float(m.group(2)) if m.group(2) else 1.0
-        den = float(m.group(3)) if m.group(3) else 1.0
-        return sign * coef * math.pi / den
     try:
-        return float(text)
-    except ValueError:
+        if m:
+            sign = -1.0 if m.group(1) == "-" else 1.0
+            coef = float(m.group(2)) if m.group(2) else 1.0
+            den = float(m.group(3)) if m.group(3) else 1.0
+            value = sign * coef * math.pi / den
+        else:
+            value = float(text)
+    except (ValueError, ZeroDivisionError):
         raise ValueError(f"cannot parse angle/time {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"angle/time {text!r} is not finite")
+    return value
 
 
 def _load_profile(source: str):
@@ -194,7 +199,8 @@ def cmd_design(args) -> int:
     if args.tail:
         if args.beta0 <= 0:
             raise ValueError("--tail needs --beta0 > 0 (quarter-period duration)")
-        duration = args.tail_duration if args.tail_duration else design.quarter_period(args.beta0)
+        duration = (args.tail_duration if args.tail_duration is not None
+                    else design.quarter_period(args.beta0))
         tail = design.ConstantTail(beta0=args.beta0, duration=duration)
     pulse = design.build_chain(ansatzes, tail)
     cfg = _integrator_config(args)
@@ -504,10 +510,18 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
     if defaults:
         # a key no subcommand reads would be ignored silently; one file may
         # serve several subcommands, so any subcommand's flag is accepted
-        known = {a.dest for sp in subparsers for a in sp._actions} - {"help"}
-        unknown = sorted(set(defaults) - known)
+        defaults = {k.replace("-", "_"): v for k, v in defaults.items()}
+        actions = [a for sp in subparsers for a in sp._actions if a.dest != "help"]
+        unknown = sorted(set(defaults) - {a.dest for a in actions})
         if unknown:
             parser.error(f"unknown --config key(s): {', '.join(unknown)}")
+        # a value must pass its flag's own checks: argparse applies the type
+        # to a string default, as to a typed value, but never checks choices
+        for a in actions:
+            if a.dest in defaults and a.type is not None:
+                defaults[a.dest] = str(defaults[a.dest])
+            if a.dest in defaults and a.choices and defaults[a.dest] not in a.choices:
+                parser.error(f"--config key {a.dest}: invalid choice {defaults[a.dest]!r}")
         # subcommands parse into their own namespace, so the defaults have
         # to reach every subparser, not just the root
         for sp in (parser, *subparsers):
@@ -518,27 +532,22 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # --config provides defaults; explicit flags still win because argparse
-    # only falls back to defaults for absent flags.
-    overrides = None
-    if "--config" in argv:
-        idx = argv.index("--config")
-        try:
-            with open(argv[idx + 1]) as fh:
-                overrides = json.load(fh)
-        except (IndexError, OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read --config: {exc}", file=sys.stderr)
-            return 2
-        if not isinstance(overrides, dict):
-            print("error: --config must hold a JSON object", file=sys.stderr)
-            return 2
-        overrides = {k.replace("-", "_"): v for k, v in overrides.items()}
     try:
-        args = build_parser(overrides).parse_args(argv)
+        args = build_parser().parse_args(argv)
+        if args.config is not None:
+            try:
+                with open(args.config) as fh:
+                    overrides = json.load(fh)
+            except (OSError, json.JSONDecodeError) as exc:
+                raise ValueError(f"cannot read --config: {exc}") from exc
+            if not isinstance(overrides, dict):
+                raise ValueError("--config must hold a JSON object")
+            # explicit flags still win: argparse falls back to defaults
+            # only for absent flags
+            args = build_parser(overrides).parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.handler(args)
     except SingularityError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 4

@@ -368,6 +368,8 @@ def profile_from_dict(d: dict) -> BetaProfile:
             return ThetaDerivedBeta(ansatz, offset=float(d.get("offset", 0.0)))
     except KeyError as exc:
         raise ValueError(f"profile JSON for kind '{kind}' missing field {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"profile JSON for kind '{kind}' has a wrong-type field: {exc}") from exc
     raise ValueError(f"unknown profile kind '{kind}'")
 
 

@@ -76,6 +76,18 @@ class IntegratorConfig:
 DEFAULT_CONFIG = IntegratorConfig()
 
 
+# Zone names by code; code 0 marks a scan node that failed the determinant gate.
+ZONES = ("failed", "I", "II", "III")
+THRESHOLD_BAND = 1e-9
+
+
+def zone_codes(gamma, threshold_band: float = THRESHOLD_BAND) -> np.ndarray:
+    """Zone code of each trace Gamma: 2 (II) if ||Gamma| - 2| <= threshold_band,
+    else 1 (I) if |Gamma| < 2, else 3 (III), NaN included."""
+    g = np.abs(gamma)
+    return np.where(np.abs(g - 2.0) <= threshold_band, 2, np.where(g < 2.0, 1, 3)).astype(np.int8)
+
+
 @dataclass(frozen=True)
 class ZoneReport:
     """Stability classification of an evolution matrix by its trace."""
@@ -179,8 +191,8 @@ def _rk4(beta_at, t0, t1, steps: int, width: int) -> tuple:
     return d[0] + 1.0, d[1], d[2], d[3] + 1.0
 
 
-def _check_det(entries: tuple, cfg: IntegratorConfig, what: str) -> SymplecticMatrix2:
-    u = SymplecticMatrix2(*entries)
+def _check_det(entries, cfg: IntegratorConfig, what: str) -> SymplecticMatrix2:
+    u = SymplecticMatrix2(*map(float, entries))
     drift = abs(u.det - 1.0)
     if not drift <= cfg.det_tol:
         raise IntegrationError(
@@ -207,7 +219,7 @@ def integrate(
     if tau1 == tau0:
         return SymplecticMatrix2.identity()
     cfg.check_steps(cfg.steps)
-    entries = [float(e[0]) for e in _rk4(profile.beta_array, tau0, tau1, cfg.steps, 1)]
+    entries = [e[0] for e in _rk4(profile.beta_array, tau0, tau1, cfg.steps, 1)]
     return _check_det(entries, cfg, f"integrate over [{tau0}, {tau1}]")
 
 
@@ -288,7 +300,7 @@ def _verify_periodic(profile: BetaProfile, tau0: float, period: float, tol: floa
 
 def classify(
     u: SymplecticMatrix2,
-    threshold_band: float = 1e-9,
+    threshold_band: float = THRESHOLD_BAND,
     det_tol: float = 1e-6,
 ) -> ZoneReport:
     """Zone classification by the trace Gamma.
@@ -301,16 +313,12 @@ def classify(
     a+ has unit Euclidean norm with its first nonzero component positive and
     a- is scaled to make the symplectic pairing a+ J a-^T equal 1.
     """
-    err = abs(u.det - 1.0)
-    if not err <= det_tol:
-        raise ValueError(
-            f"classify needs a symplectic matrix: |det - 1| = {err:.3e} > {det_tol:.1e}"
-        )
-    gamma = u.trace
-    if abs(abs(gamma) - 2.0) <= threshold_band:
+    gamma = u.require_symplectic(det_tol).trace
+    zone = ZONES[zone_codes(gamma, threshold_band)]
+    if zone == "II":
         lam = 1.0 if gamma > 0 else -1.0
         return ZoneReport(gamma=gamma, zone="II", lam_plus=complex(lam), lam_minus=complex(lam))
-    if abs(gamma) < 2.0:
+    if zone == "I":
         root = cmath.sqrt(complex(gamma * gamma - 4.0))
         lam_p = (gamma + root) / 2.0
         lam_m = (gamma - root) / 2.0
@@ -401,7 +409,7 @@ def _rk4_segments(profile: BetaProfile, taus: list, cfg: IntegratorConfig) -> li
         idx = np.flatnonzero(counts == n)
         entries[:, idx] = _rk4(profile.beta_array, lo[idx], hi[idx], int(n), idx.size)
     return [
-        _check_det(tuple(map(float, e)), cfg, f"integrate over [{a}, {b}]")
+        _check_det(e, cfg, f"integrate over [{a}, {b}]")
         for a, b, e in zip(taus, taus[1:], entries.T)
     ]
 

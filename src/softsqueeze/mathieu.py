@@ -5,10 +5,11 @@ node of a (beta0, beta1) grid, classifies each node by its trace, traces the
 curves where u12 or u21 vanishes, and refines their intersection: the double
 zero where the matrix becomes diag(lambda, 1/lambda), a pure q-p squeeze.
 
-All node integrations go through the batched step-map engine in
+All node integrations, of scan grids, locus brackets and double-zero
+Newton steps alike, go through the batched step-map engine in
 evolution.mathieu_batch, whose result for a node does not depend on the
 batch it runs in, so output is bit-identical run to run regardless of how
-the work is chunked or scheduled.
+the work is chunked or scheduled.  Zones follow evolution.zone_codes.
 """
 
 from __future__ import annotations
@@ -18,16 +19,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MathieuBeta, SymplecticMatrix2
+from .core import SymplecticMatrix2
 from . import evolution
-from .evolution import DEFAULT_CONFIG, IntegratorConfig
+from .evolution import DEFAULT_CONFIG, ZONES, IntegratorConfig
 
 HALF_PI = math.pi / 2.0
 DEFAULT_INTERVAL = (HALF_PI, 5.0 * HALF_PI)  # [pi/2, 5pi/2]
 
 _CHUNK = 4096  # nodes per mathieu_batch call; bounds memory, not results
 
-ZONE_NAMES = {0: "failed", 1: "I", 2: "II", 3: "III"}
+LOCUS_MAX_ITER = 60  # trace_locus: most bisection passes
+LOCUS_XTOL = 1e-12   # trace_locus: bracket width that ends them
+DZ_FD_STEP = 1e-6    # find_double_zero: central-difference step
+DZ_MAX_ITER = 40     # find_double_zero: most Newton iterations
+DZ_TARGET = 1e-10    # find_double_zero: max(|u12|, |u21|) that ends them
 
 
 class ConvergenceError(RuntimeError):
@@ -87,7 +92,7 @@ class ScanResult:
     u21: np.ndarray
     u22: np.ndarray
     gamma: np.ndarray
-    zone: np.ndarray   # int8 codes, see ZONE_NAMES
+    zone: np.ndarray   # int8 codes, see evolution.ZONES
     failed: np.ndarray
 
     def matrix_at(self, i: int, j: int) -> SymplecticMatrix2:
@@ -104,7 +109,7 @@ class ScanResult:
                     float(b0), float(b1),
                     float(self.u11[i, j]), float(self.u12[i, j]),
                     float(self.u21[i, j]), float(self.u22[i, j]),
-                    float(self.gamma[i, j]), ZONE_NAMES[int(self.zone[i, j])],
+                    float(self.gamma[i, j]), ZONES[self.zone[i, j]],
                 )
 
 
@@ -122,34 +127,24 @@ def _entries_batch(beta0_flat, beta1_flat, rect_tau0, rect_tau1, steps):
     return out
 
 
-def scan_grid(rect: ScanRect, cfg: IntegratorConfig = DEFAULT_CONFIG,
-              threshold_band: float = 1e-9) -> ScanResult:
+def scan_grid(rect: ScanRect, cfg: IntegratorConfig = DEFAULT_CONFIG) -> ScanResult:
     """Evolution matrix and zone at every grid node.
 
-    Nodes whose determinant drifts beyond cfg.det_tol are marked failed
-    (zone code 0) instead of aborting the scan.  Raises IntegrationError
+    Nodes whose determinant drift is not within cfg.det_tol, NaN included,
+    are marked failed (zone code 0) instead of aborting the scan: exactly
+    the nodes a single integration would reject.  Raises IntegrationError
     before any work if cfg.steps exceeds cfg.max_steps.
     """
     cfg.check_steps(cfg.steps)
     b0_axis = rect.beta0_axis()
     b1_axis = rect.beta1_axis()
     bb0, bb1 = np.meshgrid(b0_axis, b1_axis, indexing="ij")
-    u11, u12, u21, u22 = _entries_batch(
+    u11, u12, u21, u22 = (e.reshape(bb0.shape) for e in _entries_batch(
         bb0.ravel(), bb1.ravel(), rect.tau0, rect.tau1, cfg.steps
-    )
-    shape = bb0.shape
-    u11 = u11.reshape(shape)
-    u12 = u12.reshape(shape)
-    u21 = u21.reshape(shape)
-    u22 = u22.reshape(shape)
-    det = u11 * u22 - u12 * u21
-    failed = np.abs(det - 1.0) > cfg.det_tol
+    ))
+    failed = ~(np.abs(u11 * u22 - u12 * u21 - 1.0) <= cfg.det_tol)
     gamma = u11 + u22
-    zone = np.where(
-        np.abs(np.abs(gamma) - 2.0) <= threshold_band,
-        2,
-        np.where(np.abs(gamma) < 2.0, 1, 3),
-    ).astype(np.int8)
+    zone = evolution.zone_codes(gamma)
     zone[failed] = 0
     return ScanResult(
         rect=rect, beta0s=b0_axis, beta1s=b1_axis,
@@ -162,13 +157,14 @@ _ENTRY_INDEX = {"u12": 1, "u21": 2}
 
 
 def trace_locus(rect: ScanRect, entry: str,
-                cfg: IntegratorConfig = DEFAULT_CONFIG,
-                max_iter: int = 60, xtol: float = 1e-12) -> list:
+                cfg: IntegratorConfig = DEFAULT_CONFIG) -> list:
     """Points where the chosen entry vanishes, refined by bisection in beta1.
 
-    Sign changes are detected along each constant-beta0 grid line and
-    refined in lockstep; results are ordered by beta0 (then beta1).  An
-    empty list simply means the locus does not cross the rectangle.
+    Sign changes between unfailed neighbours along each constant-beta0 grid
+    line are bisected in lockstep until every bracket is at most LOCUS_XTOL
+    wide, for at most LOCUS_MAX_ITER passes; results are ordered by beta0
+    (then beta1).  An empty list simply means the locus does not cross the
+    rectangle.
     """
     if entry not in _ENTRY_INDEX:
         raise ValueError(f"entry must be 'u12' or 'u21', got {entry!r}")
@@ -176,36 +172,22 @@ def trace_locus(rect: ScanRect, entry: str,
     scan = scan_grid(rect, cfg)
     vals = (scan.u12, scan.u21)[col - 1]
 
-    edges_b0 = []
-    edges_lo = []
-    edges_hi = []
-    edges_flo = []
-    for i, b0 in enumerate(scan.beta0s):
-        row = vals[i]
-        for j in range(len(scan.beta1s) - 1):
-            if scan.failed[i, j] or scan.failed[i, j + 1]:
-                continue
-            fa, fb = row[j], row[j + 1]
-            if fa == 0.0:
-                edges_b0.append(b0)
-                edges_lo.append(scan.beta1s[j])
-                edges_hi.append(scan.beta1s[j])
-                edges_flo.append(fa)
-            elif fa * fb < 0.0:
-                edges_b0.append(b0)
-                edges_lo.append(scan.beta1s[j])
-                edges_hi.append(scan.beta1s[j + 1])
-                edges_flo.append(fa)
-    if not edges_b0:
+    # brackets [beta1_j, beta1_j+1] in row-major order; one that starts on
+    # an exact zero collapses to that point
+    fa, fb = vals[:, :-1], vals[:, 1:]
+    ok = ~(scan.failed[:, :-1] | scan.failed[:, 1:])
+    exact = ok & (fa == 0.0)
+    i, j = np.nonzero(exact | (ok & (fa * fb < 0.0)))
+    if i.size == 0:
         return []
 
-    b0 = np.array(edges_b0)
-    lo = np.array(edges_lo)
-    hi = np.array(edges_hi)
-    flo = np.array(edges_flo)
-    for _ in range(max_iter):
+    b0 = scan.beta0s[i]
+    lo = scan.beta1s[j]
+    hi = np.where(exact[i, j], lo, scan.beta1s[j + 1])
+    flo = fa[i, j]
+    for _ in range(LOCUS_MAX_ITER):
         width = hi - lo
-        if np.all(width <= xtol):
+        if np.all(width <= LOCUS_XTOL):
             break
         mid = 0.5 * (lo + hi)
         fm = _entries_batch(b0, mid, rect.tau0, rect.tau1, cfg.steps)[col]
@@ -215,12 +197,9 @@ def trace_locus(rect: ScanRect, entry: str,
         hi = np.where(same, hi, mid)
     mid = 0.5 * (lo + hi)
     final = _entries_batch(b0, mid, rect.tau0, rect.tau1, cfg.steps)
-    residual = final[col]
-    lam = final[0]
     points = [
-        LocusPoint(float(b0[k]), float(mid[k]), entry,
-                   float(residual[k]), float(lam[k]))
-        for k in range(len(b0))
+        LocusPoint(float(x0), float(x1), entry, float(r), float(lam))
+        for x0, x1, r, lam in zip(b0, mid, final[col], final[0])
     ]
     points.sort(key=lambda p: (p.beta0, p.beta1))
     return points
@@ -239,67 +218,67 @@ def find_double_zero(
     cfg: IntegratorConfig = DEFAULT_CONFIG,
     tau0: float = DEFAULT_INTERVAL[0],
     tau1: float = DEFAULT_INTERVAL[1],
-    fd_step: float = 1e-6,
-    max_iter: int = 40,
-    target: float = 1e-10,
 ) -> DoubleZeroResult:
     """Damped Newton root of (u12, u21) = (0, 0) from a zone III seed.
 
-    The Jacobian is central finite differences in the two parameters; steps
-    that increase the residual are halved (up to 8 times) before being
-    taken.  Converges to machine-level zeros in a handful of iterations for
-    seeds inside the tongue.
+    The Jacobian is central finite differences with step DZ_FD_STEP in the
+    two parameters, its four nodes one batch; steps that increase the
+    residual are halved (up to 8 times) before being taken.  Stops once
+    max(|u12|, |u21|) <= DZ_TARGET, after at most DZ_MAX_ITER iterations.
+    Converges to machine-level zeros in a handful of iterations for seeds
+    inside the tongue.  Every node raises IntegrationError on determinant
+    drift beyond cfg.det_tol.
     """
+    if tau1 < tau0:
+        raise ValueError(f"need tau1 >= tau0, got [{tau0}, {tau1}]")
+    cfg.check_steps(cfg.steps)
     b0, b1 = float(seed[0]), float(seed[1])
 
     def entries(x0, x1):
-        return evolution.integrate(MathieuBeta(x0, x1), tau0, tau1, cfg)
+        cols = _entries_batch(np.array(x0), np.array(x1), tau0, tau1, cfg.steps)
+        return [
+            evolution._check_det(e, cfg, f"double-zero node ({a}, {b})")
+            for a, b, e in zip(x0, x1, zip(*cols))
+        ]
 
-    u = entries(b0, b1)
-    rep = evolution.classify(u)
-    if rep.zone != "III":
+    (u,) = entries([b0], [b1])
+    zone = ZONES[evolution.zone_codes(u.trace)]
+    if zone != "III":
         raise ConvergenceError(
-            f"seed ({b0}, {b1}) is in zone {rep.zone}; double zeros live in "
+            f"seed ({b0}, {b1}) is in zone {zone}; double zeros live in "
             "zone III (|trace| > 2)"
         )
 
     def resid(u):
         return max(abs(u.u12), abs(u.u21))
 
-    it = 0
-    for it in range(1, max_iter + 1):
-        f = np.array([u.u12, u.u21])
-        if resid(u) <= target:
+    for it in range(1, DZ_MAX_ITER + 1):
+        if resid(u) <= DZ_TARGET:
             break
-        up0 = entries(b0 + fd_step, b1)
-        um0 = entries(b0 - fd_step, b1)
-        up1 = entries(b0, b1 + fd_step)
-        um1 = entries(b0, b1 - fd_step)
+        h = DZ_FD_STEP
+        up0, um0, up1, um1 = entries([b0 + h, b0 - h, b0, b0], [b1, b1, b1 + h, b1 - h])
         jac = np.array([
             [(up0.u12 - um0.u12), (up1.u12 - um1.u12)],
             [(up0.u21 - um0.u21), (up1.u21 - um1.u21)],
-        ]) / (2.0 * fd_step)
+        ]) / (2.0 * h)
         try:
-            step = np.linalg.solve(jac, -f)
+            step = np.linalg.solve(jac, [-u.u12, -u.u21])
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"singular Jacobian at ({b0}, {b1})") from exc
-        scale = 1.0
-        best = None
-        for _ in range(9):
-            cand = entries(b0 + scale * step[0], b1 + scale * step[1])
+        for k in range(9):
+            x0, x1 = b0 + 0.5**k * step[0], b1 + 0.5**k * step[1]
+            (cand,) = entries([x0], [x1])
             if resid(cand) < resid(u):
-                best = (b0 + scale * step[0], b1 + scale * step[1], cand)
                 break
-            scale *= 0.5
-        if best is None:
+        else:
             raise ConvergenceError(
                 f"no residual decrease at ({b0}, {b1}); last residual "
                 f"{resid(u):.3e}"
             )
-        b0, b1, u = best
+        b0, b1, u = x0, x1, cand
     if resid(u) > 1e-6:
         raise ConvergenceError(
-            f"did not reach |u12|,|u21| <= 1e-06 in {max_iter} iterations; "
+            f"did not reach |u12|,|u21| <= 1e-06 in {DZ_MAX_ITER} iterations; "
             f"residual {resid(u):.3e} at ({b0}, {b1})"
         )
     return DoubleZeroResult(beta0=b0, beta1=b1, u=u, iterations=it)

@@ -89,11 +89,7 @@ def propagate(u: SymplecticMatrix2, s: MomentState, det_tol: float = 1e-6) -> Mo
     about 2 * det_tol * det Sigma; the output state's bound gate is widened
     accordingly rather than silently renormalizing anything.
     """
-    err = abs(u.det - 1.0)
-    if not err <= det_tol:
-        raise ValueError(
-            f"propagate needs a symplectic matrix: |det - 1| = {err:.3e} > {det_tol:.1e}"
-        )
+    u.require_symplectic(det_tol)
     q = u.u11 * s.q + u.u12 * s.p
     p = u.u21 * s.q + u.u22 * s.p
     # u Sigma u^T written out

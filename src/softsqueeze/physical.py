@@ -187,10 +187,14 @@ def radiative_ratio(
 
 
 def solenoid_coefficient(k: int) -> float:
-    """Radial-correction series coefficient 1/(4^k k! (k+1)!)."""
+    """Radial-correction series coefficient 1/(4^k k! (k+1)!), or 0.0 once
+    the denominator overflows a float, where the true value underflows."""
     if k < 0:
         raise ValueError("order must be nonnegative")
-    return 1.0 / (4.0**k * math.factorial(k) * math.factorial(k + 1))
+    try:
+        return 1.0 / (4.0**k * math.factorial(k) * math.factorial(k + 1))
+    except OverflowError:
+        return 0.0
 
 
 def solenoid_correction(

@@ -46,8 +46,10 @@ def test_parse_angle(text, value):
 
 
 def test_parse_angle_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_angle("half a turn")
+    # not an angle, a zero denominator, not finite
+    for text in ("half a turn", "pi/0", "3pi/0.0", "inf", "-inf", "nan", "1e400"):
+        with pytest.raises(ValueError):
+            parse_angle(text)
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +92,30 @@ def test_evolve_missing_profile_file_is_config_error(capsys):
 def test_evolve_unknown_profile_kind_is_config_error():
     assert main(["evolve", "--profile", '{"kind": "quintic"}',
                  "--from", "0", "--to", "1"]) == 2
+
+
+@pytest.mark.parametrize("profile", [
+    '{"kind": "constant", "beta": null}',
+    '{"kind": "mathieu", "beta0": [1], "beta1": 0.8}',
+    '{"kind": "sampled", "tau": [0, 1, 2, 3], "beta": [1, 1, 1, 1], "order": null}',
+    '{"kind": "composite", "pieces": 5}',
+    '{"kind": "composite", "pieces": [5]}',
+])
+def test_evolve_wrong_type_profile_field_is_config_error(capsys, profile):
+    assert main(["evolve", "--profile", profile, "--from", "0", "--to", "1"]) == 2
+    assert "wrong-type field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--profile", MATHIEU_REF, "--from", "0", "--to", "inf"],
+    ["evolve", "--profile", MATHIEU_REF, "--from", "0", "--to", "pi/0"],
+    ["scan", "--from", "0", "--to", "inf", "--grid", "2,2"],
+    ["scan", "--double-zero", "--seed", "1.217,0.844", "--to", "nan"],
+    ["shadow", "--profile", MATHIEU_REF, "--from", "0", "--to", "1e400"],
+])
+def test_angle_that_is_not_a_number_is_config_error(capsys, argv):
+    assert main(argv + ["--steps", "100"]) == 2
+    assert "angle/time" in capsys.readouterr().err
 
 
 def test_evolve_writes_output_file(tmp_path, capsys):
@@ -188,6 +214,11 @@ def test_scan_double_zero_stable_seed_is_numerical_failure(capsys):
                  "--steps", "2000"])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+    # too few steps: the seed node itself fails the determinant gate
+    code = main(["scan", "--double-zero", "--seed", "1.217,0.844",
+                 "--steps", "60"])
+    assert code == 3
+    assert "double-zero node (1.217, 0.844): determinant drift" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +239,12 @@ def test_design_single_stage(capsys):
     assert u[1] == pytest.approx(2.0, abs=1e-6)
 
 
-def test_design_zero_b_is_config_error():
+def test_design_zero_b_is_config_error(capsys):
     assert main(["design", "--b", "0"]) == 2
+    # a zero tail duration too, not a silent quarter period
+    assert main(["design", "--b", "1.99", "--beta0", "0.28", "--tail",
+                 "--tail-duration", "0"]) == 2
+    assert "tail duration must be positive" in capsys.readouterr().err
 
 
 def test_design_two_stage_chain(capsys):
@@ -362,6 +397,11 @@ def test_solenoid_correction_report(capsys):
     expected = 2.0 + 0.125 * (5.0 / C_LIGHT) ** 2 * (-2.0 * 9.0)
     assert out["B_corrected_gauss"] == pytest.approx(expected, rel=1e-12)
     assert out["coefficients"] == [1.0, 0.125]
+    # from k = 170 on (k+1)! exceeds every float; those terms are zero
+    out = run_json(capsys, ["solenoid", "--order", "170"])
+    assert len(out["coefficients"]) == 171
+    assert out["coefficients"][-1] == 0.0
+    assert out["B_corrected_gauss"] == pytest.approx(out["B_axis_gauss"], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +427,11 @@ def test_outputs_are_byte_identical_across_runs(tmp_path):
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"points": 11, "steps": 2000}))
-    argv = ["--config", str(cfg), "shadow",
-            "--profile", '{"kind": "constant", "beta": 1.0}',
-            "--from", "0", "--to", "1"]
-    lines = run_lines(capsys, argv)
-    assert len(lines) == 12
+    for form in (["--config", str(cfg)], [f"--config={cfg}"]):
+        argv = form + ["shadow", "--profile", '{"kind": "constant", "beta": 1.0}',
+                       "--from", "0", "--to", "1"]
+        lines = run_lines(capsys, argv)
+        assert len(lines) == 12
 
 
 def test_explicit_flag_beats_config(tmp_path, capsys):
@@ -410,6 +450,19 @@ def test_config_file_errors(tmp_path, capsys):
     bad.write_text("[1, 2]")
     assert main(["--config", str(bad), "units"]) == 2
     capsys.readouterr()
+    # the --config=path form is read too
+    bad.write_text(json.dumps({"points": 3, "max_steps": 1}))
+    assert main([f"--config={bad}", "shadow", "--profile", THETA_B2]) == 2
+    assert "unknown --config key(s): max_steps" in capsys.readouterr().err
+    # a value must pass its flag's type and choices
+    for key, value, message in (("steps", 2.5, "invalid int value: '2.5'"),
+                                ("steps", None, "invalid int value: 'None'"),
+                                ("steps", True, "invalid int value: 'True'"),
+                                ("format", "xml", "--config key format: invalid choice 'xml'"),
+                                ("particle", "electron", "--config key particle:")):
+        bad.write_text(json.dumps({key: value}))
+        assert main(["--config", str(bad), "shadow", "--profile", THETA_B2]) == 2
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["max_steps", "method", "rtol", "handler"])

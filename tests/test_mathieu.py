@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from softsqueeze.evolution import IntegrationError, IntegratorConfig, integrate
+from softsqueeze.evolution import ZONES, IntegrationError, IntegratorConfig, classify, integrate
 from softsqueeze.core import MathieuBeta, rotation_matrix
 from softsqueeze.mathieu import (
     ConvergenceError,
@@ -59,6 +59,19 @@ def test_scan_grid_zone_structure():
     assert 3 in zones          # squeezing region present
     assert 1 in zones          # stable region present
     assert not res.failed.any()
+    # the scan's vectorised zones are classify's, node by node
+    for i, j in np.ndindex(res.zone.shape):
+        assert ZONES[res.zone[i, j]] == classify(res.matrix_at(i, j)).zone
+
+
+def test_scan_grid_marks_nan_nodes_failed():
+    # an infinite interval gives NaN matrices, which a single integration
+    # rejects for determinant drift, so the scan marks them failed
+    with np.errstate(invalid="ignore"):
+        res = scan_grid(ScanRect(0.9, 1.9, 0.5, 1.6, n0=2, n1=2, tau1=math.inf), FAST)
+    assert res.failed.all()
+    assert (res.zone == 0).all()
+    assert {row[-1] for row in res.iter_rows()} == {"failed"}
 
 
 def test_scan_grid_zones_flip_across_mathieu_characteristic_curves():

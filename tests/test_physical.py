@@ -284,6 +284,11 @@ def test_solenoid_coefficient_closed_form():
     assert solenoid_coefficient(2) == pytest.approx(1.0 / 192.0, rel=1e-15)
     with pytest.raises(ValueError):
         solenoid_coefficient(-1)
+    # the denominator overflows a float well before k = 170, where (k+1)!
+    # itself stops converting to one; the true value underflows
+    assert solenoid_coefficient(169) == 0.0
+    assert solenoid_coefficient(170) == 0.0
+    assert solenoid_coefficient(400) == 0.0
 
 
 def test_solenoid_coefficient_recurrence():
