@@ -20,7 +20,9 @@ Profiles are JSON objects passed inline or as a file path:
 A JSON file of defaults can be supplied with --config (or --config=path);
 explicit flags win.  Its keys are flag names ("steps", "tail-duration" or
 "tail_duration"); a key that names no flag of any subcommand, or a value that
-fails its flag's type or choices, is a configuration error.
+fails its flag's type or choices, is a configuration error.  List flags
+(--rect, --grid, --seed, --chain, --inits, --t-list) take their command-line
+text; a switch takes a JSON boolean and any other untyped flag a JSON string.
 
 The one integrator is fixed-step RK4; --steps sets its step count per
 interval.
@@ -29,6 +31,7 @@ interval.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -38,7 +41,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import design, evolution, mathieu, packets, physical
-from .core import CanonicalState, profile_from_dict
+from .core import profile_from_dict
 from .design import SingularityError
 from .evolution import DEFAULT_CONFIG, IntegrationError, IntegratorConfig
 from .mathieu import ConvergenceError
@@ -67,6 +70,30 @@ def parse_angle(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"angle/time {text!r} is not finite")
     return value
+
+
+def _numbers(convert, count=None):
+    """argparse type for a comma list of numbers: `count` of them, or one
+    or more if count is None."""
+
+    def parse(text: str) -> tuple:
+        try:
+            values = tuple(convert(x) for x in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma list of {convert.__name__} values: {text!r}") from None
+        if count is not None and len(values) != count:
+            raise argparse.ArgumentTypeError(
+                f"need {count} comma-separated values, got {text!r}")
+        return values
+
+    return parse
+
+
+def _pairs(text: str) -> tuple:
+    """argparse type for a semicolon list of 'q,p' pairs."""
+    pair = _numbers(float, 2)
+    return tuple(pair(chunk) for chunk in text.split(";"))
 
 
 def _load_profile(source: str):
@@ -139,10 +166,9 @@ def cmd_evolve(args) -> int:
 
 
 def _parse_rect(args) -> mathieu.ScanRect:
-    lo0, hi0, lo1, hi1 = (float(x) for x in args.rect.split(","))
-    n0, n1 = (int(x) for x in args.grid.split(","))
+    n0, n1 = args.grid
     return mathieu.ScanRect(
-        lo0, hi0, lo1, hi1, n0=n0, n1=n1,
+        *args.rect, n0=n0, n1=n1,
         tau0=parse_angle(getattr(args, "from")),
         tau1=parse_angle(args.to),
     )
@@ -153,7 +179,7 @@ def cmd_scan(args) -> int:
     if args.double_zero:
         if not args.seed:
             raise ValueError("--double-zero needs --seed beta0,beta1")
-        b0, b1 = (float(x) for x in args.seed.split(","))
+        b0, b1 = args.seed
         res = mathieu.find_double_zero(
             (b0, b1), cfg,
             tau0=parse_angle(getattr(args, "from")),
@@ -186,9 +212,7 @@ def cmd_scan(args) -> int:
 def cmd_design(args) -> int:
     if args.b == 0.0:
         raise ValueError("--b must be nonzero")
-    bs = [args.b]
-    if args.chain:
-        bs.extend(float(x) for x in args.chain.split(","))
+    bs = [args.b, *(args.chain or ())]
     ansatzes = [design.ThetaAnsatz.from_targets(b, args.beta0) for b in bs]
 
     lemma_reports = []
@@ -269,11 +293,7 @@ def cmd_shadow(args) -> int:
     taus = np.linspace(t0, t1, args.points)
     cfg = _integrator_config(args)
     if args.inits:
-        states = []
-        for chunk in args.inits.split(";"):
-            q, p = (float(x) for x in chunk.split(","))
-            states.append(CanonicalState(q, p))
-        result = packets.congruence(profile, states, taus, cfg)
+        result = packets.congruence(profile, args.inits, taus, cfg)
         with _open_out(args.output) as fh:
             packets.write_congruence_csv(result, fh)
         return 0
@@ -309,7 +329,6 @@ def _context_from_args(args) -> physical.PhysicalContext:
 def cmd_units(args) -> int:
     ctx = _context_from_args(args)
     if args.table:
-        t_list = [float(x) for x in args.t_list.split(",")]
         base = {}
         if args.base_phi is not None:
             base["Phi"] = args.base_phi
@@ -317,7 +336,7 @@ def cmd_units(args) -> int:
             base["B"] = args.base_b
         if args.base_ratio is not None:
             base["ratio"] = args.base_ratio
-        table = physical.scaling_table(ctx, base, args.t_ref, t_list)
+        table = physical.scaling_table(ctx, base, args.t_ref, args.t_list)
         with _open_out(args.output) as fh:
             cols = ",".join("T=%.12g" % t for t in table["T"])
             fh.write("quantity," + cols + "\n")
@@ -426,16 +445,16 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_evolve)
 
     p = add_command("scan", help="scan the (beta0, beta1) plane; trace loci; refine double zeros")
-    p.add_argument("--rect", default="0.9,1.9,0.5,1.6",
+    p.add_argument("--rect", type=_numbers(float, 4), default="0.9,1.9,0.5,1.6",
                    help="beta0_lo,beta0_hi,beta1_lo,beta1_hi (default second tongue box)")
-    p.add_argument("--grid", default="200,200", help="n0,n1 grid counts")
+    p.add_argument("--grid", type=_numbers(int, 2), default="200,200", help="n0,n1 grid counts")
     p.add_argument("--from", default="pi/2", help="interval start (default pi/2)")
     p.add_argument("--to", default="5pi/2", help="interval end (default 5pi/2)")
     p.add_argument("--locus", choices=("u12", "u21"),
                    help="emit the vanishing locus of this entry instead of the full grid")
     p.add_argument("--double-zero", action="store_true",
                    help="refine the simultaneous zero of u12 and u21 from --seed")
-    p.add_argument("--seed", help="beta0,beta1 seed for --double-zero")
+    p.add_argument("--seed", type=_numbers(float, 2), help="beta0,beta1 seed for --double-zero")
     p.add_argument("--output", help="output path (default stdout)")
     _add_integrator_flags(p)
     p.set_defaults(handler=cmd_scan)
@@ -443,7 +462,7 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
     p = add_command("design", help="solve a soft pulse from (b, beta0); verify it")
     p.add_argument("--b", type=float, required=True, help="target squeezed-Fourier magnitude")
     p.add_argument("--beta0", type=float, default=0.0, help="edge stiffness (default 0)")
-    p.add_argument("--chain", help="comma list of further stage magnitudes")
+    p.add_argument("--chain", type=_numbers(float), help="comma list of further stage magnitudes")
     p.add_argument("--tail", action="store_true",
                    help="append a constant-beta0 tail (quarter period by default)")
     p.add_argument("--tail-duration", type=float, default=None)
@@ -461,7 +480,7 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=float, default=1.0, help="initial Gaussian width")
     p.add_argument("--q0", type=float, default=0.0)
     p.add_argument("--p0", type=float, default=0.0)
-    p.add_argument("--inits", help="semicolon list 'q,p;q,p;...' for a congruence run")
+    p.add_argument("--inits", type=_pairs, help="semicolon list 'q,p;q,p;...' for a congruence run")
     p.add_argument("--belt", type=float, default=10.0, help="display belt radius")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", help="output path (default stdout)")
@@ -479,7 +498,8 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
     p.add_argument("--beta0", type=float, default=1.217)
     p.add_argument("--beta1", type=float, default=0.844)
     p.add_argument("--table", action="store_true", help="emit the scaling table CSV")
-    p.add_argument("--t-list", default="0.001,1,100", help="table column time scales")
+    p.add_argument("--t-list", type=_numbers(float), default="0.001,1,100",
+                   help="table column time scales")
     p.add_argument("--t-ref", type=float, default=1.0, help="reference T for base values")
     p.add_argument("--base-phi", type=float, help="Phi max at t-ref (V)")
     p.add_argument("--base-b", type=float, help="B max at t-ref (G)")
@@ -516,11 +536,20 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
         if unknown:
             parser.error(f"unknown --config key(s): {', '.join(unknown)}")
         # a value must pass its flag's own checks: argparse applies the type
-        # to a string default, as to a typed value, but never checks choices
+        # to a string default, as to a typed value, but never checks choices;
+        # a switch takes a JSON boolean and an untyped flag a JSON string
         for a in actions:
-            if a.dest in defaults and a.type is not None:
-                defaults[a.dest] = str(defaults[a.dest])
-            if a.dest in defaults and a.choices and defaults[a.dest] not in a.choices:
+            if a.dest not in defaults:
+                continue
+            value = defaults[a.dest]
+            if isinstance(a.default, bool):
+                if not isinstance(value, bool):
+                    parser.error(f"--config key {a.dest}: need true or false, got {value!r}")
+            elif a.type is not None:
+                defaults[a.dest] = str(value)
+            elif not isinstance(value, str):
+                parser.error(f"--config key {a.dest}: need a string, got {value!r}")
+            if a.choices and defaults[a.dest] not in a.choices:
                 parser.error(f"--config key {a.dest}: invalid choice {defaults[a.dest]!r}")
         # subcommands parse into their own namespace, so the defaults have
         # to reach every subparser, not just the root
@@ -530,10 +559,18 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _default_parser() -> argparse.ArgumentParser:
+    """build_parser() without --config defaults, built once per process.
+    Parsing does not change a parser, so every main call can share it;
+    a --config run builds its own."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = _default_parser().parse_args(argv)
         if args.config is not None:
             try:
                 with open(args.config) as fh:

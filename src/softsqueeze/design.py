@@ -71,31 +71,45 @@ class ThetaAnsatz:
         )
 
 
-def theta_eval(ansatz: ThetaAnsatz, tau, order: int = 0):
-    """n-th derivative of theta at tau (n in 0..3); accepts arrays."""
-    if order not in (0, 1, 2, 3):
-        raise ValueError(f"derivative order must be 0..3, got {order}")
+def _ansatz_derivs(ansatz: ThetaAnsatz, tau) -> tuple:
+    """theta and its first three derivatives at tau, sharing one evaluation:
+    sin and cos of tau, 3 tau and 5 tau are computed once per sample."""
     a1, a3, a5 = ansatz.a1, ansatz.a3, ansatz.a5
     t = np.asarray(tau, dtype=float)
-    if order == 0:
-        out = a1 * np.sin(t) + a3 * np.sin(3.0 * t) + a5 * np.sin(5.0 * t)
-    elif order == 1:
-        out = a1 * np.cos(t) + 3.0 * a3 * np.cos(3.0 * t) + 5.0 * a5 * np.cos(5.0 * t)
-    elif order == 2:
-        out = -(a1 * np.sin(t) + 9.0 * a3 * np.sin(3.0 * t) + 25.0 * a5 * np.sin(5.0 * t))
-    else:
-        out = -(a1 * np.cos(t) + 27.0 * a3 * np.cos(3.0 * t) + 125.0 * a5 * np.cos(5.0 * t))
+    t3, t5 = 3.0 * t, 5.0 * t
+    s1, s3, s5 = np.sin(t), np.sin(t3), np.sin(t5)
+    c1, c3, c5 = np.cos(t), np.cos(t3), np.cos(t5)
+    out = (
+        a1 * s1 + a3 * s3 + a5 * s5,
+        a1 * c1 + 3.0 * a3 * c3 + 5.0 * a5 * c5,
+        -(a1 * s1 + 9.0 * a3 * s3 + 25.0 * a5 * s5),
+        -(a1 * c1 + 27.0 * a3 * c3 + 125.0 * a5 * c5),
+    )
     if np.isscalar(tau) or getattr(tau, "ndim", 1) == 0:
-        return float(out)
+        return tuple(float(x) for x in out)
     return out
+
+
+def theta_eval(ansatz: ThetaAnsatz, tau, order: int = 0):
+    """n-th derivative of theta at tau (n in 0..3); accepts arrays.
+
+    All four derivatives come from one shared evaluation (_ansatz_derivs),
+    so each formula is written once.
+    """
+    if order not in (0, 1, 2, 3):
+        raise ValueError(f"derivative order must be 0..3, got {order}")
+    return _ansatz_derivs(ansatz, tau)[order]
 
 
 ThetaLike = Union[ThetaAnsatz, Callable[[float, int], float]]
 
 
 def _theta_derivs(theta: ThetaLike, tau):
+    """(theta, theta', theta'', theta''') at tau.  For an ansatz the four
+    share one evaluation of the sines and cosines; a callable is asked once
+    per order and sample."""
     if isinstance(theta, ThetaAnsatz):
-        return tuple(theta_eval(theta, tau, k) for k in range(4))
+        return _ansatz_derivs(theta, tau)
     t = np.asarray(tau, dtype=float)
     if t.ndim == 0:
         return tuple(float(theta(float(t), k)) for k in range(4))

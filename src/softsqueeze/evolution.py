@@ -12,7 +12,12 @@ The engine keeps each map in delta form, D_k = S_k - 1, and multiplies by
 (1 + a)(1 + b) - 1 = a + b + ab, adding the identity once at the end.  The
 entries of D_k are O(h), so no product rounds them against the identity;
 multiplying the S_k themselves doubles the error against the 30-digit
-references of the tests.
+references of the tests.  A run of maps is one (2, 2, w, m) array: entry,
+entry, batch column, step, with the steps last so that a pair of
+neighbouring maps is a stride-2 slice of long rows.  A merge is five numpy
+calls on whole arrays, two products and three sums, each entry being
+(a_ij + b_ij) + (a_i0 b_0j + a_i1 b_1j); the merges of the block stack
+write into the earlier product in place.
 
 The product is the level-wise pairwise tree over all steps: each level
 multiplies neighbours, later step on the left, and an odd last element is
@@ -119,8 +124,8 @@ def _grid(t0, t1, steps: int, j0: int, j1: int):
 
 
 def _step_deltas(b, h):
-    """Entries (d11, d12, d21, d22) of S - 1 for the RK4 step maps, where b
-    holds beta at the 2m+1 nodes and midpoints of m steps, a row each:
+    """S - 1 for the RK4 step maps, as one (2, 2, w, m) array, where b holds
+    beta at the 2m+1 nodes and midpoints of m steps, a row each:
 
       d11 = b1 b2 h^4/24 - h^2 (b1/6 + b2/3)
       d12 = h - b2 h^3/6
@@ -133,36 +138,35 @@ def _step_deltas(b, h):
     h2 = h * h
     r = b2 * (h2 * h2 / 24.0) - h2 / 6.0
     q = b2 * (h2 / 3.0)
-    return (
-        b1 * r - q,
-        h - b2 * (h2 * h / 6.0),
-        (b1 + b3) * (b2 * (h2 * h / 12.0) - h / 6.0) - b2 * (2.0 * h / 3.0),
-        b3 * r - q,
-    )
+    d = np.empty((2, 2) + b2.shape[::-1])
+    np.subtract(b1 * r, q, out=d[0, 0].T)
+    np.subtract(h, b2 * (h2 * h / 6.0), out=d[0, 1].T)
+    np.subtract((b1 + b3) * (b2 * (h2 * h / 12.0) - h / 6.0), b2 * (2.0 * h / 3.0), out=d[1, 0].T)
+    np.subtract(b3 * r, q, out=d[1, 1].T)
+    return d
 
 
-def _merge(a, b):
-    """Delta form of (1 + a)(1 + b): a + b + ab, with a the later map."""
-    a11, a12, a21, a22 = a
-    b11, b12, b21, b22 = b
-    return (
-        a11 + b11 + (a11 * b11 + a12 * b21),
-        a12 + b12 + (a11 * b12 + a12 * b22),
-        a21 + b21 + (a21 * b11 + a22 * b21),
-        a22 + b22 + (a21 * b12 + a22 * b22),
-    )
+def _merge(a, b, out=None, p=None, t=None):
+    """Delta form of (1 + a)(1 + b), a + b + ab, with a the later map: each
+    entry is (a_ij + b_ij) + (a_i0 b_0j + a_i1 b_1j).  out may be b; p and
+    t are optional scratch arrays of b's shape."""
+    p = np.multiply(a[:, :1], b[:1], out=p)
+    p += np.multiply(a[:, 1:], b[1:], out=t)
+    out = np.add(a, b, out=out)
+    out += p
+    return out
 
 
 def _tree(d):
-    """Level-wise pairwise product of the maps along the first axis of d."""
-    while len(d[0]) > 1:
-        m = len(d[0])
+    """Level-wise pairwise product of the maps along the last axis of d."""
+    while d.shape[-1] > 1:
+        m = d.shape[-1]
         even = m - m % 2
-        merged = _merge([x[1:even:2] for x in d], [x[0:even:2] for x in d])
+        merged = _merge(d[..., 1:even:2], d[..., 0:even:2])
         if m != even:
-            merged = [np.concatenate([y, x[-1:]]) for y, x in zip(merged, d)]
+            merged = np.concatenate([merged, d[..., -1:]], axis=-1)
         d = merged
-    return [x[0] for x in d]
+    return d[..., 0]
 
 
 def _rk4(beta_at, t0, t1, steps: int, width: int) -> tuple:
@@ -172,23 +176,27 @@ def _rk4(beta_at, t0, t1, steps: int, width: int) -> tuple:
     shape (rows, width); t0 and t1 are scalars or per-column arrays.  Full
     blocks are pushed on a stack whose equal-sized neighbours merge at
     once, and what is left is merged from right to left: together this is
-    the level-wise tree over all steps, whatever the block size.
+    the level-wise tree over all steps, whatever the block size.  The stack
+    merges write into the earlier product, with two scratch arrays.
     """
     h = (t1 - t0) / steps
     block = 1 << (max(_BLOCK_ELEMENTS // max(width, 1), 1).bit_length() - 1)
     stack = []  # (steps covered, delta product)
+    scratch = (np.empty((2, 2, width)), np.empty((2, 2, width)))
     for s0 in range(0, steps, block):
         s1 = min(s0 + block, steps)
         d = _tree(_step_deltas(beta_at(_grid(t0, t1, steps, 2 * s0, 2 * s1 + 1)), h))
         n = s1 - s0
         while stack and stack[-1][0] == n:
             n *= 2
-            d = _merge(d, stack.pop()[1])
+            earlier = stack.pop()[1]
+            d = _merge(d, earlier, earlier, *scratch)
         stack.append((n, d))
     d = stack.pop()[1]
     while stack:
-        d = _merge(d, stack.pop()[1])
-    return d[0] + 1.0, d[1], d[2], d[3] + 1.0
+        earlier = stack.pop()[1]
+        d = _merge(d, earlier, earlier, *scratch)
+    return d[0, 0] + 1.0, d[0, 1], d[1, 0], d[1, 1] + 1.0
 
 
 def _check_det(entries, cfg: IntegratorConfig, what: str) -> SymplecticMatrix2:

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from softsqueeze.cli import main, parse_angle
+from softsqueeze.evolution import DEFAULT_CONFIG
 from softsqueeze.physical import C_LIGHT, ESU_PER_COULOMB
 
 MATHIEU_REF = '{"kind": "mathieu", "beta0": 1.217, "beta1": 0.844}'
@@ -463,6 +464,63 @@ def test_config_file_errors(tmp_path, capsys):
         bad.write_text(json.dumps({key: value}))
         assert main(["--config", str(bad), "shadow", "--profile", THETA_B2]) == 2
         assert message in capsys.readouterr().err
+
+
+def test_config_value_kinds_are_checked(tmp_path, capsys):
+    # list flags parse their config value like a command-line value; a
+    # switch takes only a JSON boolean and a string flag only a JSON string
+    cfg = tmp_path / "cfg.json"
+    for value, argv, message in (
+        ({"grid": [2, 2]}, ["scan", "--steps", "200"], "argument --grid:"),
+        ({"rect": "1,2,3"}, ["scan", "--steps", "200"], "argument --rect:"),
+        ({"tail": "no"}, ["design", "--b", "2", "--beta0", "0.3"], "--config key tail:"),
+        ({"tail": 1}, ["design", "--b", "2", "--beta0", "0.3"], "--config key tail:"),
+        ({"from": 1.5}, ["scan", "--grid", "2,2"], "--config key from: need a string"),
+        ({"output": 7}, ["units"], "--config key output: need a string"),
+    ):
+        cfg.write_text(json.dumps(value))
+        assert main(["--config", str(cfg)] + argv) == 2
+        assert message in capsys.readouterr().err
+    cfg.write_text(json.dumps({"tail": False, "chain": "1.5", "beta0": 0.3, "steps": 2000}))
+    out = run_json(capsys, ["--config", str(cfg), "design", "--b", "2"])
+    assert out["tail"] is None and len(out["stages"]) == 2
+    cfg.write_text(json.dumps({"rect": "1.0,1.2,0.6,0.8", "grid": "2,3", "steps": 200}))
+    assert len(run_lines(capsys, ["--config", str(cfg), "scan"])) == 7
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["scan", "--rect", "1,2,3"], "--rect"),
+    (["scan", "--rect", "a,b,c,d"], "--rect"),
+    (["scan", "--grid", "2,x"], "--grid"),
+    (["scan", "--double-zero", "--seed", "1.2"], "--seed"),
+    (["design", "--b", "2", "--chain", "1.5,"], "--chain"),
+    (["shadow", "--profile", THETA_B2, "--inits", "1,0;0"], "--inits"),
+    (["units", "--table", "--t-list", ""], "--t-list"),
+])
+def test_malformed_list_flag_is_usage_error(capsys, argv, flag):
+    assert main(argv) == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_default_parser_is_shared_and_config_does_not_leak(tmp_path, capsys):
+    from softsqueeze import cli
+
+    def out(argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    argv = ["evolve", "--profile", THETA_B2, "--from=-pi/2", "--to=pi/2"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"steps": 300}))
+    configured = out(["--config", str(cfg)] + argv)
+    plain = out(argv)
+    assert plain == out(argv + ["--steps", str(DEFAULT_CONFIG.steps)])
+    assert plain != configured
+    assert plain == out(argv)
+    assert cli._default_parser().parse_args(argv).steps == DEFAULT_CONFIG.steps
+    assert cli._default_parser() is cli._default_parser()
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli.build_parser() is not cli._default_parser()
 
 
 @pytest.mark.parametrize("key", ["max_steps", "method", "rtol", "handler"])

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import softsqueeze
 from softsqueeze.core import (
@@ -242,6 +243,39 @@ def test_composite_profile_dispatch_and_boundary():
     assert prof.domain() == (0.0, 2.0)
     arr = prof.beta_array(np.array([0.2, 1.0, 1.8]))
     assert arr.tolist() == [1.0, 1.0, 5.0]
+
+
+# a piece is a constant of the given value and width, or (value None) a
+# designed theta stage (b, beta0), which spans pi
+_PIECE = st.one_of(
+    st.tuples(st.floats(-5.0, 5.0), st.floats(0.01, 5.0)),
+    st.tuples(st.none(), st.tuples(st.floats(0.6, 3.0), st.floats(0.0, 0.4))),
+)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(start=st.floats(-10.0, 10.0), specs=st.lists(_PIECE, min_size=1, max_size=4),
+       fractions=st.lists(st.floats(0.0, 1.0), max_size=20))
+def test_composite_beta_array_matches_scalar_beta(start, specs, fractions):
+    from softsqueeze.design import ThetaAnsatz, ThetaDerivedBeta
+
+    pieces = []
+    t0 = start
+    for value, shape in specs:
+        if value is None:
+            ansatz = ThetaAnsatz.from_targets(*shape)
+            pieces.append((t0, t0 + math.pi, ThetaDerivedBeta(ansatz, offset=t0 + math.pi / 2)))
+        else:
+            pieces.append((t0, t0 + shape, ConstantBeta(value)))
+        t0 = pieces[-1][1]
+    prof = CompositeBeta(pieces)
+    lo, hi = prof.domain()
+    joins = [t for t, _, _ in pieces[1:]]
+    taus = np.array([lo, hi, *joins, *(min(lo + f * (hi - lo), hi) for f in fractions)])
+    assert prof.beta_array(taus).tolist() == [prof.beta(float(t)) for t in taus]
+    # a boundary point belongs to the earlier piece
+    for (_, _, earlier), join in zip(pieces, joins):
+        assert prof.beta_array(np.array([join]))[0] == earlier.beta(join)
 
 
 def test_composite_requires_contiguity():

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from softsqueeze.core import ConstantBeta
 from softsqueeze.design import (
@@ -182,6 +183,24 @@ def test_beta_array_matches_scalar():
     arr = beta_from_theta(a, taus)
     scalars = [beta_from_theta(a, float(t)) for t in taus]
     assert np.allclose(arr, scalars, atol=0.0)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(b=st.one_of(st.floats(-5.0, -0.2), st.floats(0.2, 5.0)),
+       beta0=st.floats(-1.0, 1.0),
+       tau=st.one_of(st.floats(-HALF_PI, HALF_PI), st.floats(-1e-5, 1e-5),
+                     st.sampled_from([0.0, HALF_PI, -HALF_PI])))
+def test_beta_scalar_and_one_element_array_agree(b, beta0, tau):
+    # same bits, or the same SingularityError, on the regular and limit branches
+    a = ThetaAnsatz.from_targets(b, beta0)
+
+    def outcome(x):
+        try:
+            return np.asarray(beta_from_theta(a, x)).tobytes()
+        except SingularityError:
+            return "singular"
+
+    assert outcome(tau) == outcome(np.array([tau]))
 
 
 # ---------------------------------------------------------------------------

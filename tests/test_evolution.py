@@ -413,3 +413,53 @@ def test_mathieu_batch_matches_mpmath_reference():
     b0, b1, ref = zip(*MPMATH_MATRICES)
     got = np.array(mathieu_batch(np.array(b0), np.array(b1), PI / 2, 5 * PI / 2)).T
     assert np.max(np.abs(got - np.array(ref))) <= 1.3e-13
+
+
+def _reference_rk4(profile, tau0, tau1, steps):
+    """The engine's algorithm in plain Python: RK4 step maps in delta form
+    from profile.beta_array samples on the linspace node/midpoint grid,
+    multiplied by the level-wise pairwise tree (later step on the left, an
+    odd last map carried up), with the identity added at the end."""
+    betas = [float(b) for b in profile.beta_array(np.linspace(tau0, tau1, 2 * steps + 1))]
+    h = (tau1 - tau0) / steps
+    h2 = h * h
+    maps = []
+    for k in range(steps):
+        b1, b2, b3 = betas[2 * k], betas[2 * k + 1], betas[2 * k + 2]
+        r = b2 * (h2 * h2 / 24.0) - h2 / 6.0
+        q = b2 * (h2 / 3.0)
+        maps.append((
+            b1 * r - q,
+            h - b2 * (h2 * h / 6.0),
+            (b1 + b3) * (b2 * (h2 * h / 12.0) - h / 6.0) - b2 * (2.0 * h / 3.0),
+            b3 * r - q,
+        ))
+
+    def merge(a, b):
+        a11, a12, a21, a22 = a
+        b11, b12, b21, b22 = b
+        return (
+            a11 + b11 + (a11 * b11 + a12 * b21),
+            a12 + b12 + (a11 * b12 + a12 * b22),
+            a21 + b21 + (a21 * b11 + a22 * b21),
+            a22 + b22 + (a21 * b12 + a22 * b22),
+        )
+
+    while len(maps) > 1:
+        merged = [merge(maps[i + 1], maps[i]) for i in range(0, len(maps) - 1, 2)]
+        maps = merged + maps[len(merged) * 2:]
+    d11, d12, d21, d22 = maps[0]
+    return (d11 + 1.0, d12, d21, d22 + 1.0)
+
+
+@pytest.mark.parametrize("budget", [evolution._BLOCK_ELEMENTS, 1, 4])
+@pytest.mark.parametrize("steps", [1, 2, 3, 5, 17])
+def test_integrate_matches_plain_python_tree(monkeypatch, steps, budget):
+    # bit for bit: the engine's arrays, block stack and in-place merges are
+    # the plain level-wise tree over the same beta samples; small block
+    # budgets send every merge through the stack
+    monkeypatch.setattr(evolution, "_BLOCK_ELEMENTS", budget)
+    profile = MathieuBeta(1.217, 0.844)
+    cfg = IntegratorConfig(steps=steps, det_tol=math.inf)
+    u = integrate(profile, PI / 2, 5 * PI / 2, cfg)
+    assert (u.u11, u.u12, u.u21, u.u22) == _reference_rk4(profile, PI / 2, 5 * PI / 2, steps)
