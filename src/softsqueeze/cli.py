@@ -19,10 +19,11 @@ Profiles are JSON objects passed inline or as a file path:
 
 A JSON file of defaults can be supplied with --config (or --config=path);
 explicit flags win.  Its keys are flag names ("steps", "tail-duration" or
-"tail_duration"); a key that names no flag of any subcommand, or a value that
-fails its flag's type or choices, is a configuration error.  List flags
-(--rect, --grid, --seed, --chain, --inits, --t-list) take their command-line
-text; a switch takes a JSON boolean and any other untyped flag a JSON string.
+"tail_duration"); a key that names no flag of any subcommand, a key that only
+required flags take ("profile", "b"), or a value that fails its flag's type
+or choices, is a configuration error.  List flags (--rect, --grid, --seed,
+--chain, --inits, --t-list) take their command-line text; a switch takes a
+JSON boolean and any other untyped flag a JSON string.
 
 The one integrator is fixed-step RK4; --steps sets its step count per
 interval.
@@ -532,9 +533,16 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
         # serve several subcommands, so any subcommand's flag is accepted
         defaults = {k.replace("-", "_"): v for k, v in defaults.items()}
         actions = [a for sp in subparsers for a in sp._actions if a.dest != "help"]
-        unknown = sorted(set(defaults) - {a.dest for a in actions})
+        dests = {a.dest for a in actions}
+        unknown = sorted(set(defaults) - dests)
         if unknown:
             parser.error(f"unknown --config key(s): {', '.join(unknown)}")
+        # argparse never lets a default satisfy a required flag, so a key
+        # that only required flags take would be ignored silently too
+        required = sorted(set(defaults) & (dests - {a.dest for a in actions if not a.required}))
+        if required:
+            parser.error(f"--config key(s) of required flags: {', '.join(required)}; "
+                         "give the flag on the command line")
         # a value must pass its flag's own checks: argparse applies the type
         # to a string default, as to a typed value, but never checks choices;
         # a switch takes a JSON boolean and an untyped flag a JSON string

@@ -24,6 +24,7 @@ theta' = +-2 there (the nonsingularity condition), the limit is
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -277,17 +278,22 @@ def validate_lemma(
 
 
 def _bracket_roots(grid, values, f) -> list:
-    """Roots of f on the grid: exact hits plus refined sign changes."""
-    from scipy.optimize import brentq
+    """Roots of f on the grid: exact hits plus sign changes refined by
+    Brent's method (Brent, Algorithms for Minimization Without Derivatives,
+    1973, ch. 4), in grid order.
 
+    The refinement is `_brentq`, whose iterates match scipy's `brentq` bit
+    for bit, so the roots, and the design output that prints them, do not
+    depend on scipy; tests/test_design.py pins this against scipy.
+    """
     roots = []
     vals = np.asarray(values, dtype=float)
-    for i in range(len(grid) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if va == 0.0:
+    head = vals[:-1]
+    for i in np.flatnonzero((head == 0.0) | (head * vals[1:] < 0.0)):
+        if vals[i] == 0.0:
             roots.append(float(grid[i]))
-        elif va * vb < 0.0:
-            roots.append(float(brentq(f, grid[i], grid[i + 1], xtol=1e-14)))
+        else:
+            roots.append(_brentq(f, grid[i], grid[i + 1]))
     if vals[-1] == 0.0:
         roots.append(float(grid[-1]))
     # merge near-duplicates from adjacent brackets
@@ -296,6 +302,77 @@ def _bracket_roots(grid, values, f) -> list:
         if not merged or abs(r - merged[-1]) > 1e-9:
             merged.append(r)
     return merged
+
+
+BRENT_XTOL = 1e-14
+BRENT_RTOL = 4.0 * sys.float_info.epsilon
+BRENT_MAXITER = 100
+
+
+def _brentq(f, a, b) -> float:
+    """A root of f in the sign-changing bracket [a, b] by Brent's method
+    (Brent 1973, ch. 4).
+
+    Operation for operation the loop of scipy's compiled `brentq`
+    (scipy/optimize/Zeros/brentq.c) at xtol BRENT_XTOL and its default
+    rtol and maxiter, so the iterates and the root match scipy's bit for
+    bit; tests/test_design.py pins this.  Like scipy it raises ValueError
+    for endpoints of one sign or a NaN value of f, and RuntimeError after
+    BRENT_MAXITER iterations.
+    """
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        # the tolerance is 2 delta
+        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(
+        f"Brent's method failed to converge after {BRENT_MAXITER} iterations, "
+        f"value is {xcur!r}")
 
 
 # ---------------------------------------------------------------------------

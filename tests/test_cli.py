@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import softsqueeze
 from softsqueeze.cli import main, parse_angle
 from softsqueeze.evolution import DEFAULT_CONFIG
 from softsqueeze.physical import C_LIGHT, ESU_PER_COULOMB
@@ -44,6 +49,15 @@ def run_lines(capsys, argv):
 )
 def test_parse_angle(text, value):
     assert parse_angle(text) == value
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(k=st.integers(1, 1000), n=st.integers(1, 1000),
+       x=st.floats(allow_nan=False, allow_infinity=False))
+def test_parse_angle_pi_fractions_and_decimals_are_exact(k, n, x):
+    assert parse_angle(f"{k}pi/{n}") == k * math.pi / n
+    assert parse_angle(f"-{k}*pi/{n}") == -(k * math.pi / n)
+    assert parse_angle(repr(x)) == x
 
 
 def test_parse_angle_rejects_garbage():
@@ -523,12 +537,61 @@ def test_default_parser_is_shared_and_config_does_not_leak(tmp_path, capsys):
     assert cli.build_parser() is not cli._default_parser()
 
 
+def test_commands_do_not_import_scipy():
+    # scipy.optimize alone costs about half a second of start-up; the pulse
+    # design warm-up commands of bench/workloads.py and a small scan must not
+    # load any part of scipy
+    theta = '{"kind": "theta", "b": 2.0, "beta0": 0.2}'
+    argvs = [
+        ["design", "--b", "2", "--beta0", "0.2", "--tail"],
+        ["shadow", "--profile", theta, "--points", "21"],
+        ["shadow", "--profile", theta, "--points", "21", "--inits", "1,0;0,1"],
+        ["evolve", "--profile", theta, "--from=-pi/2", "--to=pi/2"],
+        ["scan", "--rect", "1.0,1.1,0.6,0.7", "--grid", "4,4", "--steps", "200"],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from softsqueeze.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {argvs!r}]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(softsqueeze.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    codes, scipy_modules = json.loads(run.stdout)
+    assert codes == [0] * len(argvs)
+    assert scipy_modules == []
+
+
 @pytest.mark.parametrize("key", ["max_steps", "method", "rtol", "handler"])
 def test_config_unknown_key_is_config_error(tmp_path, capsys, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"steps": 2000, key: 1}))
     assert main(["--config", str(cfg), "units"]) == 2
     assert f"unknown --config key(s): {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value,argv", [
+    ("profile", '{"kind": "constant", "beta": 1.0}',
+     ["evolve", "--profile", MATHIEU_REF, "--from", "0", "--to", "1"]),
+    ("profile", '{"kind": "constant", "beta": 1.0}',
+     ["shadow", "--profile", THETA_B2, "--points", "5"]),
+    ("b", 2.0, ["design", "--b", "2"]),
+])
+def test_config_key_of_required_flag_is_config_error(tmp_path, capsys, key, value, argv):
+    # a default never satisfies a required flag, so the key would be inert
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"steps": 200, key: value}))
+    assert main(["--config", str(cfg)] + argv) == 2
+    err = capsys.readouterr().err
+    assert f"--config key(s) of required flags: {key}; give the flag on the command line" in err
+    # from/to are required by evolve only; scan and shadow still take them
+    cfg.write_text(json.dumps({"steps": 200, "from": "0", "to": "1", "points": 3}))
+    argv = ["shadow", "--profile", '{"kind": "constant", "beta": 1.0}']
+    assert len(run_lines(capsys, ["--config", str(cfg)] + argv)) == 4
 
 
 @pytest.mark.parametrize("argv", [

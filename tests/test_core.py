@@ -247,16 +247,15 @@ def test_composite_profile_dispatch_and_boundary():
 
 # a piece is a constant of the given value and width, or (value None) a
 # designed theta stage (b, beta0), which spans pi
+_THETA_SHAPE = st.tuples(st.floats(0.6, 3.0), st.floats(0.0, 0.4))
 _PIECE = st.one_of(
     st.tuples(st.floats(-5.0, 5.0), st.floats(0.01, 5.0)),
-    st.tuples(st.none(), st.tuples(st.floats(0.6, 3.0), st.floats(0.0, 0.4))),
+    st.tuples(st.none(), _THETA_SHAPE),
 )
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
-@given(start=st.floats(-10.0, 10.0), specs=st.lists(_PIECE, min_size=1, max_size=4),
-       fractions=st.lists(st.floats(0.0, 1.0), max_size=20))
-def test_composite_beta_array_matches_scalar_beta(start, specs, fractions):
+def _composite(start, specs) -> CompositeBeta:
+    """Pieces laid end to end from `start`, one per _PIECE spec."""
     from softsqueeze.design import ThetaAnsatz, ThetaDerivedBeta
 
     pieces = []
@@ -268,7 +267,15 @@ def test_composite_beta_array_matches_scalar_beta(start, specs, fractions):
         else:
             pieces.append((t0, t0 + shape, ConstantBeta(value)))
         t0 = pieces[-1][1]
-    prof = CompositeBeta(pieces)
+    return CompositeBeta(pieces)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(start=st.floats(-10.0, 10.0), specs=st.lists(_PIECE, min_size=1, max_size=4),
+       fractions=st.lists(st.floats(0.0, 1.0), max_size=20))
+def test_composite_beta_array_matches_scalar_beta(start, specs, fractions):
+    prof = _composite(start, specs)
+    pieces = prof.pieces
     lo, hi = prof.domain()
     joins = [t for t, _, _ in pieces[1:]]
     taus = np.array([lo, hi, *joins, *(min(lo + f * (hi - lo), hi) for f in fractions)])
@@ -314,6 +321,31 @@ def test_profile_json_round_trip(prof):
     taus = np.linspace(*(prof.domain() if math.isfinite(prof.domain()[0])
                          else (-3.0, 3.0)), 37)
     assert np.allclose(prof.beta_array(taus), again.beta_array(taus), atol=1e-12)
+
+
+def _theta_profile(shape, offset):
+    from softsqueeze.design import ThetaAnsatz, ThetaDerivedBeta
+
+    return ThetaDerivedBeta(ThetaAnsatz.from_targets(*shape), offset=offset)
+
+
+_PROFILE = st.one_of(
+    st.builds(ConstantBeta, st.floats(-5.0, 5.0)),
+    st.builds(MathieuBeta, st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+    st.builds(_theta_profile, _THETA_SHAPE, st.one_of(st.just(0.0), st.floats(-10.0, 10.0))),
+    st.builds(_composite, st.floats(-10.0, 10.0), st.lists(_PIECE, min_size=1, max_size=4)),
+)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(prof=_PROFILE, fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_profile_json_round_trip_samples_identical_bits(prof, fractions):
+    again = profile_from_dict(json.loads(json.dumps(prof.to_json_dict())))
+    lo, hi = prof.domain()
+    if not math.isfinite(lo):
+        lo, hi = -20.0, 20.0
+    taus = np.array([min(lo + f * (hi - lo), hi) for f in fractions])
+    assert again.beta_array(taus).tobytes() == prof.beta_array(taus).tobytes()
 
 
 def test_sampled_json_round_trip():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from softsqueeze import design
 from softsqueeze.core import ConstantBeta
 from softsqueeze.design import (
     ConstantTail,
@@ -235,6 +236,126 @@ def test_lemma_flags_bad_slope():
     rep = validate_lemma(theta, interval=(-1.0, 1.0))
     assert not rep.ok
     assert "slope" in rep.violations[0]
+
+
+# ---------------------------------------------------------------------------
+# root finding: the in-package Brent matches scipy's brentq bit for bit
+
+
+def _scipy_root(f, a, b):
+    from scipy.optimize import brentq
+
+    return brentq(f, a, b, xtol=1e-14)
+
+
+def _scipy_bracket_roots(grid, values, f):
+    # the scalar scan over scipy's brentq that _bracket_roots replaces
+    roots = []
+    for i in range(len(grid) - 1):
+        if values[i] == 0.0:
+            roots.append(float(grid[i]))
+        elif values[i] * values[i + 1] < 0.0:
+            roots.append(float(_scipy_root(f, grid[i], grid[i + 1])))
+    if values[-1] == 0.0:
+        roots.append(float(grid[-1]))
+    merged = []
+    for r in roots:
+        if not merged or abs(r - merged[-1]) > 1e-9:
+            merged.append(r)
+    return merged
+
+
+def _outcome(root, f, a, b):
+    """The root's bits, or the type of the error raised."""
+    try:
+        x = root(f, a, b)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+    assert type(x) is float
+    return np.float64(x).tobytes()
+
+
+def _matches_scipy(f, a, b):
+    return _outcome(design._brentq, f, a, b) == _outcome(_scipy_root, f, a, b)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(cubic=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+       sine=st.tuples(st.floats(-2.0, 2.0), st.floats(0.5, 8.0)),
+       expo=st.tuples(st.floats(-1.0, 1.0), st.floats(-2.0, 2.0)),
+       lo=st.floats(-4.0, -0.1), hi=st.floats(0.1, 4.0))
+def test_brentq_matches_scipy_on_random_functions(cubic, sine, expo, lo, hi):
+    c0, c1, c2, c3 = cubic
+    (s, k), (e, c) = sine, expo
+
+    def f(x):
+        return c0 + x * (c1 + x * (c2 + x * c3)) + s * math.sin(k * x) + e * math.exp(c * x)
+
+    grid = np.linspace(lo, hi, 17)
+    vals = [f(float(x)) for x in grid]
+    brackets = [(lo, hi)] if vals[0] * vals[-1] < 0.0 else []
+    brackets += [(grid[i], grid[i + 1]) for i in range(16) if vals[i] * vals[i + 1] < 0.0]
+    for a, b in brackets:
+        assert _matches_scipy(f, a, b)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(b=st.one_of(st.floats(-5.0, -0.2), st.floats(0.2, 5.0)), beta0=st.floats(-3.0, 3.0))
+def test_bracket_roots_match_scipy_on_lemma_grid(b, beta0):
+    # theta and theta' of a designed stage over validate_lemma's default grid
+    a = ThetaAnsatz.from_targets(b, beta0)
+    grid = np.linspace(-HALF_PI, HALF_PI, 2001)
+    for order in (0, 1):
+        vals = theta_eval(a, grid, order)
+
+        def f(x, order=order):
+            return theta_eval(a, x, order)
+
+        for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+            assert _matches_scipy(f, grid[i], grid[i + 1])
+        roots = design._bracket_roots(grid, vals, f)
+        assert roots == _scipy_bracket_roots(grid, vals, f)
+        assert all(type(r) is float for r in roots)
+
+
+def test_bracket_roots_exact_hits_match_scalar_scan():
+    # exact zeros on the grid, at the last node included, take the hit branch
+    grid = np.linspace(-1.0, 1.0, 201)
+
+    def f(x):
+        return math.sin(7.0 * x) - 0.3 * x
+
+    vals = np.array([f(float(x)) for x in grid])
+    vals[[0, 13, 14, 90, 200]] = 0.0
+    roots = design._bracket_roots(grid, vals, f)
+    assert roots == _scipy_bracket_roots(grid, vals, f)
+    assert roots[0] == -1.0 and roots[-1] == 1.0
+
+
+@pytest.mark.parametrize("f,a,b", [
+    (lambda x: x, 0.0, 1.0),              # root at a
+    (lambda x: x - 1.0, 0.0, 1.0),        # root at b
+    (lambda x: -x, 0.0, 1.0),             # f(a) = -0.0
+    (lambda x: x, -0.0, 1.0),             # a = -0.0 is the root
+    (lambda x: 1.0 if x < 0.0 else -0.0, -1.0, 1.0),  # f(b) = -0.0
+    (lambda x: x - 0.25, -0.0, 1.0),
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+])
+def test_brentq_edge_brackets_match_scipy(f, a, b):
+    assert isinstance(_outcome(design._brentq, f, a, b), bytes)
+    assert _matches_scipy(f, a, b)
+
+
+@pytest.mark.parametrize("f,a,b,error", [
+    (lambda x: x * x + 1.0, -1.0, 1.0, ValueError),       # same sign
+    (lambda x: math.nan, -1.0, 1.0, ValueError),
+    (lambda x: x if x < 0.5 else math.nan, -1.0, 1.0, ValueError),
+    # a sign step over a huge bracket needs about 1000 bisections
+    (lambda x: math.copysign(1.0, x - 0.3), -1e300, 1e300, RuntimeError),
+    (lambda x: x ** 3, -2.0, 1.0, RuntimeError),          # triple root at 0
+])
+def test_brentq_failures_match_scipy(f, a, b, error):
+    assert _outcome(design._brentq, f, a, b) == _outcome(_scipy_root, f, a, b) == error
 
 
 # ---------------------------------------------------------------------------
