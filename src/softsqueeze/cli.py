@@ -4,10 +4,13 @@ Subcommands: evolve, scan, design, shadow, units, solenoid.  All outputs
 are deterministic: CSV files carry a single header row naming columns (and
 units where they apply), JSON reports carry schema_version.  Exit codes:
 0 success, 2 configuration error, 3 numerical failure, 4 validation
-failure.
+failure; `design` exits 4 without integrating the pulse when a theta zero's
+slope is not +-2, with "verification": null in its report.
 
 Angles and times may be given as decimals or as pi fractions ("pi/2",
-"5pi/2", "-3pi/4"), parsed exactly.
+"5pi/2", "-3pi/4"), parsed exactly.  A negative value may follow its flag
+as a separate argument in any notation ("--p0 -1.1e-05", "--from -3pi/4",
+"--inits '-1,0;0,1'"), not only as "--p0=-1.1e-05".
 
 Profiles are JSON objects passed inline or as a file path:
 
@@ -216,10 +219,7 @@ def cmd_design(args) -> int:
     bs = [args.b, *(args.chain or ())]
     ansatzes = [design.ThetaAnsatz.from_targets(b, args.beta0) for b in bs]
 
-    lemma_reports = []
-    for a in ansatzes:
-        rep = design.validate_lemma(a)
-        lemma_reports.append(rep)
+    lemma_reports = [design.validate_lemma(a) for a in ansatzes]
     tail = None
     if args.tail:
         if args.beta0 <= 0:
@@ -228,8 +228,10 @@ def cmd_design(args) -> int:
                     else design.quarter_period(args.beta0))
         tail = design.ConstantTail(beta0=args.beta0, duration=duration)
     pulse = design.build_chain(ansatzes, tail)
-    cfg = _integrator_config(args)
-    report = design.verify_design(pulse, cfg)
+    violations = [v for rep in lemma_reports for v in rep.violations]
+    # a theta zero with slope off +-2 makes beta singular there, so
+    # integrating the pulse would only fail on determinant drift
+    report = None if violations else design.verify_design(pulse, _integrator_config(args))
 
     out = {
         "profile": pulse.profile.to_json_dict(),
@@ -262,7 +264,7 @@ def cmd_design(args) -> int:
             }
             for rep in lemma_reports
         ],
-        "verification": report.to_json_dict(),
+        "verification": report.to_json_dict() if report else None,
     }
     _emit_json(out, args.output)
 
@@ -274,7 +276,6 @@ def cmd_design(args) -> int:
             for t, b in zip(taus, betas):
                 fh.write("%.12g,%.12g\n" % (t, b))
 
-    violations = [v for rep in lemma_reports for v in rep.violations]
     if violations or not report.ok:
         return 4
     return 0
@@ -421,6 +422,12 @@ def cmd_solenoid(args) -> int:
 # parser assembly
 
 
+# Argument strings that are values, not flags: negative numbers in any
+# notation ("-1.1e-05", "-.5"), negative pi fractions ("-3pi/4", "-pi/2")
+# and lists that start with one ("-1,2", "-1,0;0,1").
+_NEGATIVE_VALUE_RE = re.compile(r"^-(\d|\.\d|\s*\*?\s*pi)", re.IGNORECASE)
+
+
 def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="softsqueeze",
@@ -527,6 +534,12 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--output", help="output path (default stdout)")
     p.set_defaults(handler=cmd_solenoid)
+
+    # argparse takes only "-1" and "-1.5" for negative numbers and reads any
+    # other negative value as a flag; it has no public hook, so this sets its
+    # private matcher (no flag here looks like a negative number)
+    for sp in (parser, *subparsers):
+        sp._negative_number_matcher = _NEGATIVE_VALUE_RE
 
     if defaults:
         # a key no subcommand reads would be ignored silently; one file may

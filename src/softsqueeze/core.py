@@ -1,10 +1,11 @@
 """Value types and closed-form symplectic building blocks.
 
 Everything in this module is exact arithmetic: 2x2 real matrices with unit
-determinant, the scalar stiffness profiles beta(tau) that drive the
-integrators, and the handful of closed-form evolution matrices (rotations,
-free motion, squeezed Fourier maps) used as oracles elsewhere.  No numerical
-integration happens here.
+determinant, the stiffness profiles beta(tau) that drive the integrators,
+and the handful of closed-form evolution matrices (rotations, free motion,
+squeezed Fourier maps) used as oracles elsewhere.  No numerical integration
+happens here.  A profile samples beta only through its vectorised
+beta_array; beta(tau) is one sample of it.
 
 Conventions: the state is the column vector (q, p)^T, so row 1 of a matrix
 acts on q and row 2 on p.  In particular u12 = 0 means the final position is
@@ -156,44 +157,37 @@ def symmetric_product(vs, tol: float = 1e-9) -> SymplecticMatrix2:
 
 
 class BetaProfile:
-    """Scalar stiffness beta(tau) for q'' + beta(tau) q = 0.
+    """Stiffness beta(tau) for q'' + beta(tau) q = 0.
 
-    Subclasses provide `beta` (scalar), `beta_array` (vectorized) and a
-    declared domain.  Profiles are immutable and cheap to share.
+    Subclasses provide `beta_array`, the one sampler, and a declared
+    domain; `beta(tau)` is one sample of it.  Profiles are immutable and
+    cheap to share.
     """
 
     kind = "abstract"
 
     def beta(self, tau: float) -> float:
-        raise NotImplementedError
+        return float(self.beta_array(np.array([tau], dtype=float))[0])
 
     def beta_array(self, taus) -> np.ndarray:
-        taus = np.asarray(taus, dtype=float)
-        self._check_domain_array(taus)
-        return np.array(
-            [self.beta(float(t)) for t in taus.ravel()]
-        ).reshape(taus.shape)
+        raise NotImplementedError
 
     def domain(self):
         """(lo, hi) interval of validity; infinite for unbounded profiles."""
         return (-math.inf, math.inf)
 
-    def _check_domain(self, tau: float):
+    def check_interval(self, t0: float, t1: float):
+        """Raise ValueError if t0 or t1 lies outside the domain."""
         lo, hi = self.domain()
         # small slack for roundoff at interval ends
         slack = 1e-12 * max(1.0, abs(lo), abs(hi)) if math.isfinite(lo) else 0.0
-        if tau < lo - slack or tau > hi + slack:
-            raise ValueError(f"tau = {tau} outside profile domain [{lo}, {hi}]")
+        for tau in (t0, t1):
+            if tau < lo - slack or tau > hi + slack:
+                raise ValueError(f"tau = {tau} outside profile domain [{lo}, {hi}]")
 
-    def _check_domain_array(self, taus: np.ndarray):
-        if taus.size == 0:
-            return
-        self._check_domain(float(taus.min()))
-        self._check_domain(float(taus.max()))
-
-    def check_interval(self, t0: float, t1: float):
-        self._check_domain(t0)
-        self._check_domain(t1)
+    def _check_samples(self, taus: np.ndarray):
+        if taus.size:
+            self.check_interval(float(taus.min()), float(taus.max()))
 
     def to_json_dict(self) -> dict:
         raise NotImplementedError
@@ -203,9 +197,6 @@ class BetaProfile:
 class ConstantBeta(BetaProfile):
     value: float
     kind = "constant"
-
-    def beta(self, tau: float) -> float:
-        return self.value
 
     def beta_array(self, taus) -> np.ndarray:
         taus = np.asarray(taus, dtype=float)
@@ -222,9 +213,6 @@ class MathieuBeta(BetaProfile):
     beta0: float
     beta1: float
     kind = "mathieu"
-
-    def beta(self, tau: float) -> float:
-        return self.beta0 + 2.0 * self.beta1 * math.cos(tau)
 
     def beta_array(self, taus) -> np.ndarray:
         taus = np.asarray(taus, dtype=float)
@@ -259,13 +247,9 @@ class SampledBeta(BetaProfile):
         self.order = int(order)
         self._spline = InterpolatedUnivariateSpline(taus, values, k=self.order)
 
-    def beta(self, tau: float) -> float:
-        self._check_domain(tau)
-        return float(self._spline(tau))
-
     def beta_array(self, taus) -> np.ndarray:
         taus = np.asarray(taus, dtype=float)
-        self._check_domain_array(taus)
+        self._check_samples(taus)
         return self._spline(taus)
 
     def domain(self):
@@ -306,22 +290,11 @@ class CompositeBeta(BetaProfile):
         self.pieces = pieces
         self._starts = np.array([t0 for t0, _, _ in pieces])
 
-    def _piece_index(self, tau: float) -> int:
-        # boundary points route to the earlier piece
-        i = int(np.searchsorted(self._starts, tau, side="left")) - 1
-        if tau == self._starts[0]:
-            i = 0
-        return min(max(i, 0), len(self.pieces) - 1)
-
-    def beta(self, tau: float) -> float:
-        self._check_domain(tau)
-        _, _, prof = self.pieces[self._piece_index(tau)]
-        return prof.beta(tau)
-
     def beta_array(self, taus) -> np.ndarray:
         taus = np.asarray(taus, dtype=float)
-        self._check_domain_array(taus)
+        self._check_samples(taus)
         out = np.empty(taus.shape)
+        # boundary points route to the earlier piece
         idx = np.searchsorted(self._starts, taus, side="left") - 1
         idx = np.clip(idx, 0, len(self.pieces) - 1)
         for k, (_, _, prof) in enumerate(self.pieces):

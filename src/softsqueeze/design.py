@@ -159,13 +159,9 @@ class ThetaDerivedBeta(BetaProfile):
     offset: float = 0.0
     kind = "theta"
 
-    def beta(self, tau: float) -> float:
-        self._check_domain(tau)
-        return beta_from_theta(self.ansatz, tau - self.offset)
-
     def beta_array(self, taus) -> np.ndarray:
         taus = np.asarray(taus, dtype=float)
-        self._check_domain_array(taus)
+        self._check_samples(taus)
         return beta_from_theta(self.ansatz, taus - self.offset)
 
     def domain(self):

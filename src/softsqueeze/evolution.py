@@ -23,10 +23,12 @@ The product is the level-wise pairwise tree over all steps: each level
 multiplies neighbours, later step on the left, and an odd last element is
 carried up.  The engine walks it in aligned blocks of 2^k steps, sized so
 that a block times the batch width stays within a fixed element budget,
-which bounds memory for any step count.  The tree's shape depends only on
-the step count, never on the block size or the batch width, so a node's
-result is bit-identical alone or inside any batch, and run to run.
-Determinant drift is checked after every run and never silently corrected.
+which bounds memory for any step count; mathieu_batch splits a batch wider
+than the budget into column chunks of that many nodes.  The tree's shape
+depends only on the step count, never on the block size or the batch
+width, so a node's result is bit-identical alone or inside any batch, and
+run to run.  Determinant drift is checked after every run and never
+silently corrected.
 
 For beta even in tau, u(tau, -tau) = U D U^-1 D with U = u(tau, 0) and
 D = diag(1, -1); its diagonal entries are equal by construction.
@@ -108,8 +110,9 @@ class ZoneReport:
 # ---------------------------------------------------------------------------
 # RK4 step-map engine
 
-# Step maps per block times batch width.  Bounds the engine's working set;
-# results do not depend on it (see the module docstring).
+# Step maps per block times batch width, and nodes per mathieu_batch chunk.
+# Bounds the engine's working set; results do not depend on it (see the
+# module docstring).
 _BLOCK_ELEMENTS = 4096
 
 
@@ -434,9 +437,10 @@ def mathieu_batch(
 
     beta = beta0 + 2 beta1 cos(tau), or cos(tau + phase) with optional
     per-case phase shifts, which is how trace-vs-starting-point checks are
-    vectorized.  The pairs are the batch axis of the step-map engine, so
-    each entry equals integrate(MathieuBeta(beta0, beta1), tau0, tau1) at
-    the same step count bit for bit, whatever the batch size.
+    vectorized.  The pairs are the batch axis of the step-map engine, run
+    in chunks of at most _BLOCK_ELEMENTS pairs, so memory stays bounded for
+    any batch; each entry equals integrate(MathieuBeta(beta0, beta1), tau0,
+    tau1) at the same step count bit for bit, whatever the batch size.
 
     Returns four arrays (u11, u12, u21, u22) of the broadcast input shape.
     """
@@ -447,9 +451,14 @@ def mathieu_batch(
     two_beta1 = 2.0 * np.broadcast_to(beta1, shape).ravel()
     if phase is not None:
         phase = np.broadcast_to(np.asarray(phase, dtype=float), shape).ravel()
+    out = np.empty((4, beta0.size))
+    for c0 in range(0, beta0.size, _BLOCK_ELEMENTS):
+        c = slice(c0, c0 + _BLOCK_ELEMENTS)
+        b0, tb1 = beta0[c], two_beta1[c]
+        ph = None if phase is None else phase[c]
 
-    def beta_at(taus):
-        return beta0 + two_beta1 * np.cos(taus if phase is None else taus + phase)
+        def beta_at(taus):
+            return b0 + tb1 * np.cos(taus if ph is None else taus + ph)
 
-    entries = _rk4(beta_at, tau0, tau1, steps, beta0.size)
-    return tuple(e.reshape(shape) for e in entries)
+        out[:, c] = _rk4(beta_at, tau0, tau1, steps, b0.size)
+    return tuple(e.reshape(shape) for e in out)

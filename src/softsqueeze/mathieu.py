@@ -6,10 +6,11 @@ curves where u12 or u21 vanishes, and refines their intersection: the double
 zero where the matrix becomes diag(lambda, 1/lambda), a pure q-p squeeze.
 
 All node integrations, of scan grids, locus brackets and double-zero
-Newton steps alike, go through the batched step-map engine in
-evolution.mathieu_batch, whose result for a node does not depend on the
-batch it runs in, so output is bit-identical run to run regardless of how
-the work is chunked or scheduled.  Zones follow evolution.zone_codes.
+Newton steps alike, are one call each of evolution.mathieu_batch, which
+chunks its own batch to bound memory and whose result for a node does not
+depend on the batch it runs in, so output is bit-identical run to run
+regardless of how the work is chunked or scheduled.  Zones follow
+evolution.zone_codes.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .evolution import DEFAULT_CONFIG, ZONES, IntegratorConfig
 
 HALF_PI = math.pi / 2.0
 DEFAULT_INTERVAL = (HALF_PI, 5.0 * HALF_PI)  # [pi/2, 5pi/2]
-
-_CHUNK = 4096  # nodes per mathieu_batch call; bounds memory, not results
 
 LOCUS_MAX_ITER = 60  # trace_locus: most bisection passes
 LOCUS_XTOL = 1e-12   # trace_locus: bracket width that ends them
@@ -113,20 +112,6 @@ class ScanResult:
                 )
 
 
-def _entries_batch(beta0_flat, beta1_flat, rect_tau0, rect_tau1, steps):
-    """Evolution entries for many parameter pairs, in fixed-size chunks."""
-    n = beta0_flat.size
-    out = [np.empty(n) for _ in range(4)]
-    for start in range(0, n, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, n))
-        res = evolution.mathieu_batch(
-            beta0_flat[sl], beta1_flat[sl], rect_tau0, rect_tau1, steps=steps
-        )
-        for o, r in zip(out, res):
-            o[sl] = r
-    return out
-
-
 def scan_grid(rect: ScanRect, cfg: IntegratorConfig = DEFAULT_CONFIG) -> ScanResult:
     """Evolution matrix and zone at every grid node.
 
@@ -139,9 +124,7 @@ def scan_grid(rect: ScanRect, cfg: IntegratorConfig = DEFAULT_CONFIG) -> ScanRes
     b0_axis = rect.beta0_axis()
     b1_axis = rect.beta1_axis()
     bb0, bb1 = np.meshgrid(b0_axis, b1_axis, indexing="ij")
-    u11, u12, u21, u22 = (e.reshape(bb0.shape) for e in _entries_batch(
-        bb0.ravel(), bb1.ravel(), rect.tau0, rect.tau1, cfg.steps
-    ))
+    u11, u12, u21, u22 = evolution.mathieu_batch(bb0, bb1, rect.tau0, rect.tau1, cfg.steps)
     failed = ~(np.abs(u11 * u22 - u12 * u21 - 1.0) <= cfg.det_tol)
     gamma = u11 + u22
     zone = evolution.zone_codes(gamma)
@@ -190,13 +173,13 @@ def trace_locus(rect: ScanRect, entry: str,
         if np.all(width <= LOCUS_XTOL):
             break
         mid = 0.5 * (lo + hi)
-        fm = _entries_batch(b0, mid, rect.tau0, rect.tau1, cfg.steps)[col]
+        fm = evolution.mathieu_batch(b0, mid, rect.tau0, rect.tau1, cfg.steps)[col]
         same = (flo * fm) > 0.0
         lo = np.where(same, mid, lo)
         flo = np.where(same, fm, flo)
         hi = np.where(same, hi, mid)
     mid = 0.5 * (lo + hi)
-    final = _entries_batch(b0, mid, rect.tau0, rect.tau1, cfg.steps)
+    final = evolution.mathieu_batch(b0, mid, rect.tau0, rect.tau1, cfg.steps)
     points = [
         LocusPoint(float(x0), float(x1), entry, float(r), float(lam))
         for x0, x1, r, lam in zip(b0, mid, final[col], final[0])
@@ -235,7 +218,7 @@ def find_double_zero(
     b0, b1 = float(seed[0]), float(seed[1])
 
     def entries(x0, x1):
-        cols = _entries_batch(np.array(x0), np.array(x1), tau0, tau1, cfg.steps)
+        cols = evolution.mathieu_batch(x0, x1, tau0, tau1, cfg.steps)
         return [
             evolution._check_det(e, cfg, f"double-zero node ({a}, {b})")
             for a, b, e in zip(x0, x1, zip(*cols))

@@ -7,10 +7,10 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import softsqueeze
-from softsqueeze.cli import main, parse_angle
+from softsqueeze.cli import build_parser, main, parse_angle
 from softsqueeze.evolution import DEFAULT_CONFIG
 from softsqueeze.physical import C_LIGHT, ESU_PER_COULOMB
 
@@ -260,6 +260,19 @@ def test_design_zero_b_is_config_error(capsys):
     assert main(["design", "--b", "1.99", "--beta0", "0.28", "--tail",
                  "--tail-duration", "0"]) == 2
     assert "tail duration must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("b,beta0", [("0.3", "0"), ("-2", "0.1"), ("0.2", "5")])
+def test_design_singular_theta_zero_is_validation_failure(capsys, b, beta0):
+    # theta zeros whose slope is not +-2 make beta singular: the report
+    # carries the violations and no integration through them is tried
+    assert main(["design", "--b", b, "--beta0", beta0]) == 4
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    violations = [v for rep in out["lemma"] for v in rep["violations"]]
+    assert violations and all("has slope" in v and "not +-2" in v for v in violations)
+    assert out["verification"] is None
+    assert "numerical failure" not in captured.err
 
 
 def test_design_two_stage_chain(capsys):
@@ -514,6 +527,30 @@ def test_config_value_kinds_are_checked(tmp_path, capsys):
 def test_malformed_list_flag_is_usage_error(capsys, argv, flag):
     assert main(argv) == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(flag=st.sampled_from(["--q0", "--p0", "--kappa"]),
+       x=st.floats(allow_nan=False, allow_infinity=False))
+@example(flag="--p0", x=-1.1e-05)
+def test_negative_number_may_follow_its_flag(flag, x):
+    args = build_parser().parse_args(["shadow", "--profile", THETA_B2, flag, repr(x)])
+    assert repr(getattr(args, flag[2:])) == repr(x)
+
+
+@pytest.mark.parametrize("argv,dest,value", [
+    (["evolve", "--profile", THETA_B2, "--from", "-3pi/4", "--to", "0"], "from", "-3pi/4"),
+    (["evolve", "--profile", THETA_B2, "--from", "-pi/2", "--to", "0"], "from", "-pi/2"),
+    (["scan", "--double-zero", "--seed", "-1e-3,0.8"], "seed", (-1e-3, 0.8)),
+    (["shadow", "--profile", THETA_B2, "--inits", "-1,0;0,1"], "inits", ((-1.0, 0.0), (0.0, 1.0))),
+])
+def test_negative_angle_or_list_may_follow_its_flag(argv, dest, value):
+    assert getattr(build_parser().parse_args(argv), dest) == value
+
+
+def test_flag_after_flag_is_still_missing_value(capsys):
+    assert main(["shadow", "--profile", THETA_B2, "--p0", "-h"]) == 2
+    assert "argument --p0: expected one argument" in capsys.readouterr().err
 
 
 def test_default_parser_is_shared_and_config_does_not_leak(tmp_path, capsys):

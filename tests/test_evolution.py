@@ -128,15 +128,18 @@ def test_max_steps_enforced_before_sampling():
     assert integrate(ConstantBeta(1.0), 0.0, 1.0, at_limit).det == pytest.approx(1.0)
 
 
-class _ScalarOnlyBeta(BetaProfile):
-    """A profile that relies on the base class's beta_array."""
+class _ArrayOnlyBeta(BetaProfile):
+    """A profile that relies on the base class's beta."""
 
-    def beta(self, tau):
-        return 1.0
+    def beta_array(self, taus):
+        return np.ones(np.shape(taus))
 
 
-def test_profile_with_scalar_beta_only():
-    u = integrate(_ScalarOnlyBeta(), 0.0, PI / 2, IntegratorConfig(steps=400))
+def test_profile_with_beta_array_only():
+    prof = _ArrayOnlyBeta()
+    assert prof.beta(0.3) == prof.beta_array(np.array([0.3]))[0] == 1.0
+    assert type(prof.beta(0.3)) is float
+    u = integrate(prof, 0.0, PI / 2, IntegratorConfig(steps=400))
     assert entrywise_err(u, rotation_matrix(1.0, PI / 2)) < 1e-9
 
 
@@ -391,6 +394,15 @@ def test_mathieu_batch_independent_of_batch_and_block_size(monkeypatch):
         narrow = mathieu_batch(b0[:8], b1[:8], PI / 2, 5 * PI / 2, steps=steps)
         for w, n in zip(wide, narrow):
             assert np.array_equal(w[:8], n)
+    # a batch wider than the budget runs in column chunks, each node with
+    # its own phase
+    phase = rng.uniform(-PI, PI, size=11)
+    alone = [mathieu_batch(b0[k], b1[k], PI / 2, 5 * PI / 2, steps=steps, phase=phase[k])
+             for k in range(11)]
+    monkeypatch.setattr(evolution, "_BLOCK_ELEMENTS", 4)
+    chunked = mathieu_batch(b0[:11], b1[:11], PI / 2, 5 * PI / 2, steps=steps, phase=phase)
+    assert [[float(e[k]) for e in chunked] for k in range(11)] == [
+        [float(e) for e in a] for a in alone]
 
 
 # (beta0, beta1) and u(5pi/2, pi/2) from 30-digit mpmath.odefun solutions,
