@@ -28,8 +28,9 @@ or choices, is a configuration error.  List flags (--rect, --grid, --seed,
 --chain, --inits, --t-list) take their command-line text; a switch takes a
 JSON boolean and any other untyped flag a JSON string.
 
-The one integrator is fixed-step RK4; --steps sets its step count per
-interval.
+The one integrator is fixed-step RK4; --steps fixes its step,
+h = (to - from) / steps, and a one-period Mathieu interval integrates only
+half a period at that step.
 """
 
 from __future__ import annotations
@@ -114,7 +115,8 @@ def _integrator_config(args) -> IntegratorConfig:
 
 def _add_integrator_flags(p: argparse.ArgumentParser):
     p.add_argument("--steps", type=int, default=DEFAULT_CONFIG.steps,
-                   help=f"RK4 steps per interval (default {DEFAULT_CONFIG.steps})")
+                   help=f"RK4 step h = interval / steps (default {DEFAULT_CONFIG.steps}); "
+                        "a one-period Mathieu interval integrates half a period at that h")
 
 
 @contextmanager
@@ -129,7 +131,8 @@ def _open_out(path):
 def _emit_json(obj: dict, path):
     obj = dict(obj)
     obj["schema_version"] = SCHEMA_VERSION
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    # NaN and infinities are not JSON: raise ValueError before writing
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     with _open_out(path) as fh:
         fh.write(text)
 
@@ -329,6 +332,8 @@ def _context_from_args(args) -> physical.PhysicalContext:
 
 
 def cmd_units(args) -> int:
+    if not (math.isfinite(args.beta0) and math.isfinite(args.beta1)):
+        raise ValueError(f"--beta0 and --beta1 must be finite, got {args.beta0}, {args.beta1}")
     ctx = _context_from_args(args)
     if args.table:
         base = {}

@@ -12,9 +12,10 @@ The engine keeps each map in delta form, D_k = S_k - 1, and multiplies by
 (1 + a)(1 + b) - 1 = a + b + ab, adding the identity once at the end.  The
 entries of D_k are O(h), so no product rounds them against the identity;
 multiplying the S_k themselves doubles the error against the 30-digit
-references of the tests.  A run of maps is one (2, 2, w, m) array: entry,
-entry, batch column, step, with the steps last so that a pair of
-neighbouring maps is a stride-2 slice of long rows.  A merge is five numpy
+references of the tests.  A run of maps is one (2, 2, c, m) array: entry,
+entry, column, step, with the steps last so that a pair of neighbouring
+maps is a stride-2 slice of long rows; the columns are g intervals, each
+on its own linspace grid, times a batch of w.  A merge is five numpy
 calls on whole arrays, two products and three sums, each entry being
 (a_ij + b_ij) + (a_i0 b_0j + a_i1 b_1j); the merges of the block stack
 write into the earlier product in place.
@@ -30,8 +31,12 @@ width, so a node's result is bit-identical alone or inside any batch, and
 run to run.  Determinant drift is checked after every run and never
 silently corrected.
 
-For beta even in tau, u(tau, -tau) = U D U^-1 D with U = u(tau, 0) and
-D = diag(1, -1); its diagonal entries are equal by construction.
+A run's step is h = (tau1 - tau0) / steps.  The Mathieu drive is even
+about every multiple of pi, so integrate and mathieu_batch build a
+one-period map from half a period at that step (_one_period).  The
+reflection D u^-1 D, D = diag(1, -1), is taken in adjugate form (_reflect),
+never divided by det u, so the determinant gate still sees the drift of
+every piece; integrate_symmetric builds u(tau, -tau) with it too.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .core import BetaProfile, CanonicalState, SymplecticMatrix2
+from .core import BetaProfile, CanonicalState, ConstantBeta, MathieuBeta, SymplecticMatrix2
 
 
 class IntegrationError(RuntimeError):
@@ -56,7 +61,8 @@ class IntegratorConfig:
 
     There is one integrator, fixed-step RK4; `method` is the class constant
     "rk4", not a setting.
-    steps:  number of RK4 steps per requested interval.
+    steps:  fixes the RK4 step h = (tau1 - tau0) / steps of an interval;
+            a one-period Mathieu interval integrates half a period at that h.
     max_steps: most RK4 steps one call may take; more raise IntegrationError.
     det_tol: allowed |det - 1| drift of the result; must be positive.
     """
@@ -110,7 +116,7 @@ class ZoneReport:
 # ---------------------------------------------------------------------------
 # RK4 step-map engine
 
-# Step maps per block times batch width, and nodes per mathieu_batch chunk.
+# Step maps per block times columns, and nodes per mathieu_batch chunk.
 # Bounds the engine's working set; results do not depend on it (see the
 # module docstring).
 _BLOCK_ELEMENTS = 4096
@@ -128,15 +134,20 @@ def _grid(t0, t1, steps: int, j0: int, j1: int):
 
 def _step_deltas(b, h):
     """S - 1 for the RK4 step maps, as one (2, 2, w, m) array, where b holds
-    beta at the 2m+1 nodes and midpoints of m steps, a row each:
+    beta at the 2m+1 nodes and midpoints of m steps, a row each, in w
+    columns:
 
       d11 = b1 b2 h^4/24 - h^2 (b1/6 + b2/3)
       d12 = h - b2 h^3/6
       d21 = h ((b1 + b3) b2 h^2/12 - (b1 + 4 b2 + b3)/6)
       d22 = b2 b3 h^4/24 - h^2 (b2/3 + b3/6)
 
-    with b1, b2 and b3 at a step's node, midpoint and end.
+    with b1, b2 and b3 at a step's node, midpoint and end.  The arithmetic
+    runs along the longer axis of b: a narrow batch's steps, like a wide
+    batch's columns, are contiguous.
     """
+    if b.shape[0] > b.shape[1]:
+        b = np.asfortranarray(b)
     b1, b2, b3 = b[:-1:2], b[1::2], b[2::2]
     h2 = h * h
     r = b2 * (h2 * h2 / 24.0) - h2 / 6.0
@@ -149,12 +160,19 @@ def _step_deltas(b, h):
     return d
 
 
+def _mul(a, b, out=None, t=None):
+    """Matrix product ab of (2, 2, ...) arrays, each entry a_i0 b_0j + a_i1 b_1j.
+    out and t are optional scratch arrays of the product's shape."""
+    out = np.multiply(a[:, :1], b[:1], out=out)
+    out += np.multiply(a[:, 1:], b[1:], out=t)
+    return out
+
+
 def _merge(a, b, out=None, p=None, t=None):
     """Delta form of (1 + a)(1 + b), a + b + ab, with a the later map: each
     entry is (a_ij + b_ij) + (a_i0 b_0j + a_i1 b_1j).  out may be b; p and
     t are optional scratch arrays of b's shape."""
-    p = np.multiply(a[:, :1], b[:1], out=p)
-    p += np.multiply(a[:, 1:], b[1:], out=t)
+    p = _mul(a, b, p, t)
     out = np.add(a, b, out=out)
     out += p
     return out
@@ -172,23 +190,35 @@ def _tree(d):
     return d[..., 0]
 
 
-def _rk4(beta_at, t0, t1, steps: int, width: int) -> tuple:
-    """RK4 evolution entries (u11, u12, u21, u22) over [t0, t1] for a batch.
+def _rk4(beta_at, t0, t1, steps: int, width: int) -> np.ndarray:
+    """RK4 evolution matrices over g intervals [t0, t1] (scalars, g = 1, or
+    arrays) for a batch of width columns each, as a (2, 2, g * width) array
+    with the columns of each interval together.
 
-    beta_at maps a (rows, 1) or (rows, width) array of taus to betas of
-    shape (rows, width); t0 and t1 are scalars or per-column arrays.  Full
-    blocks are pushed on a stack whose equal-sized neighbours merge at
+    beta_at maps the (rows, g) taus of _grid to (rows, g * width) betas.
+    Full blocks are pushed on a stack whose equal-sized neighbours merge at
     once, and what is left is merged from right to left: together this is
     the level-wise tree over all steps, whatever the block size.  The stack
-    merges write into the earlier product, with two scratch arrays.
+    merges write into the earlier product, with two scratch arrays.  A block
+    samples beta from its first midpoint on; its first node is the previous
+    block's last row.
     """
+    g = np.size(t0)
     h = (t1 - t0) / steps
-    block = 1 << (max(_BLOCK_ELEMENTS // max(width, 1), 1).bit_length() - 1)
+    if np.ndim(h):
+        h = np.repeat(h, width)
+    block = 1 << (max(_BLOCK_ELEMENTS // max(g * width, 1), 1).bit_length() - 1)
     stack = []  # (steps covered, delta product)
-    scratch = (np.empty((2, 2, width)), np.empty((2, 2, width)))
+    scratch = (np.empty((2, 2, g * width)), np.empty((2, 2, g * width)))
+    last = None  # beta at the previous block's end
     for s0 in range(0, steps, block):
         s1 = min(s0 + block, steps)
-        d = _tree(_step_deltas(beta_at(_grid(t0, t1, steps, 2 * s0, 2 * s1 + 1)), h))
+        b = beta_at(_grid(t0, t1, steps, 2 * s0 + (s0 > 0), 2 * s1 + 1))
+        if s0:
+            b = np.concatenate([last, b])
+        last = b[-1:].copy()
+        d = _tree(_step_deltas(b, h))
+        del b  # free the samples before the next block takes its own
         n = s1 - s0
         while stack and stack[-1][0] == n:
             n *= 2
@@ -199,7 +229,39 @@ def _rk4(beta_at, t0, t1, steps: int, width: int) -> tuple:
     while stack:
         earlier = stack.pop()[1]
         d = _merge(d, earlier, earlier, *scratch)
-    return d[0, 0] + 1.0, d[0, 1], d[1, 0], d[1, 1] + 1.0
+    d[0, 0] += 1.0
+    d[1, 1] += 1.0
+    return d
+
+
+def _reflect(u):
+    """D u^-1 D for D = diag(1, -1) in adjugate form, [[u22, u12], [u21, u11]],
+    as a view of the (2, 2, ...) array u.  It is not divided by det u, so a
+    product through it keeps the determinant drift of u."""
+    return u[::-1, ::-1].swapaxes(0, 1)
+
+
+def _one_period(beta_at, t0, t1, steps: int, width: int, out=None) -> np.ndarray:
+    """u(t1, t0) over one period t1 = t0 + 2pi of a drive even about every
+    multiple of pi, as a (2, 2, width) array, from half a period.
+
+    With c = pi floor(t0/pi), V = u(t0, c), W = u(c + pi, t0) and U = W V,
+    periodicity and the reflection about c + pi give
+    u(t1, t0) = (V (D U^-1 D)) W.  Each piece takes
+    ceil(steps * length / (t1 - t0)) steps, at least 1, so h never exceeds
+    (t1 - t0) / steps; a zero-length V is one step of h = 0, the identity.
+    Pieces of equal step count run as one engine batch when their columns
+    fit the element budget together.  beta_at is as for _rk4.
+    """
+    c = math.pi * math.floor(t0 / math.pi)
+    ends = np.array([c, t0, c + math.pi])
+    counts = [max(math.ceil(steps * ((b - a) / (t1 - t0))), 1) for a, b in zip(ends, ends[1:])]
+    if counts[0] == counts[1] and 2 * width <= _BLOCK_ELEMENTS:
+        vw = _rk4(beta_at, ends[:2], ends[1:], counts[0], width)
+        v, w = vw[..., :width], vw[..., width:]
+    else:
+        v, w = (_rk4(beta_at, a, b, n, width) for a, b, n in zip(ends, ends[1:], counts))
+    return _mul(_mul(v, _reflect(_mul(w, v))), w, out)
 
 
 def _check_det(entries, cfg: IntegratorConfig, what: str) -> SymplecticMatrix2:
@@ -221,8 +283,10 @@ def integrate(
 ) -> SymplecticMatrix2:
     """Evolution matrix u(tau1, tau0) for q'' + beta(tau) q = 0.
 
-    Raises IntegrationError before sampling beta if cfg.steps exceeds
-    cfg.max_steps.
+    RK4 with step h = (tau1 - tau0) / cfg.steps; a Mathieu profile over one
+    period tau1 - tau0 = 2pi integrates half a period by reflection
+    (_one_period), as mathieu_batch does.  Raises IntegrationError before
+    sampling beta if cfg.steps exceeds cfg.max_steps.
     """
     if tau1 < tau0:
         raise ValueError(f"need tau1 >= tau0, got [{tau0}, {tau1}]")
@@ -230,8 +294,11 @@ def integrate(
     if tau1 == tau0:
         return SymplecticMatrix2.identity()
     cfg.check_steps(cfg.steps)
-    entries = [e[0] for e in _rk4(profile.beta_array, tau0, tau1, cfg.steps, 1)]
-    return _check_det(entries, cfg, f"integrate over [{tau0}, {tau1}]")
+    if isinstance(profile, MathieuBeta) and tau1 - tau0 == 2.0 * math.pi:
+        u = _one_period(profile.beta_array, tau0, tau1, cfg.steps, 1)
+    else:
+        u = _rk4(profile.beta_array, tau0, tau1, cfg.steps, 1)
+    return _check_det(u.ravel(), cfg, f"integrate over [{tau0}, {tau1}]")
 
 
 def check_symmetry(profile: BetaProfile, tau: float, n: int = 33, tol: float = 1e-9) -> float:
@@ -252,9 +319,9 @@ def integrate_symmetric(
 ) -> SymplecticMatrix2:
     """u(tau, -tau) for beta even in tau, as U D U^-1 D.
 
-    U = u(tau, 0) and D = diag(1, -1), so the result is
-    [[ad + bc, 2ab], [2cd, ad + bc]] for U = [[a, b], [c, d]]: equidiagonal,
-    u11 = u22 = theta'(tau)/2 with theta = u12.
+    U = u(tau, 0) and D = diag(1, -1), and D U^-1 D is _reflect(U), so the
+    result is [[ad + bc, 2ab], [2cd, ad + bc]] for U = [[a, b], [c, d]]:
+    equidiagonal, u11 = u22 = theta'(tau)/2 with theta = u12.
     """
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
@@ -262,10 +329,8 @@ def integrate_symmetric(
     check_symmetry(profile, tau)
     if tau == 0.0:
         return SymplecticMatrix2.identity()
-    u = integrate(profile, 0.0, tau, cfg)
-    diag = u.u11 * u.u22 + u.u12 * u.u21
-    entries = (diag, 2.0 * u.u11 * u.u12, 2.0 * u.u21 * u.u22, diag)
-    return _check_det(entries, cfg, f"symmetric integrate to tau = {tau}")
+    u = integrate(profile, 0.0, tau, cfg).as_array()
+    return _check_det(_mul(u, _reflect(u)).ravel(), cfg, f"symmetric integrate to tau = {tau}")
 
 
 def monodromy(
@@ -287,8 +352,6 @@ def monodromy(
 
 
 def _verify_periodic(profile: BetaProfile, tau0: float, period: float, tol: float = 1e-9):
-    from .core import ConstantBeta, MathieuBeta
-
     if isinstance(profile, ConstantBeta):
         return
     if isinstance(profile, MathieuBeta):
@@ -418,7 +481,7 @@ def _rk4_segments(profile: BetaProfile, taus: list, cfg: IntegratorConfig) -> li
     entries = np.empty((4, lo.size))
     for n in np.unique(counts):
         idx = np.flatnonzero(counts == n)
-        entries[:, idx] = _rk4(profile.beta_array, lo[idx], hi[idx], int(n), idx.size)
+        entries[:, idx] = _rk4(profile.beta_array, lo[idx], hi[idx], int(n), 1).reshape(4, -1)
     return [
         _check_det(e, cfg, f"integrate over [{a}, {b}]")
         for a, b, e in zip(taus, taus[1:], entries.T)
@@ -441,6 +504,9 @@ def mathieu_batch(
     in chunks of at most _BLOCK_ELEMENTS pairs, so memory stays bounded for
     any batch; each entry equals integrate(MathieuBeta(beta0, beta1), tau0,
     tau1) at the same step count bit for bit, whatever the batch size.
+    Without phase, a one-period interval tau1 - tau0 = 2pi integrates half
+    a period by reflection (_one_period); phase and every other interval
+    take the direct run at h = (tau1 - tau0) / steps.
 
     Returns four arrays (u11, u12, u21, u22) of the broadcast input shape.
     """
@@ -451,14 +517,19 @@ def mathieu_batch(
     two_beta1 = 2.0 * np.broadcast_to(beta1, shape).ravel()
     if phase is not None:
         phase = np.broadcast_to(np.asarray(phase, dtype=float), shape).ravel()
-    out = np.empty((4, beta0.size))
+    reflect = phase is None and tau1 - tau0 == 2.0 * math.pi
+    out = np.empty((2, 2, beta0.size))
     for c0 in range(0, beta0.size, _BLOCK_ELEMENTS):
         c = slice(c0, c0 + _BLOCK_ELEMENTS)
         b0, tb1 = beta0[c], two_beta1[c]
         ph = None if phase is None else phase[c]
 
         def beta_at(taus):
-            return b0 + tb1 * np.cos(taus if ph is None else taus + ph)
+            taus = taus[..., None]
+            return (b0 + tb1 * np.cos(taus if ph is None else taus + ph)).reshape(len(taus), -1)
 
-        out[:, c] = _rk4(beta_at, tau0, tau1, steps, b0.size)
-    return tuple(e.reshape(shape) for e in out)
+        if reflect:
+            _one_period(beta_at, tau0, tau1, steps, b0.size, out[..., c])
+        else:
+            out[..., c] = _rk4(beta_at, tau0, tau1, steps, b0.size)
+    return tuple(e.reshape(shape) for e in out.reshape(4, -1))

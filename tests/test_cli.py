@@ -391,6 +391,26 @@ def test_units_custom_particle_needs_mass_and_charge():
     assert main(["units", "--particle", "custom"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--beta0", "--beta1"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_units_rejects_non_finite_drive(capsys, flag, value):
+    assert main(["units", f"{flag}={value}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "must be finite" in err
+
+
+def test_json_output_never_holds_nan_or_infinity(capsys, tmp_path):
+    # a non-finite value anywhere in a report is a configuration error
+    # before anything is written, not a NaN or Infinity token
+    path = tmp_path / "units.json"
+    for argv in (["units", "--omega", "inf"], ["units", "--r0", "nan"]):
+        assert main(argv + ["--output", str(path)]) == 2
+        assert "not JSON compliant" in capsys.readouterr().err
+        assert not path.exists()
+    out = run_json(capsys, ["units"])
+    assert all(math.isfinite(v) for v in out.values() if isinstance(v, float))
+
+
 # ---------------------------------------------------------------------------
 # solenoid
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from softsqueeze import evolution
+from softsqueeze.cli import parse_angle
 from softsqueeze.core import (
     BetaProfile,
     CanonicalState,
@@ -126,6 +127,22 @@ def test_max_steps_enforced_before_sampling():
         integrate_symmetric(ConstantBeta(1.0), 1.0, cfg)
     at_limit = IntegratorConfig(steps=4000, max_steps=4000)
     assert integrate(ConstantBeta(1.0), 0.0, 1.0, at_limit).det == pytest.approx(1.0)
+
+
+def test_each_beta_sample_taken_once(monkeypatch):
+    # consecutive blocks share a node, which the engine carries over instead
+    # of sampling it again: 10 blocks of 4 steps sample 2 * 37 + 1 points
+    monkeypatch.setattr(evolution, "_BLOCK_ELEMENTS", 4)
+    taus = []
+
+    class Counting(BetaProfile):
+        def beta_array(self, t):
+            taus.extend(np.ravel(t))
+            return np.ones(np.shape(t))
+
+    u = integrate(Counting(), 0.0, 1.0, IntegratorConfig(steps=37))
+    assert entrywise_err(u, rotation_matrix(1.0, 1.0)) < 1e-7
+    assert len(taus) == len(set(taus)) == 2 * 37 + 1
 
 
 class _ArrayOnlyBeta(BetaProfile):
@@ -469,9 +486,73 @@ def _reference_rk4(profile, tau0, tau1, steps):
 def test_integrate_matches_plain_python_tree(monkeypatch, steps, budget):
     # bit for bit: the engine's arrays, block stack and in-place merges are
     # the plain level-wise tree over the same beta samples; small block
-    # budgets send every merge through the stack
+    # budgets send every merge through the stack.  The interval is not one
+    # period, so the direct run takes it.
     monkeypatch.setattr(evolution, "_BLOCK_ELEMENTS", budget)
     profile = MathieuBeta(1.217, 0.844)
     cfg = IntegratorConfig(steps=steps, det_tol=math.inf)
-    u = integrate(profile, PI / 2, 5 * PI / 2, cfg)
-    assert (u.u11, u.u12, u.u21, u.u22) == _reference_rk4(profile, PI / 2, 5 * PI / 2, steps)
+    u = integrate(profile, 0.25, 6.0, cfg)
+    assert (u.u11, u.u12, u.u21, u.u22) == _reference_rk4(profile, 0.25, 6.0, steps)
+
+
+def _reference_one_period(profile, tau0, steps):
+    """The reflected one-period map in plain Python: V = u(tau0, c) and
+    W = u(c + pi, tau0) from _reference_rk4 with c = pi floor(tau0/pi), each
+    at ceil(steps * length / 2pi) steps (at least 1), composed as
+    (V (D U^-1 D)) W with U = W V and D U^-1 D = [[u22, u12], [u21, u11]]."""
+    c = PI * math.floor(tau0 / PI)
+
+    def piece(a, b):
+        return _reference_rk4(profile, a, b, max(math.ceil(steps * ((b - a) / (2 * PI))), 1))
+
+    def mul(a, b):
+        a11, a12, a21, a22 = a
+        b11, b12, b21, b22 = b
+        return (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+                a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
+
+    v, w = piece(c, tau0), piece(tau0, c + PI)
+    u11, u12, u21, u22 = mul(w, v)
+    return mul(mul(v, (u22, u12, u21, u11)), w)
+
+
+# one-period intervals as parse_angle reads them; tau1 - tau0 == 2pi exactly
+ONE_PERIOD = [("pi/2", "5pi/2"), ("0", "2pi"), ("pi/4", "9pi/4"),
+              ("-pi/2", "3pi/2"), ("3pi/2", "7pi/2")]
+
+
+@pytest.mark.parametrize("budget", [evolution._BLOCK_ELEMENTS, 1, 4])
+@pytest.mark.parametrize("steps", [1, 3, 17, 40])
+@pytest.mark.parametrize("interval", ONE_PERIOD)
+def test_one_period_matches_plain_python_reflection(monkeypatch, interval, steps, budget):
+    # bit for bit, through integrate and a batch: the two half-period pieces
+    # are the plain tree, composed by the reflection formula; the budgets run
+    # the pieces as one engine batch or as two, in one block or in several
+    tau0, tau1 = map(parse_angle, interval)
+    assert tau1 - tau0 == 2 * PI
+    monkeypatch.setattr(evolution, "_BLOCK_ELEMENTS", budget)
+    profile = MathieuBeta(1.217, 0.844)
+    want = _reference_one_period(profile, tau0, steps)
+    u = integrate(profile, tau0, tau1, IntegratorConfig(steps=steps, det_tol=math.inf))
+    assert (u.u11, u.u12, u.u21, u.u22) == want
+    batch = mathieu_batch([1.9, 1.217, 0.5], [1.6, 0.844, 0.1], tau0, tau1, steps)
+    assert tuple(float(e[1]) for e in batch) == want
+
+
+@pytest.mark.parametrize("interval", ONE_PERIOD[1:])
+def test_one_period_agrees_with_direct_run(interval):
+    # the reflected map against the direct run over the whole period at
+    # 20000 steps (phase = 0 keeps the direct run): entries within 1e-12
+    # and the same zones
+    tau0, tau1 = map(parse_angle, interval)
+    rng = np.random.default_rng(15)
+    b0 = np.concatenate([[m[0] for m in MPMATH_MATRICES], rng.uniform(0.2, 2.6, 12)])
+    b1 = np.concatenate([[m[1] for m in MPMATH_MATRICES], rng.uniform(0.1, 1.6, 12)])
+    got = np.array(mathieu_batch(b0, b1, tau0, tau1))
+    direct = np.array(mathieu_batch(b0, b1, tau0, tau1, phase=0.0))
+    assert np.max(np.abs(got - direct)) <= 1e-12
+    assert np.array_equal(evolution.zone_codes(got[0] + got[3]),
+                          evolution.zone_codes(direct[0] + direct[3]))
+    for k in (0, 5):
+        u = integrate(MathieuBeta(b0[k], b1[k]), tau0, tau1)
+        assert (u.u11, u.u12, u.u21, u.u22) == tuple(got[:, k])
