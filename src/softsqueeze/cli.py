@@ -3,9 +3,10 @@
 Subcommands: evolve, scan, design, shadow, units, solenoid.  All outputs
 are deterministic: CSV files carry a single header row naming columns (and
 units where they apply), JSON reports carry schema_version.  Exit codes:
-0 success, 2 configuration error, 3 numerical failure, 4 validation
-failure; `design` exits 4 without integrating the pulse when a theta zero's
-slope is not +-2, with "verification": null in its report.
+0 success, 2 configuration error (an input whose result overflows a float
+included), 3 numerical failure, 4 validation failure; `design` exits 4
+without integrating the pulse when a theta zero's slope is not +-2, with
+"verification": null in its report.
 
 Angles and times may be given as decimals or as pi fractions ("pi/2",
 "5pi/2", "-3pi/4"), parsed exactly.  A negative value may follow its flag
@@ -30,7 +31,9 @@ JSON boolean and any other untyped flag a JSON string.
 
 The one integrator is fixed-step RK4; --steps fixes its step,
 h = (to - from) / steps, and a one-period Mathieu interval integrates only
-half a period at that step.
+half a period at that step.  `design` verifies each stage and its tail from
+half the piece by reflection, in ceil(steps / 2) steps, so h is still
+piece / steps for an even count.
 """
 
 from __future__ import annotations
@@ -617,7 +620,7 @@ def main(argv=None) -> int:
     except (IntegrationError, ConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

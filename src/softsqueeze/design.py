@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -526,17 +526,25 @@ def verify_design(
 ) -> DesignReport:
     """Integrate each stage and check it lands on its squeezed Fourier map.
 
-    Every theta stage should produce [[0, b], [-1/b, 0]] up to tol; a
-    quarter-period tail likewise with magnitude 1/sqrt(beta0).  When the
-    total is diagonal the squeeze factor lambda = u11 is reported.
+    Every piece is even about its centre: a theta stage about its offset,
+    the constant tail everywhere.  So each map is u(tau, -tau) of the piece
+    moved to centre 0, built by integrate_symmetric from half the span,
+    tau = (t1 - t0) / 2, in ceil(cfg.steps / 2) steps: h stays
+    (t1 - t0) / cfg.steps for even steps, and every stage comes out with
+    u11 == u22 exactly.  Every theta stage should produce
+    [[0, b], [-1/b, 0]] up to tol; a quarter-period tail likewise with
+    magnitude 1/sqrt(beta0).  When the total is diagonal the squeeze factor
+    lambda = u11 is reported.
     """
     failures = []
     mats = []
     expected_b = []
     pieces = pulse.profile.pieces
     n_theta = len(pulse.ansatzes)
+    half = replace(cfg, steps=math.ceil(cfg.steps / 2))
     for k, (t0, t1, prof) in enumerate(pieces):
-        m = evolution.integrate(prof, t0, t1, cfg)
+        centred = ThetaDerivedBeta(pulse.ansatzes[k]) if k < n_theta else prof
+        m = evolution.integrate_symmetric(centred, (t1 - t0) / 2.0, half)
         mats.append(m)
         if k < n_theta:
             expected_b.append(pulse.ansatzes[k].b)

@@ -48,7 +48,9 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .core import BetaProfile, CanonicalState, ConstantBeta, MathieuBeta, SymplecticMatrix2
+from .core import (
+    BetaProfile, CanonicalState, ConstantBeta, MathieuBeta, SymplecticMatrix2, _det_gate,
+)
 
 
 class IntegrationError(RuntimeError):
@@ -265,12 +267,17 @@ def _one_period(beta_at, t0, t1, steps: int, width: int, out=None) -> np.ndarray
 
 
 def _check_det(entries, cfg: IntegratorConfig, what: str) -> SymplecticMatrix2:
+    """The matrix of entries if it passes _det_gate at cfg.det_tol.  A failure
+    asks for a finer step only where cfg.det_tol, not the rounding floor of
+    large entries, sets the bound; no step count lowers that floor."""
     u = SymplecticMatrix2(*map(float, entries))
-    drift = abs(u.det - 1.0)
-    if not drift <= cfg.det_tol:
+    ok, drift, floor = _det_gate(u.u11, u.u12, u.u21, u.u22, cfg.det_tol)
+    if not ok:
+        hint = ("refine the step" if not floor > cfg.det_tol else
+                "the entries are too large for double precision to check it")
         raise IntegrationError(
-            f"{what}: determinant drift {drift:.3e} exceeds {cfg.det_tol:.1e}; "
-            "refine the step"
+            f"{what}: determinant drift {drift:.3e} exceeds {cfg.det_tol:.1e} "
+            f"+ rounding floor {floor:.1e}; {hint}"
         )
     return u
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SymplecticMatrix2
+from .core import SymplecticMatrix2, _det_gate
 from . import evolution
 from .evolution import DEFAULT_CONFIG, ZONES, IntegratorConfig
 
@@ -115,17 +115,17 @@ class ScanResult:
 def scan_grid(rect: ScanRect, cfg: IntegratorConfig = DEFAULT_CONFIG) -> ScanResult:
     """Evolution matrix and zone at every grid node.
 
-    Nodes whose determinant drift is not within cfg.det_tol, NaN included,
-    are marked failed (zone code 0) instead of aborting the scan: exactly
-    the nodes a single integration would reject.  Raises IntegrationError
-    before any work if cfg.steps exceeds cfg.max_steps.
+    Nodes that fail _det_gate at cfg.det_tol, NaN included, are marked
+    failed (zone code 0) instead of aborting the scan: exactly the nodes a
+    single integration would reject.  Raises IntegrationError before any
+    work if cfg.steps exceeds cfg.max_steps.
     """
     cfg.check_steps(cfg.steps)
     b0_axis = rect.beta0_axis()
     b1_axis = rect.beta1_axis()
     bb0, bb1 = np.meshgrid(b0_axis, b1_axis, indexing="ij")
     u11, u12, u21, u22 = evolution.mathieu_batch(bb0, bb1, rect.tau0, rect.tau1, cfg.steps)
-    failed = ~(np.abs(u11 * u22 - u12 * u21 - 1.0) <= cfg.det_tol)
+    failed = ~_det_gate(u11, u12, u21, u22, cfg.det_tol)[0]
     gamma = u11 + u22
     zone = evolution.zone_codes(gamma)
     zone[failed] = 0

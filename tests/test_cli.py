@@ -236,6 +236,26 @@ def test_scan_double_zero_stable_seed_is_numerical_failure(capsys):
     assert "double-zero node (1.217, 0.844): determinant drift" in capsys.readouterr().err
 
 
+def test_evolve_long_zone_iii_interval_passes_the_rounding_aware_gate(capsys):
+    # entries in the thousands: |det - 1| = 1.863e-09 is rounding alone,
+    # and the result agrees with M^6 of the one-period map to 1.7e-15
+    out = run_json(capsys, [
+        "evolve", "--profile", MATHIEU_REF, "--from", "0", "--to", "12pi",
+        "--steps", "240000",
+    ])
+    assert out["zone"] == "III"
+    assert out["matrix"][2] == pytest.approx(7955.751842403747, rel=1e-12)
+
+
+def test_scan_outside_the_second_tongue_has_no_failed_nodes(capsys):
+    # 41 of these nodes have entries of 1e4 and more and a drift of 2e-9 to
+    # 3e-8 that no step count lowers; they agree with 160000-step runs to
+    # 8e-13 relative
+    lines = run_lines(capsys, ["scan", "--rect", "0,3,0,8", "--grid", "20,40"])
+    assert len(lines) == 1 + 20 * 40
+    assert not any(line.endswith(",failed") for line in lines)
+
+
 # ---------------------------------------------------------------------------
 # design
 
@@ -397,6 +417,17 @@ def test_units_rejects_non_finite_drive(capsys, flag, value):
     assert main(["units", f"{flag}={value}"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "must be finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["units", "--omega", "1e200"],
+    ["units", "--r0", "1e300"],
+    ["design", "--b", "1e-300"],
+])
+def test_float_overflow_is_a_configuration_error(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_json_output_never_holds_nan_or_infinity(capsys, tmp_path):

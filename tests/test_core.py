@@ -16,6 +16,7 @@ from softsqueeze.core import (
     MathieuBeta,
     SampledBeta,
     SymplecticMatrix2,
+    _det_gate,
     free_motion,
     is_equidiagonal,
     profile_from_dict,
@@ -51,6 +52,31 @@ def test_require_symplectic_accepts_and_rejects():
     bad = SymplecticMatrix2(1.0, 0.0, 0.0, 1.1)
     with pytest.raises(ValueError):
         bad.require_symplectic(1e-9)
+
+
+def test_det_gate_adds_the_rounding_floor_of_large_entries():
+    eps = np.finfo(float).eps
+    # 12pi at (1.217, 0.844), correct to 1.7e-15 relative: the drift is
+    # rounding, 0.33 eps (|u11 u22| + |u12 u21|), above a tol of 1e-9
+    u = (3586.366302107608, 1616.6947521338163, 7955.751842403747, 3586.36630210763)
+    ok, drift, floor = _det_gate(*u, 1e-9)
+    assert ok and drift == pytest.approx(1.863e-9, rel=1e-3)
+    assert floor == pytest.approx(4.0 * eps * (u[0] * u[3] + u[1] * u[2]))
+    # a real error of 1e-8 relative in one entry is still rejected
+    ok, drift, floor = _det_gate(*u[:3], u[3] * (1.0 + 1e-8), 1e-9)
+    assert not ok and drift > 1e-9 + floor
+    # small entries: the floor is negligible and tol decides, as before
+    assert not _det_gate(1.0, 0.0, 0.0, 1.0 + 2e-9, 1e-9)[0]
+    assert _det_gate(1.0, 0.0, 0.0, 1.0 + 5e-10, 1e-9)[0]
+    # NaN and infinite entries never pass, even though inf <= inf
+    for bad in (math.nan, math.inf):
+        assert not _det_gate(bad, 0.0, 0.0, 1.0, 1e-9)[0]
+    # elementwise over arrays, as the scan mask uses it
+    with np.errstate(invalid="ignore"):
+        ok = _det_gate(np.array([1.0, 1.0, math.inf]), 0.0, 0.0, np.array([1.0, 1.1, 1.0]), 1e-9)[0]
+    assert ok.tolist() == [True, False, False]
+    big = SymplecticMatrix2(*u)
+    assert big.require_symplectic(1e-12) is big
 
 
 def test_matmul_matches_numpy():

@@ -489,3 +489,39 @@ def test_verify_flags_non_quarter_tail():
     # squeezed-Fourier stage check
     assert rep.ok
     assert len(rep.stage_matrices) == 2
+
+
+# verify_design builds each piece from half its span by reflection
+REFLECTED = build_chain(
+    [ThetaAnsatz.from_targets(b, 0.2) for b in (2.0, 1.2, 0.8)],
+    ConstantTail(0.2, quarter_period(0.2)),
+)
+
+
+def test_verify_stages_are_equidiagonal_bit_for_bit():
+    rep = verify_design(REFLECTED, CFG)
+    assert rep.ok and len(rep.stage_matrices) == 4
+    for m in rep.stage_matrices:
+        assert m.u11 == m.u22
+
+
+def test_verify_matches_full_span_integration_at_default_steps():
+    # the reflected half span against the full span of the same piece, at
+    # the same h; RK4 is not symmetric, so they differ, but only by rounding
+    # and the (here small) step error
+    rep = verify_design(REFLECTED)
+    total = None
+    for (t0, t1, prof), m in zip(REFLECTED.profile.pieces, rep.stage_matrices):
+        full = integrate(prof, t0, t1)
+        assert np.max(np.abs(m.as_array() - full.as_array())) <= 1e-12
+        total = full if total is None else full @ total
+    assert np.max(np.abs(rep.total.as_array() - total.as_array())) <= 1e-12
+
+
+def test_verify_odd_steps_take_half_rounded_up_per_piece():
+    cfg = IntegratorConfig(steps=2001)
+    rep = verify_design(REFLECTED, cfg)
+    half = IntegratorConfig(steps=1001)
+    centred = [ThetaDerivedBeta(a) for a in REFLECTED.ansatzes] + [ConstantBeta(0.2)]
+    for (t0, t1, _), prof, m in zip(REFLECTED.profile.pieces, centred, rep.stage_matrices):
+        assert m == integrate_symmetric(prof, (t1 - t0) / 2.0, half)

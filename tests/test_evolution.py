@@ -169,6 +169,16 @@ def test_integrate_path_max_steps_counts_all_segments():
     assert entrywise_err(mats[-1], rotation_matrix(1.0, 1.0)) < 1e-12
 
 
+def test_det_failure_asks_for_a_finer_step_only_when_the_step_can_help():
+    cfg = IntegratorConfig(det_tol=1e-9)
+    with pytest.raises(IntegrationError, match="refine the step"):
+        evolution._check_det([1.0, 0.0, 0.0, 1.0 + 1e-6], cfg, "small")
+    # entries of 1e5: the rounding floor, 1.8e-5, dominates det_tol
+    with pytest.raises(IntegrationError, match="too large for double precision") as exc:
+        evolution._check_det([1e5, 1e5, 1e5, 1e5 + 1.0], cfg, "large")
+    assert "refine the step" not in str(exc.value)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(steps=0)

@@ -71,3 +71,22 @@ def test_names_read_by_the_span_recorder():
             assert list(inspect.signature(cls.__dict__["beta_array"]).parameters) == [
                 "self", "taus"], cls.__name__
     assert found == PROFILE_CLASSES
+
+
+def test_verify_design_reaches_integrate(monkeypatch):
+    # the recorder counts evolution.integrate_steps from the cfg of each
+    # evolution.integrate call; verify_design reaches it through
+    # integrate_symmetric, once per piece, over half the piece's steps
+    seen = []
+    integrate = evolution.integrate
+
+    def spy(profile, tau0, tau1, cfg=evolution.DEFAULT_CONFIG):
+        seen.append(cfg.steps)
+        return integrate(profile, tau0, tau1, cfg)
+
+    monkeypatch.setattr(evolution, "integrate", spy)
+    pulse = design.build_chain(
+        [design.ThetaAnsatz.from_targets(b, 0.2) for b in (2.0, 1.2)],
+        design.ConstantTail(0.2, design.quarter_period(0.2)))
+    design.verify_design(pulse, IntegratorConfig(steps=400))
+    assert seen == [200, 200, 200]
