@@ -284,8 +284,10 @@ def _bracket_roots(grid, values, f) -> list:
     """
     roots = []
     vals = np.asarray(values, dtype=float)
-    head = vals[:-1]
-    for i in np.flatnonzero((head == 0.0) | (head * vals[1:] < 0.0)):
+    head, tail = vals[:-1], vals[1:]
+    # signs, not products: a product overflows, or underflows to +-0
+    change = ((head < 0.0) & (tail > 0.0)) | ((head > 0.0) & (tail < 0.0))
+    for i in np.flatnonzero((head == 0.0) | change):
         if vals[i] == 0.0:
             roots.append(float(grid[i]))
         else:

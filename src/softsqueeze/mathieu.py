@@ -27,7 +27,7 @@ from .evolution import DEFAULT_CONFIG, ZONES, IntegratorConfig
 HALF_PI = math.pi / 2.0
 DEFAULT_INTERVAL = (HALF_PI, 5.0 * HALF_PI)  # [pi/2, 5pi/2]
 
-LOCUS_MAX_ITER = 60  # trace_locus: most bisection passes
+LOCUS_MAX_ITER = 60  # trace_locus: most Illinois passes before ConvergenceError
 LOCUS_XTOL = 1e-12   # trace_locus: bracket width that ends them
 DZ_FD_STEP = 1e-6    # find_double_zero: central-difference step
 DZ_MAX_ITER = 40     # find_double_zero: most Newton iterations
@@ -141,13 +141,20 @@ _ENTRY_INDEX = {"u12": 1, "u21": 2}
 
 def trace_locus(rect: ScanRect, entry: str,
                 cfg: IntegratorConfig = DEFAULT_CONFIG) -> list:
-    """Points where the chosen entry vanishes, refined by bisection in beta1.
+    """Points where the chosen entry vanishes, refined in beta1 by the
+    Illinois variant of regula falsi (Dowell & Jarratt, BIT 11 (1971) 168).
 
     Sign changes between unfailed neighbours along each constant-beta0 grid
-    line are bisected in lockstep until every bracket is at most LOCUS_XTOL
-    wide, for at most LOCUS_MAX_ITER passes; results are ordered by beta0
+    line are refined in lockstep: each pass evaluates one secant point per
+    bracket still wider than LOCUS_XTOL, all in one batch, kept at least
+    0.4 LOCUS_XTOL inside the bracket so that a secant on the root also
+    closes the far side.  When the same end moves twice in a row the value
+    kept at the other end is halved.  Each point is the midpoint of its
+    final bracket, at most LOCUS_XTOL wide; results are ordered by beta0
     (then beta1).  An empty list simply means the locus does not cross the
-    rectangle.
+    rectangle.  Raises ConvergenceError if a bracket is still open after
+    LOCUS_MAX_ITER passes, and IntegrationError if a node fails the
+    determinant gate.
     """
     if entry not in _ENTRY_INDEX:
         raise ValueError(f"entry must be 'u12' or 'u21', got {entry!r}")
@@ -160,32 +167,66 @@ def trace_locus(rect: ScanRect, entry: str,
     fa, fb = vals[:, :-1], vals[:, 1:]
     ok = ~(scan.failed[:, :-1] | scan.failed[:, 1:])
     exact = ok & (fa == 0.0)
-    i, j = np.nonzero(exact | (ok & (fa * fb < 0.0)))
+    change = ((fa < 0.0) & (fb > 0.0)) | ((fa > 0.0) & (fb < 0.0))
+    i, j = np.nonzero(exact | (ok & change))
     if i.size == 0:
         return []
 
     b0 = scan.beta0s[i]
     lo = scan.beta1s[j]
     hi = np.where(exact[i, j], lo, scan.beta1s[j + 1])
-    flo = fa[i, j]
+    flo, fhi = fa[i, j], fb[i, j]
+    moved = np.zeros(i.size, dtype=np.int8)  # end that moved last: -1 lo, 1 hi
+    pad = 0.4 * LOCUS_XTOL
     for _ in range(LOCUS_MAX_ITER):
-        width = hi - lo
-        if np.all(width <= LOCUS_XTOL):
+        k = np.flatnonzero(hi - lo > LOCUS_XTOL)
+        if k.size == 0:
             break
-        mid = 0.5 * (lo + hi)
-        fm = evolution.mathieu_batch(b0, mid, rect.tau0, rect.tau1, cfg.steps)[col]
-        same = (flo * fm) > 0.0
-        lo = np.where(same, mid, lo)
-        flo = np.where(same, fm, flo)
-        hi = np.where(same, hi, mid)
+        with np.errstate(all="ignore"):
+            x = hi[k] - fhi[k] * (hi[k] - lo[k]) / (fhi[k] - flo[k])
+        x = np.where(np.isfinite(x), np.clip(x, lo[k] + pad, hi[k] - pad),
+                     0.5 * (lo[k] + hi[k]))
+        fx = _gated_batch(b0[k], x, rect.tau0, rect.tau1, cfg, "locus")[col]
+        zero = fx == 0.0
+        lo_moves = ~zero & ((fx < 0.0) == (flo[k] < 0.0))
+        hi_moves = ~zero & ~lo_moves
+        # Illinois: an end that moves twice in a row halves the other's value
+        fhi[k[lo_moves & (moved[k] == -1)]] *= 0.5
+        flo[k[hi_moves & (moved[k] == 1)]] *= 0.5
+        lo[k[~hi_moves]] = x[~hi_moves]  # an exact zero closes both ends
+        hi[k[~lo_moves]] = x[~lo_moves]
+        flo[k[lo_moves]] = fx[lo_moves]
+        fhi[k[hi_moves]] = fx[hi_moves]
+        moved[k] = np.where(lo_moves, -1, 1)
+    k = np.flatnonzero(hi - lo > LOCUS_XTOL)
+    if k.size:
+        lines = ", ".join(f"beta0 = {a!r} in [{b!r}, {c!r}]" for a, b, c in
+                          zip(b0[k].tolist(), lo[k].tolist(), hi[k].tolist()))
+        raise ConvergenceError(
+            f"{entry} locus: {k.size} bracket(s) still wider than {LOCUS_XTOL:g} "
+            f"after {LOCUS_MAX_ITER} passes: {lines}"
+        )
     mid = 0.5 * (lo + hi)
-    final = evolution.mathieu_batch(b0, mid, rect.tau0, rect.tau1, cfg.steps)
+    final = _gated_batch(b0, mid, rect.tau0, rect.tau1, cfg, "locus")
     points = [
         LocusPoint(float(x0), float(x1), entry, float(r), float(lam))
         for x0, x1, r, lam in zip(b0, mid, final[col], final[0])
     ]
     points.sort(key=lambda p: (p.beta0, p.beta1))
     return points
+
+
+def _gated_batch(beta0, beta1, tau0, tau1, cfg: IntegratorConfig, what: str):
+    """mathieu_batch's (u11, u12, u21, u22) at the nodes; the first node
+    that fails _det_gate at cfg.det_tol, NaN included, raises
+    IntegrationError through evolution._check_det."""
+    cols = evolution.mathieu_batch(beta0, beta1, tau0, tau1, cfg.steps)
+    ok = _det_gate(*cols, cfg.det_tol)[0]
+    if not np.all(ok):
+        n = int(np.argmin(ok))
+        evolution._check_det([c[n] for c in cols], cfg,
+                             f"{what} node ({beta0[n]}, {beta1[n]})")
+    return cols
 
 
 @dataclass(frozen=True)
@@ -218,11 +259,8 @@ def find_double_zero(
     b0, b1 = float(seed[0]), float(seed[1])
 
     def entries(x0, x1):
-        cols = evolution.mathieu_batch(x0, x1, tau0, tau1, cfg.steps)
-        return [
-            evolution._check_det(e, cfg, f"double-zero node ({a}, {b})")
-            for a, b, e in zip(x0, x1, zip(*cols))
-        ]
+        cols = _gated_batch(x0, x1, tau0, tau1, cfg, "double-zero")
+        return [SymplecticMatrix2(*map(float, e)) for e in zip(*cols)]
 
     (u,) = entries([b0], [b1])
     zone = ZONES[evolution.zone_codes(u.trace)]

@@ -5,11 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import softsqueeze
+from softsqueeze import mathieu
 from softsqueeze.cli import build_parser, main, parse_angle
 from softsqueeze.evolution import DEFAULT_CONFIG
 from softsqueeze.physical import C_LIGHT, ESU_PER_COULOMB
@@ -181,6 +183,16 @@ def test_scan_locus_csv(capsys):
     assert float(mid[0]) == pytest.approx(1.054, abs=1e-12)
     assert float(mid[1]) == pytest.approx(0.622820469, abs=1e-4)
     assert mid[2] == "u21"
+
+
+def test_scan_locus_bracket_left_open_is_numerical_failure(monkeypatch, capsys):
+    monkeypatch.setattr(mathieu, "LOCUS_MAX_ITER", 1)
+    code = main(["scan", "--locus", "u21", "--rect", "1.044,1.064,0.55,0.75",
+                 "--grid", "3,6", "--steps", "1500"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: u21 locus: 3 bracket(s)")
+    assert "beta0 = 1.054 in [" in err and err.count("\n") == 1
 
 
 def test_scan_double_zero_from_seed(capsys):
@@ -425,7 +437,11 @@ def test_units_rejects_non_finite_drive(capsys, flag, value):
     ["design", "--b", "1e-300"],
 ])
 def test_float_overflow_is_a_configuration_error(capsys, argv):
-    assert main(argv) == 2
+    # a warning would print on stderr ahead of the one error line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert [str(w.message) for w in caught] == []
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 

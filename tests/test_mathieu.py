@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from softsqueeze import evolution, mathieu
 from softsqueeze.evolution import ZONES, IntegrationError, IntegratorConfig, classify, integrate
 from softsqueeze.core import MathieuBeta, rotation_matrix
 from softsqueeze.mathieu import (
+    LOCUS_XTOL,
     ConvergenceError,
     ScanRect,
     default_rect,
@@ -193,6 +195,93 @@ def test_locus_csv_format(u21_locus):
     assert lines[0] == "beta0,beta1,entry,lambda"
     assert len(lines) == 1 + len(u21_locus)
     assert lines[1].split(",")[2] == "u21"
+
+
+# one crossing on each of 8 beta0 lines, with the refine benchmark's
+# rect ends (start + width); on the last two a midpoint fallback for a
+# secant on a bracket end stalls, at 19 and 29 passes
+REFINE_CFG = IntegratorConfig(steps=2000)
+REFINE_LOCI = [
+    pytest.param("u12", ScanRect(0.9, 0.9 + 0.15, 0.5, 1.6, n0=8, n1=20), id="u12-0.9"),
+    pytest.param("u21", ScanRect(1.0, 1.0 + 0.45, 0.5, 1.6, n0=8, n1=20), id="u21-1.0"),
+    pytest.param("u12", ScanRect(0.95, 0.95 + 0.15, 0.5, 1.6, n0=8, n1=20), id="u12-0.95"),
+    pytest.param("u21", ScanRect(1.35, 1.35 + 0.45, 0.5, 1.6, n0=8, n1=20), id="u21-1.35"),
+]
+
+
+def _bisection_locus(rect, entry, cfg):
+    """(beta0, beta1, lambda) arrays by plain lockstep bisection of the
+    scan's sign changes to LOCUS_XTOL, ordered by beta0."""
+    col = {"u12": 1, "u21": 2}[entry]
+    f = getattr(scan_grid(rect, cfg), entry)
+    i, j = np.nonzero((f[:, :-1] < 0.0) != (f[:, 1:] < 0.0))
+    b0, lo, hi, flo = rect.beta0_axis()[i], rect.beta1_axis()[j], rect.beta1_axis()[j + 1], f[i, j]
+    while np.any(hi - lo > LOCUS_XTOL):
+        mid = 0.5 * (lo + hi)
+        fm = evolution.mathieu_batch(b0, mid, rect.tau0, rect.tau1, cfg.steps)[col]
+        left = (fm < 0.0) == (flo < 0.0)
+        lo, flo, hi = np.where(left, mid, lo), np.where(left, fm, flo), np.where(left, hi, mid)
+    mid = 0.5 * (lo + hi)
+    lam = evolution.mathieu_batch(b0, mid, rect.tau0, rect.tau1, cfg.steps)[0]
+    return b0, mid, lam
+
+
+def _count_batches(monkeypatch, nan_at=None):
+    """Count evolution.mathieu_batch calls; call number nan_at (0 is the
+    scan) returns NaN entries at its first node."""
+    calls = []
+    real = evolution.mathieu_batch
+
+    def counted(*args, **kwargs):
+        cols = real(*args, **kwargs)
+        if len(calls) == nan_at:
+            for c in cols:
+                c[0] = np.nan
+        calls.append(np.size(args[0]))
+        return cols
+
+    monkeypatch.setattr(evolution, "mathieu_batch", counted)
+    return calls
+
+
+@pytest.mark.parametrize("entry,rect", REFINE_LOCI)
+def test_trace_locus_takes_few_batch_passes(monkeypatch, entry, rect):
+    # Illinois steps close every bracket in a handful of passes, where
+    # bisection from a 1/19 grid cell to LOCUS_XTOL takes 36
+    calls = _count_batches(monkeypatch)
+    pts = trace_locus(rect, entry, REFINE_CFG)
+    assert len(pts) == 8
+    assert calls[0] == 160 and calls[-1] == 8
+    assert len(calls) - 1 <= 10  # passes and the final batch, not the scan
+
+
+@pytest.mark.parametrize("entry,rect", REFINE_LOCI)
+def test_trace_locus_agrees_with_bisection(entry, rect):
+    pts = trace_locus(rect, entry, REFINE_CFG)
+    b0, b1, lam = _bisection_locus(rect, entry, REFINE_CFG)
+    assert [p.beta0 for p in pts] == b0.tolist()
+    assert np.max(np.abs([p.beta1 for p in pts] - b1)) <= 2e-12
+    assert np.max(np.abs([p.lam for p in pts] - lam)) <= 1e-11
+
+
+def test_trace_locus_raises_when_a_bracket_stays_open(monkeypatch):
+    monkeypatch.setattr(mathieu, "LOCUS_MAX_ITER", 1)
+    entry, rect = REFINE_LOCI[1].values
+    with pytest.raises(ConvergenceError, match=r"8 bracket\(s\) .* after 1 passes") as exc:
+        trace_locus(rect, entry, REFINE_CFG)
+    for b0 in rect.beta0_axis().tolist():
+        assert f"beta0 = {b0!r} in [" in str(exc.value)
+
+
+@pytest.mark.parametrize("which", ["first pass", "final batch"])
+def test_trace_locus_gates_every_node(monkeypatch, which):
+    # a NaN node fails the determinant gate instead of steering a bracket
+    entry, rect = REFINE_LOCI[0].values
+    calls = _count_batches(monkeypatch)
+    trace_locus(rect, entry, REFINE_CFG)
+    _count_batches(monkeypatch, nan_at=1 if which == "first pass" else len(calls) - 1)
+    with pytest.raises(IntegrationError, match=r"locus node \(0\.9, .*determinant drift nan"):
+        trace_locus(rect, entry, REFINE_CFG)
 
 
 @pytest.fixture(scope="module")
