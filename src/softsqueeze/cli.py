@@ -3,10 +3,11 @@
 Subcommands: evolve, scan, design, shadow, units, solenoid.  All outputs
 are deterministic: CSV files carry a single header row naming columns (and
 units where they apply), JSON reports carry schema_version.  Exit codes:
-0 success, 2 configuration error (an input whose result overflows a float
-included), 3 numerical failure, 4 validation failure; `design` exits 4
-without integrating the pulse when a theta zero's slope is not +-2, with
-"verification": null in its report.
+0 success, 2 configuration error (an input whose result overflows a float,
+and a non-finite number in a flag or a profile, included), 3 numerical
+failure, 4 validation failure; `design` exits 4 without integrating the
+pulse when a theta zero's slope is not +-2, with "verification": null in
+its report.
 
 Angles and times may be given as decimals or as pi fractions ("pi/2",
 "5pi/2", "-3pi/4"), parsed exactly.  A negative value may follow its flag
@@ -222,6 +223,11 @@ def cmd_scan(args) -> int:
 def cmd_design(args) -> int:
     if args.b == 0.0:
         raise ValueError("--b must be nonzero")
+    numbers = {"--b": [args.b], "--chain": args.chain or [], "--beta0": [args.beta0],
+               "--tail-duration": [] if args.tail_duration is None else [args.tail_duration]}
+    for flag, values in numbers.items():
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{flag} must be finite, got {values}")
     bs = [args.b, *(args.chain or ())]
     ansatzes = [design.ThetaAnsatz.from_targets(b, args.beta0) for b in bs]
 

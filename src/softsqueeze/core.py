@@ -344,13 +344,23 @@ def profile_from_dict(d: dict) -> BetaProfile:
     if not isinstance(d, dict) or "kind" not in d:
         raise ValueError("profile JSON must be an object with a 'kind' field")
     kind = d["kind"]
+
+    def finite(key, default=None, convert=float):
+        """convert(d[key]), or convert(default) for an absent key if a default
+        is given; ValueError unless every number in it is finite."""
+        value = convert(d[key] if default is None else d.get(key, default))
+        if not np.isfinite(value).all():
+            raise ValueError(f"profile JSON for kind '{kind}': '{key}' must be finite")
+        return value
+
     try:
         if kind == "constant":
-            return ConstantBeta(float(d["beta"]))
+            return ConstantBeta(finite("beta"))
         if kind == "mathieu":
-            return MathieuBeta(float(d["beta0"]), float(d["beta1"]))
+            return MathieuBeta(finite("beta0"), finite("beta1"))
         if kind == "sampled":
-            return SampledBeta(d["tau"], d["beta"], int(d.get("order", 3)))
+            taus, betas = (finite(key, convert=np.asarray) for key in ("tau", "beta"))
+            return SampledBeta(taus, betas, int(d.get("order", 3)))
         if kind == "composite":
             pieces = [
                 (p["from"], p["to"], profile_from_dict(p["profile"]))
@@ -360,8 +370,8 @@ def profile_from_dict(d: dict) -> BetaProfile:
         if kind == "theta":
             from .design import ThetaAnsatz, ThetaDerivedBeta
 
-            ansatz = ThetaAnsatz.from_targets(float(d["b"]), float(d["beta0"]))
-            return ThetaDerivedBeta(ansatz, offset=float(d.get("offset", 0.0)))
+            ansatz = ThetaAnsatz.from_targets(finite("b"), finite("beta0"))
+            return ThetaDerivedBeta(ansatz, offset=finite("offset", 0.0))
     except KeyError as exc:
         raise ValueError(f"profile JSON for kind '{kind}' missing field {exc}") from exc
     except TypeError as exc:

@@ -32,11 +32,12 @@ run to run.  Determinant drift is checked after every run and never
 silently corrected.
 
 A run's step is h = (tau1 - tau0) / steps.  The Mathieu drive is even
-about every multiple of pi, so integrate and mathieu_batch build a
-one-period map from half a period at that step (_one_period).  The
-reflection D u^-1 D, D = diag(1, -1), is taken in adjugate form (_reflect),
-never divided by det u, so the determinant gate still sees the drift of
-every piece; integrate_symmetric builds u(tau, -tau) with it too.
+about every multiple of pi, so mathieu_batch, which every Mathieu
+integration goes through, builds a one-period map from half a period at
+that step (_one_period).  The reflection D u^-1 D, D = diag(1, -1), is
+taken in adjugate form (_reflect), never divided by det u, so the
+determinant gate still sees the drift of every piece; integrate_symmetric
+builds u(tau, -tau) with it too.
 """
 
 from __future__ import annotations
@@ -290,10 +291,10 @@ def integrate(
 ) -> SymplecticMatrix2:
     """Evolution matrix u(tau1, tau0) for q'' + beta(tau) q = 0.
 
-    RK4 with step h = (tau1 - tau0) / cfg.steps; a Mathieu profile over one
-    period tau1 - tau0 = 2pi integrates half a period by reflection
-    (_one_period), as mathieu_batch does.  Raises IntegrationError before
-    sampling beta if cfg.steps exceeds cfg.max_steps.
+    RK4 with step h = (tau1 - tau0) / cfg.steps; a Mathieu profile runs
+    through mathieu_batch, which integrates a one-period interval from half
+    a period.  Raises IntegrationError before sampling beta if cfg.steps
+    exceeds cfg.max_steps.
     """
     if tau1 < tau0:
         raise ValueError(f"need tau1 >= tau0, got [{tau0}, {tau1}]")
@@ -301,11 +302,11 @@ def integrate(
     if tau1 == tau0:
         return SymplecticMatrix2.identity()
     cfg.check_steps(cfg.steps)
-    if isinstance(profile, MathieuBeta) and tau1 - tau0 == 2.0 * math.pi:
-        u = _one_period(profile.beta_array, tau0, tau1, cfg.steps, 1)
+    if isinstance(profile, MathieuBeta):
+        u = mathieu_batch(profile.beta0, profile.beta1, tau0, tau1, cfg.steps)
     else:
-        u = _rk4(profile.beta_array, tau0, tau1, cfg.steps, 1)
-    return _check_det(u.ravel(), cfg, f"integrate over [{tau0}, {tau1}]")
+        u = _rk4(profile.beta_array, tau0, tau1, cfg.steps, 1).ravel()
+    return _check_det(u, cfg, f"integrate over [{tau0}, {tau1}]")
 
 
 def check_symmetry(profile: BetaProfile, tau: float, n: int = 33, tol: float = 1e-9) -> float:
@@ -495,25 +496,17 @@ def _rk4_segments(profile: BetaProfile, taus: list, cfg: IntegratorConfig) -> li
     ]
 
 
-def mathieu_batch(
-    beta0,
-    beta1,
-    tau0: float,
-    tau1: float,
-    steps: int = DEFAULT_CONFIG.steps,
-    phase=None,
-):
+def mathieu_batch(beta0, beta1, tau0: float, tau1: float, steps: int = DEFAULT_CONFIG.steps):
     """RK4 evolution entries for many (beta0, beta1) pairs at once.
 
-    beta = beta0 + 2 beta1 cos(tau), or cos(tau + phase) with optional
-    per-case phase shifts, which is how trace-vs-starting-point checks are
-    vectorized.  The pairs are the batch axis of the step-map engine, run
+    beta = beta0 + 2 beta1 cos(tau), sampled with MathieuBeta.beta_array's
+    arithmetic.  The pairs are the batch axis of the step-map engine, run
     in chunks of at most _BLOCK_ELEMENTS pairs, so memory stays bounded for
-    any batch; each entry equals integrate(MathieuBeta(beta0, beta1), tau0,
-    tau1) at the same step count bit for bit, whatever the batch size.
-    Without phase, a one-period interval tau1 - tau0 = 2pi integrates half
-    a period by reflection (_one_period); phase and every other interval
-    take the direct run at h = (tau1 - tau0) / steps.
+    any batch; a pair's entries do not depend on the batch size, bit for
+    bit.  This is where a one-period interval, tau1 - tau0 = 2pi, is
+    integrated from half a period by reflection (_one_period); any other
+    interval is the direct run at h = (tau1 - tau0) / steps.  integrate
+    runs its Mathieu profiles through here.
 
     Returns four arrays (u11, u12, u21, u22) of the broadcast input shape.
     """
@@ -522,18 +515,14 @@ def mathieu_batch(
     shape = np.broadcast_shapes(beta0.shape, beta1.shape)
     beta0 = np.broadcast_to(beta0, shape).ravel()
     two_beta1 = 2.0 * np.broadcast_to(beta1, shape).ravel()
-    if phase is not None:
-        phase = np.broadcast_to(np.asarray(phase, dtype=float), shape).ravel()
-    reflect = phase is None and tau1 - tau0 == 2.0 * math.pi
+    reflect = tau1 - tau0 == 2.0 * math.pi
     out = np.empty((2, 2, beta0.size))
     for c0 in range(0, beta0.size, _BLOCK_ELEMENTS):
         c = slice(c0, c0 + _BLOCK_ELEMENTS)
         b0, tb1 = beta0[c], two_beta1[c]
-        ph = None if phase is None else phase[c]
 
         def beta_at(taus):
-            taus = taus[..., None]
-            return (b0 + tb1 * np.cos(taus if ph is None else taus + ph)).reshape(len(taus), -1)
+            return (b0 + tb1 * np.cos(taus[..., None])).reshape(len(taus), -1)
 
         if reflect:
             _one_period(beta_at, tau0, tau1, steps, b0.size, out[..., c])

@@ -5,12 +5,13 @@ node of a (beta0, beta1) grid, classifies each node by its trace, traces the
 curves where u12 or u21 vanishes, and refines their intersection: the double
 zero where the matrix becomes diag(lambda, 1/lambda), a pure q-p squeeze.
 
-All node integrations, of scan grids, locus brackets and double-zero
-Newton steps alike, are one call each of evolution.mathieu_batch, which
-chunks its own batch to bound memory and whose result for a node does not
-depend on the batch it runs in, so output is bit-identical run to run
-regardless of how the work is chunked or scheduled.  Zones follow
-evolution.zone_codes.
+All node integrations go through evolution.mathieu_batch: a whole scan
+and each locus pass are one call, and a double-zero Newton step is one
+call for its four-node difference stencil plus one per line-search trial.
+mathieu_batch chunks its own batch to bound memory, and its result for a
+node does not depend on the batch it runs in, so output is bit-identical
+run to run regardless of how the work is chunked or scheduled.  Zones
+follow evolution.zone_codes.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ class ScanRect:
     tau1: float = DEFAULT_INTERVAL[1]
 
     def __post_init__(self):
+        bounds = (self.beta0_lo, self.beta0_hi, self.beta1_lo, self.beta1_hi)
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError(f"rectangle bounds must be finite, got {bounds}")
         if not (self.beta0_hi > self.beta0_lo and self.beta1_hi > self.beta1_lo):
             raise ValueError("rectangle ranges must be increasing")
         if self.n0 < 2 or self.n1 < 2:
@@ -255,8 +259,10 @@ def find_double_zero(
     """
     if tau1 < tau0:
         raise ValueError(f"need tau1 >= tau0, got [{tau0}, {tau1}]")
-    cfg.check_steps(cfg.steps)
     b0, b1 = float(seed[0]), float(seed[1])
+    if not (math.isfinite(b0) and math.isfinite(b1)):
+        raise ValueError(f"double-zero seed must be finite, got ({b0}, {b1})")
+    cfg.check_steps(cfg.steps)
 
     def entries(x0, x1):
         cols = _gated_batch(x0, x1, tau0, tau1, cfg, "double-zero")

@@ -304,12 +304,31 @@ def test_zone_eigenvalue_structure(random_monodromies):
     )
 
 
-def test_trace_independent_of_start(random_monodromies):
+def test_trace_independent_of_start(random_monodromies, monkeypatch):
+    # each case over its own period [t0, t0 + 2pi], through the reflected
+    # path every scan takes.  The starts are distinct multiples of 2^-20 in
+    # [0, 2pi), and 2pi is a multiple of 2^-47, so t0 + 2pi is exact and
+    # tau1 - tau0 == 2pi holds in floating point; for about 28% of starts
+    # drawn uniformly from [0, 2pi) it does not, and those would quietly
+    # take the direct run.
     b0, b1, u11, _, _, u22 = random_monodromies
     rng = np.random.default_rng(SEED + 1)
-    phases = rng.uniform(0.0, 2.0 * math.pi, N_CASES)
-    v11, _, _, v22 = evolution.mathieu_batch(b0, b1, TAU0, TAU1, phase=phases)
-    err = float(np.max(np.abs((v11 + v22) - (u11 + u22))))
+    starts = np.ldexp(rng.choice(int(2.0 * math.pi * 2**20), N_CASES, replace=False), -20)
+    reflected = []
+    one_period = evolution._one_period
+
+    def recording(beta_at, t0, *args):
+        reflected.append(t0)
+        return one_period(beta_at, t0, *args)
+
+    monkeypatch.setattr(evolution, "_one_period", recording)
+    err = 0.0
+    for k, t0 in enumerate(starts):
+        t1 = t0 + 2.0 * math.pi
+        assert t1 - t0 == 2.0 * math.pi
+        v11, _, _, v22 = evolution.mathieu_batch(b0[k], b1[k], t0, t1)
+        err = max(err, abs(float(v11 + v22) - (u11[k] + u22[k])))
+    assert reflected == list(starts) and len(set(reflected)) == N_CASES
     ok = err <= 1e-7
     assert check("one-period trace independent of starting point", ok,
                  f"max |dGamma| = {err:.2e}")

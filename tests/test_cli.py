@@ -431,6 +431,48 @@ def test_units_rejects_non_finite_drive(capsys, flag, value):
     assert out == "" and "must be finite" in err
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["scan", "--rect", "1,1.1,0.6,inf", "--grid", "2,2", "--steps", "200"], "rectangle"),
+    (["scan", "--locus", "u12", "--rect", "0.9,1.05,0.5,inf"], "rectangle"),
+    (["scan", "--double-zero", "--seed", "nan,0.8"], "seed"),
+    (["scan", "--double-zero", "--seed", "inf,0.8"], "seed"),
+    (["design", "--b", "nan"], "--b"),
+    (["design", "--b", "2", "--beta0", "nan"], "--beta0"),
+    (["design", "--b", "2", "--beta0", "inf"], "--beta0"),
+    (["design", "--b", "2", "--chain", "nan"], "--chain"),
+    (["design", "--b", "2", "--chain", "inf"], "--chain"),
+    (["design", "--b", "2", "--beta0", "0.5", "--tail", "--tail-duration", "inf"],
+     "--tail-duration"),
+    (["evolve", "--profile", '{"kind": "constant", "beta": NaN}'], "'beta'"),
+    (["evolve", "--profile", '{"kind": "mathieu", "beta0": 1.2, "beta1": Infinity}'],
+     "'beta1'"),
+    (["evolve", "--profile", '{"kind": "theta", "b": 2, "beta0": 0, "offset": NaN}'],
+     "'offset'"),
+    (["evolve", "--profile",
+      '{"kind": "sampled", "tau": [0, 1, 2, 3, 4], "beta": [1, 1, NaN, 1, 1]}'], "'beta'"),
+])
+def test_non_finite_input_is_a_configuration_error(capsys, argv, name):
+    # no step count fixes a NaN or infinite input, so it is not a numerical
+    # failure, and no numpy warning reaches stderr ahead of the error line
+    if argv[0] == "evolve":
+        argv = argv + ["--from", "0", "--to", "1"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert [str(w.message) for w in caught] == []
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert name in err and "finite" in err
+
+
+def test_unbounded_composite_piece_still_evolves(capsys):
+    profile = {"kind": "composite", "pieces": [
+        {"from": -math.inf, "to": math.inf, "profile": {"kind": "constant", "beta": 1.0}}]}
+    out = run_json(capsys, ["evolve", "--profile", json.dumps(profile),
+                            "--from", "0", "--to", "pi/2", "--steps", "200"])
+    assert out["zone"] == "I"
+
+
 @pytest.mark.parametrize("argv", [
     ["units", "--omega", "1e200"],
     ["units", "--r0", "1e300"],

@@ -421,15 +421,15 @@ def test_mathieu_batch_independent_of_batch_and_block_size(monkeypatch):
         narrow = mathieu_batch(b0[:8], b1[:8], PI / 2, 5 * PI / 2, steps=steps)
         for w, n in zip(wide, narrow):
             assert np.array_equal(w[:8], n)
-    # a batch wider than the budget runs in column chunks, each node with
-    # its own phase
-    phase = rng.uniform(-PI, PI, size=11)
-    alone = [mathieu_batch(b0[k], b1[k], PI / 2, 5 * PI / 2, steps=steps, phase=phase[k])
-             for k in range(11)]
-    monkeypatch.setattr(evolution, "_BLOCK_ELEMENTS", 4)
-    chunked = mathieu_batch(b0[:11], b1[:11], PI / 2, 5 * PI / 2, steps=steps, phase=phase)
-    assert [[float(e[k]) for e in chunked] for k in range(11)] == [
-        [float(e) for e in a] for a in alone]
+    # a batch wider than the budget runs in column chunks, on the reflected
+    # one-period path and on the direct run
+    for tau1 in (5 * PI / 2, 2.0):
+        monkeypatch.setattr(evolution, "_BLOCK_ELEMENTS", 1 << 16)
+        alone = [mathieu_batch(b0[k], b1[k], PI / 2, tau1, steps=steps) for k in range(11)]
+        monkeypatch.setattr(evolution, "_BLOCK_ELEMENTS", 4)
+        chunked = mathieu_batch(b0[:11], b1[:11], PI / 2, tau1, steps=steps)
+        assert [[float(e[k]) for e in chunked] for k in range(11)] == [
+            [float(e) for e in a] for a in alone]
 
 
 # (beta0, beta1) and u(5pi/2, pi/2) from 30-digit mpmath.odefun solutions,
@@ -551,15 +551,18 @@ def test_one_period_matches_plain_python_reflection(monkeypatch, interval, steps
 
 @pytest.mark.parametrize("interval", ONE_PERIOD[1:])
 def test_one_period_agrees_with_direct_run(interval):
-    # the reflected map against the direct run over the whole period at
-    # 20000 steps (phase = 0 keeps the direct run): entries within 1e-12
-    # and the same zones
+    # the reflected map against the engine's direct run over the whole
+    # period at 20000 steps: entries within 1e-12 and the same zones
     tau0, tau1 = map(parse_angle, interval)
     rng = np.random.default_rng(15)
     b0 = np.concatenate([[m[0] for m in MPMATH_MATRICES], rng.uniform(0.2, 2.6, 12)])
     b1 = np.concatenate([[m[1] for m in MPMATH_MATRICES], rng.uniform(0.1, 1.6, 12)])
     got = np.array(mathieu_batch(b0, b1, tau0, tau1))
-    direct = np.array(mathieu_batch(b0, b1, tau0, tau1, phase=0.0))
+
+    def beta_at(taus):
+        return (b0 + 2.0 * b1 * np.cos(taus[..., None])).reshape(len(taus), -1)
+
+    direct = evolution._rk4(beta_at, tau0, tau1, DEFAULT_CONFIG.steps, b0.size).reshape(4, -1)
     assert np.max(np.abs(got - direct)) <= 1e-12
     assert np.array_equal(evolution.zone_codes(got[0] + got[3]),
                           evolution.zone_codes(direct[0] + direct[3]))

@@ -51,7 +51,7 @@ def test_names_read_by_the_span_recorder():
         assert inspect.isfunction(fn) and fn.__module__ == f"softsqueeze.{layer}", name
         assert set(args) <= set(inspect.signature(fn).parameters), name
     assert list(inspect.signature(evolution.mathieu_batch).parameters) == [
-        "beta0", "beta1", "tau0", "tau1", "steps", "phase"]
+        "beta0", "beta1", "tau0", "tau1", "steps"]
     assert IntegratorConfig.method == IntegratorConfig(steps=10).method == "rk4"
 
     cfg = IntegratorConfig(steps=2000)
