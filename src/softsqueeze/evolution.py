@@ -12,13 +12,16 @@ The engine keeps each map in delta form, D_k = S_k - 1, and multiplies by
 (1 + a)(1 + b) - 1 = a + b + ab, adding the identity once at the end.  The
 entries of D_k are O(h), so no product rounds them against the identity;
 multiplying the S_k themselves doubles the error against the 30-digit
-references of the tests.  A run of maps is one (2, 2, c, m) array: entry,
-entry, column, step, with the steps last so that a pair of neighbouring
-maps is a stride-2 slice of long rows; the columns are g intervals, each
-on its own linspace grid, times a batch of w.  A merge is five numpy
-calls on whole arrays, two products and three sums, each entry being
-(a_ij + b_ij) + (a_i0 b_0j + a_i1 b_1j); the merges of the block stack
-write into the earlier product in place.
+references of the tests.  The columns of a run are g intervals, each on
+its own linspace grid, times a batch of w.  The h-only factors of S_k are
+computed once per run.  A block of m maps over c columns runs along its
+longer axis, which is last and contiguous: if its 2m + 1 beta rows
+outnumber its columns it is a (2, 2, c, m) array (entry, entry, column,
+step), and a pair of neighbouring maps is a stride-2 slice of long rows;
+else it is (2, 2, m, c), and the maps of a pair are alternate rows of all
+c columns.  A merge is five numpy calls on whole arrays, two products and
+three sums, each entry being (a_ij + b_ij) + (a_i0 b_0j + a_i1 b_1j); the
+merges of the block stack write into the earlier product in place.
 
 The product is the level-wise pairwise tree over all steps: each level
 multiplies neighbours, later step on the left, and an odd last element is
@@ -26,10 +29,12 @@ carried up.  The engine walks it in aligned blocks of 2^k steps, sized so
 that a block times the batch width stays within a fixed element budget,
 which bounds memory for any step count; mathieu_batch splits a batch wider
 than the budget into column chunks of that many nodes.  The tree's shape
-depends only on the step count, never on the block size or the batch
-width, so a node's result is bit-identical alone or inside any batch, and
-run to run.  Determinant drift is checked after every run and never
-silently corrected.
+depends only on the step count, never on the block size, the block's
+layout or the batch width, so a node's result is bit-identical alone or
+inside any batch, and run to run.  Determinant drift is checked after
+every run and never silently corrected.  A run over a finite interval
+whose entries overflow a float raises OverflowError without a numpy
+warning.
 
 A run's step is h = (tau1 - tau0) / steps.  The Mathieu drive is even
 about every multiple of pi, so mathieu_batch, which every Mathieu
@@ -135,10 +140,11 @@ def _grid(t0, t1, steps: int, j0: int, j1: int):
     return taus
 
 
-def _step_deltas(b, h):
-    """S - 1 for the RK4 step maps, as one (2, 2, w, m) array, where b holds
-    beta at the 2m+1 nodes and midpoints of m steps, a row each, in w
-    columns:
+def _step_deltas(b, k):
+    """S - 1 for the RK4 step maps, and the axis of their steps, where b
+    holds beta at the 2m+1 nodes and midpoints of m steps, a row each, in
+    w columns, and k the step's h-only factors (h, h^4/24, h^2/6, h^2/3,
+    h^3/6, h^3/12, h/6, 2h/3), computed once per run:
 
       d11 = b1 b2 h^4/24 - h^2 (b1/6 + b2/3)
       d12 = h - b2 h^3/6
@@ -146,21 +152,29 @@ def _step_deltas(b, h):
       d22 = b2 b3 h^4/24 - h^2 (b2/3 + b3/6)
 
     with b1, b2 and b3 at a step's node, midpoint and end.  The arithmetic
-    runs along the longer axis of b: a narrow batch's steps, like a wide
-    batch's columns, are contiguous.
+    and the maps run along the longer axis of b, which is their last,
+    contiguous axis: if b has more rows than columns, its nodes and its
+    midpoints are copied into contiguous columns and the maps are a
+    (2, 2, w, m) array, steps axis 3, else they are (2, 2, m, w), steps
+    axis 2.  Neither is a transposed view of the other, since numpy runs
+    ufuncs on permuted axes more slowly.
     """
-    if b.shape[0] > b.shape[1]:
-        b = np.asfortranarray(b)
-    b1, b2, b3 = b[:-1:2], b[1::2], b[2::2]
-    h2 = h * h
-    r = b2 * (h2 * h2 / 24.0) - h2 / 6.0
-    q = b2 * (h2 / 3.0)
-    d = np.empty((2, 2) + b2.shape[::-1])
-    np.subtract(b1 * r, q, out=d[0, 0].T)
-    np.subtract(h, b2 * (h2 * h / 6.0), out=d[0, 1].T)
-    np.subtract((b1 + b3) * (b2 * (h2 * h / 12.0) - h / 6.0), b2 * (2.0 * h / 3.0), out=d[1, 0].T)
-    np.subtract(b3 * r, q, out=d[1, 1].T)
-    return d
+    h, h4_24, h2_6, h2_3, h3_6, h3_12, h_6, h_23 = k
+    steps_last = b.shape[0] > b.shape[1]
+    if steps_last:
+        nodes, b2 = np.asfortranarray(b[::2]), np.asfortranarray(b[1::2])
+    else:
+        nodes, b2 = b[::2], b[1::2]
+    b1, b3 = nodes[:-1], nodes[1:]
+    r = b2 * h4_24 - h2_6
+    q = b2 * h2_3
+    d = np.empty((2, 2) + (b2.shape[::-1] if steps_last else b2.shape))
+    e = d.swapaxes(2, 3) if steps_last else d  # d as (2, 2, m, w)
+    np.subtract(b1 * r, q, out=e[0, 0])
+    np.subtract(h, b2 * h3_6, out=e[0, 1])
+    np.subtract((b1 + b3) * (b2 * h3_12 - h_6), b2 * h_23, out=e[1, 0])
+    np.subtract(b3 * r, q, out=e[1, 1])
+    return d, 2 + steps_last
 
 
 def _mul(a, b, out=None, t=None):
@@ -181,16 +195,17 @@ def _merge(a, b, out=None, p=None, t=None):
     return out
 
 
-def _tree(d):
-    """Level-wise pairwise product of the maps along the last axis of d."""
-    while d.shape[-1] > 1:
-        m = d.shape[-1]
+def _tree(d, axis):
+    """Level-wise pairwise product of the maps along axis 2 or 3 of d."""
+    at = (slice(None),) * axis
+    while d.shape[axis] > 1:
+        m = d.shape[axis]
         even = m - m % 2
-        merged = _merge(d[..., 1:even:2], d[..., 0:even:2])
+        merged = _merge(d[at + (slice(1, even, 2),)], d[at + (slice(0, even, 2),)])
         if m != even:
-            merged = np.concatenate([merged, d[..., -1:]], axis=-1)
+            merged = np.concatenate([merged, d[at + (slice(-1, None),)]], axis=axis)
         d = merged
-    return d[..., 0]
+    return d[at + (0,)]
 
 
 def _rk4(beta_at, t0, t1, steps: int, width: int) -> np.ndarray:
@@ -210,6 +225,8 @@ def _rk4(beta_at, t0, t1, steps: int, width: int) -> np.ndarray:
     h = (t1 - t0) / steps
     if np.ndim(h):
         h = np.repeat(h, width)
+    h2 = h * h
+    k = (h, h2 * h2 / 24.0, h2 / 6.0, h2 / 3.0, h2 * h / 6.0, h2 * h / 12.0, h / 6.0, 2.0 * h / 3.0)
     block = 1 << (max(_BLOCK_ELEMENTS // max(g * width, 1), 1).bit_length() - 1)
     stack = []  # (steps covered, delta product)
     scratch = (np.empty((2, 2, g * width)), np.empty((2, 2, g * width)))
@@ -220,7 +237,7 @@ def _rk4(beta_at, t0, t1, steps: int, width: int) -> np.ndarray:
         if s0:
             b = np.concatenate([last, b])
         last = b[-1:].copy()
-        d = _tree(_step_deltas(b, h))
+        d = _tree(*_step_deltas(b, k))
         del b  # free the samples before the next block takes its own
         n = s1 - s0
         while stack and stack[-1][0] == n:
@@ -235,6 +252,22 @@ def _rk4(beta_at, t0, t1, steps: int, width: int) -> np.ndarray:
     d[0, 0] += 1.0
     d[1, 1] += 1.0
     return d
+
+
+def _finite(u, t0, t1):
+    """u, the entries of a run over [t0, t1] made with numpy's overflow and
+    invalid-value warnings off, if they are finite or the interval is not.
+    A non-finite entry over a finite interval means that beta or the
+    interval overflowed a float, or that beta was not finite to begin with
+    (the command line rejects such input first): OverflowError, which no
+    step count fixes.  Over an infinite interval the NaN entries are left
+    to the determinant gate."""
+    if not np.isfinite(u).all() and np.isfinite(t0).all() and np.isfinite(t1).all():
+        raise OverflowError(
+            "evolution matrices overflow double precision: beta or the interval "
+            "is too large, or beta is not finite"
+        )
+    return u
 
 
 def _reflect(u):
@@ -274,7 +307,8 @@ def _check_det(entries, cfg: IntegratorConfig, what: str) -> SymplecticMatrix2:
     u = SymplecticMatrix2(*map(float, entries))
     ok, drift, floor = _det_gate(u.u11, u.u12, u.u21, u.u22, cfg.det_tol)
     if not ok:
-        hint = ("refine the step" if not floor > cfg.det_tol else
+        hint = ("refine the step" if floor <= cfg.det_tol else
+                "the entries are not finite" if math.isnan(floor) else
                 "the entries are too large for double precision to check it")
         raise IntegrationError(
             f"{what}: determinant drift {drift:.3e} exceeds {cfg.det_tol:.1e} "
@@ -283,6 +317,7 @@ def _check_det(entries, cfg: IntegratorConfig, what: str) -> SymplecticMatrix2:
     return u
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def integrate(
     profile: BetaProfile,
     tau0: float,
@@ -305,7 +340,7 @@ def integrate(
     if isinstance(profile, MathieuBeta):
         u = mathieu_batch(profile.beta0, profile.beta1, tau0, tau1, cfg.steps)
     else:
-        u = _rk4(profile.beta_array, tau0, tau1, cfg.steps, 1).ravel()
+        u = _finite(_rk4(profile.beta_array, tau0, tau1, cfg.steps, 1), tau0, tau1).ravel()
     return _check_det(u, cfg, f"integrate over [{tau0}, {tau1}]")
 
 
@@ -479,6 +514,7 @@ def integrate_path(
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _rk4_segments(profile: BetaProfile, taus: list, cfg: IntegratorConfig) -> list:
     """Checked RK4 matrices of the segments of taus, batched by step count."""
     span = taus[-1] - taus[0]
@@ -490,12 +526,14 @@ def _rk4_segments(profile: BetaProfile, taus: list, cfg: IntegratorConfig) -> li
     for n in np.unique(counts):
         idx = np.flatnonzero(counts == n)
         entries[:, idx] = _rk4(profile.beta_array, lo[idx], hi[idx], int(n), 1).reshape(4, -1)
+    _finite(entries, lo, hi)
     return [
         _check_det(e, cfg, f"integrate over [{a}, {b}]")
         for a, b, e in zip(taus, taus[1:], entries.T)
     ]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def mathieu_batch(beta0, beta1, tau0: float, tau1: float, steps: int = DEFAULT_CONFIG.steps):
     """RK4 evolution entries for many (beta0, beta1) pairs at once.
 
@@ -506,7 +544,8 @@ def mathieu_batch(beta0, beta1, tau0: float, tau1: float, steps: int = DEFAULT_C
     bit.  This is where a one-period interval, tau1 - tau0 = 2pi, is
     integrated from half a period by reflection (_one_period); any other
     interval is the direct run at h = (tau1 - tau0) / steps.  integrate
-    runs its Mathieu profiles through here.
+    runs its Mathieu profiles through here.  Entries that overflow over a
+    finite interval raise OverflowError (_finite).
 
     Returns four arrays (u11, u12, u21, u22) of the broadcast input shape.
     """
@@ -528,4 +567,5 @@ def mathieu_batch(beta0, beta1, tau0: float, tau1: float, steps: int = DEFAULT_C
             _one_period(beta_at, tau0, tau1, steps, b0.size, out[..., c])
         else:
             out[..., c] = _rk4(beta_at, tau0, tau1, steps, b0.size)
+    _finite(out, tau0, tau1)
     return tuple(e.reshape(shape) for e in out.reshape(4, -1))

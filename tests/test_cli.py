@@ -477,6 +477,9 @@ def test_unbounded_composite_piece_still_evolves(capsys):
     ["units", "--omega", "1e200"],
     ["units", "--r0", "1e300"],
     ["design", "--b", "1e-300"],
+    ["evolve", "--profile", '{"kind":"mathieu","beta0":1e300,"beta1":1}', "--from", "0", "--to", "1"],
+    ["scan", "--rect", "1,1.1,0.6,0.7", "--grid", "2,2", "--steps", "200", "--from", "0",
+     "--to", "1e300"],
 ])
 def test_float_overflow_is_a_configuration_error(capsys, argv):
     # a warning would print on stderr ahead of the one error line

@@ -177,6 +177,11 @@ def test_det_failure_asks_for_a_finer_step_only_when_the_step_can_help():
     with pytest.raises(IntegrationError, match="too large for double precision") as exc:
         evolution._check_det([1e5, 1e5, 1e5, 1e5 + 1.0], cfg, "large")
     assert "refine the step" not in str(exc.value)
+    # a non-finite drift: no step count helps either
+    with pytest.raises(IntegrationError, match="too large for double precision"):
+        evolution._check_det([1e200, 0.0, 0.0, 1e200], cfg, "overflowing")
+    with pytest.raises(IntegrationError, match="drift nan .* the entries are not finite"):
+        evolution._check_det([math.nan, 0.0, 0.0, 1.0], cfg, "nan")
 
 
 def test_config_validation():
@@ -430,6 +435,54 @@ def test_mathieu_batch_independent_of_batch_and_block_size(monkeypatch):
         chunked = mathieu_batch(b0[:11], b1[:11], PI / 2, tau1, steps=steps)
         assert [[float(e[k]) for e in chunked] for k in range(11)] == [
             [float(e) for e in a] for a in alone]
+
+
+@pytest.mark.parametrize("nodes,block,axis", [(160, (17, 320), 2), (8, (513, 16), 3)])
+def test_block_layouts_match_single_nodes_at_default_budget(monkeypatch, nodes, block, axis):
+    # refine's one-period batches at its 2000 steps and the default budget:
+    # 160 nodes run V and W as 8-step blocks of 320 columns, steps first;
+    # 8 nodes as 256-step blocks of 16 columns, steps last.  A node alone
+    # runs 2 columns, steps last; every node matches its run alone
+    assert evolution._BLOCK_ELEMENTS == 4096
+    rng = np.random.default_rng(nodes)
+    b0 = rng.uniform(0.9, 1.9, size=nodes)
+    b1 = rng.uniform(0.5, 1.6, size=nodes)
+    layouts = set()
+    real = evolution._step_deltas
+
+    def recorded(b, k):
+        d, steps_axis = real(b, k)
+        layouts.add((b.shape, steps_axis))
+        return d, steps_axis
+
+    monkeypatch.setattr(evolution, "_step_deltas", recorded)
+    batch = mathieu_batch(b0, b1, PI / 2, 5 * PI / 2, steps=2000)
+    assert (block, axis) in layouts
+    assert all(a == axis for _, a in layouts)
+    for k in range(nodes):
+        alone = mathieu_batch(b0[k], b1[k], PI / 2, 5 * PI / 2, steps=2000)
+        assert [float(e[k]) for e in batch] == [float(a) for a in alone]
+
+
+@pytest.mark.parametrize("beta0,beta1,tau1", [
+    (1e300, 1.0, 1.0),           # the direct run's step maps
+    (1.0, 1.0, 1e300),           # the interval
+    (1.0, 1e308, 2 * PI),        # 2 beta1, before any step
+    (-20000.0, 0.0, 2 * PI),     # V and W fit, their reflected product does not
+])
+def test_mathieu_overflow_raises(beta0, beta1, tau1):
+    # a finite input whose entries overflow raises, without a numpy warning
+    with pytest.raises(OverflowError, match="overflow double precision"):
+        mathieu_batch(beta0, beta1, 0.0, tau1, steps=200)
+    with pytest.raises(OverflowError, match="overflow double precision"):
+        integrate(MathieuBeta(beta0, beta1), 0.0, tau1, IntegratorConfig(steps=200))
+
+
+def test_integrate_overflow_raises_for_any_profile():
+    with pytest.raises(OverflowError, match="overflow double precision"):
+        integrate(ConstantBeta(1e300), 0.0, 1.0)
+    with pytest.raises(OverflowError):
+        integrate_path(ConstantBeta(1e300), [0.0, 0.5, 1.0])
 
 
 # (beta0, beta1) and u(5pi/2, pi/2) from 30-digit mpmath.odefun solutions,
