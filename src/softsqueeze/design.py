@@ -18,7 +18,19 @@ yields a soft stiffness pulse
 on [-pi/2, pi/2] whose evolution matrix is the squeezed Fourier map
 [[0, b], [-1/b, 0]].  At zeros of theta the formula is 0/0; provided
 theta' = +-2 there (the nonsingularity condition), the limit is
--theta' theta'''/16, which the evaluator switches to below EPS_THETA.
+-theta' theta'''/16.  Near a zero the regular formula cancels: a rounding
+error of about 1e-16 in theta' becomes about 1e-16/theta^2 in beta.  So an
+ansatz's beta is its even Taylor series about its zero at tau = 0, through
+tau^6, for |tau| < SERIES_TAU (|theta| below about 1e-2; narrower for the
+large coefficients of extreme targets, see ThetaAnsatz.series_tau), with
+the coefficients computed once per ansatz and theta'(0) = 2 taken as exact.
+Elsewhere, and for a callable theta, the evaluator switches to the limit
+below |theta| = EPS_THETA and raises SingularityError where theta' is not
++-2 there.
+
+An ansatz is sampled with one sin and one cos of tau per sample; the 3 tau
+and 5 tau terms follow by angle addition (2 tau = tau + tau, then 3 tau =
+2 tau + tau and 5 tau = 3 tau + 2 tau), within a few ulps of direct sines.
 """
 
 from __future__ import annotations
@@ -26,6 +38,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -34,8 +47,13 @@ from .core import BetaProfile, CompositeBeta, ConstantBeta, SymplecticMatrix2
 from . import evolution
 from .evolution import DEFAULT_CONFIG, IntegratorConfig
 
-EPS_THETA = 1e-6          # |theta| below which the analytic limit is used
-SLOPE_GUARD = 1e-3        # allowed |theta'| deviation from 2 at a theta zero
+# |theta| below which the analytic limit is used: for a callable theta, and
+# for an ansatz's zeros outside the series window about tau = 0
+EPS_THETA = 1e-6
+# |tau| below which an ansatz's beta is its Taylor series about 0; just
+# outside, the regular formula's cancellation costs a few 1e-12
+SERIES_TAU = 5e-3
+SLOPE_GUARD = 1e-3      # allowed |theta'| deviation from 2 at a theta zero
 
 HALF_PI = math.pi / 2.0
 
@@ -71,15 +89,63 @@ class ThetaAnsatz:
             -self.a1 + 9.0 * self.a3 - 25.0 * self.a5 + 2.0 / self.b + 2.0 * self.b * self.beta0,
         )
 
+    @cached_property
+    def beta_series(self) -> tuple:
+        """(B0, B2, B4, B6) with beta = B0 + B2 tau^2 + B4 tau^4 + B6 tau^6
+        + O(tau^8) about the zero of theta at tau = 0.
+
+        With x = tau^2, theta = tau P(x), theta' = Q(x) and theta'' =
+        tau R(x), where theta = sum T_n tau^n over odd n has T_n =
+        (-1)^((n-1)/2) sum_k k^n a_k / n!.  Then beta = (N - R P/2) / P^2
+        with N = (Q^2/4 - 1)/x.  T_1 = theta'(0) = 2 is taken as exact, so
+        the constant term of Q^2/4 - 1 is exactly 0 rather than the rounding
+        of a1 + 3 a3 + 5 a5 - 2, which the regular formula divides by
+        theta^2.
+        """
+        terms = ((1, self.a1), (3, self.a3), (5, self.a5))
+        tn = [2.0] + [  # T_1, T_3, ..., T_9: the coefficients of P
+            (-1.0) ** j * sum(k ** (2 * j + 1) * a for k, a in terms)
+            / math.factorial(2 * j + 1)
+            for j in range(1, 5)
+        ]
+
+        def mul(p, q):  # product of series in x, through x^3
+            return [sum(p[i] * q[n - i] for i in range(n + 1)) for n in range(4)]
+
+        q = [(2 * j + 1) * tn[j] for j in range(5)]
+        r = [(2 * j + 3) * (2 * j + 2) * tn[j + 1] for j in range(4)]
+        nq = [sum(q[i] * q[n + 1 - i] for i in range(n + 2)) / 4.0 for n in range(4)]
+        num = [a - 0.5 * b for a, b in zip(nq, mul(r, tn))]
+        den = mul(tn, tn)
+        out = []
+        for n in range(4):
+            out.append((num[n] - sum(out[i] * den[n - i] for i in range(n))) / den[0])
+        return tuple(out)
+
+    @cached_property
+    def series_tau(self) -> float:
+        """Half-width of the window about tau = 0 where beta is beta_series.
+
+        On the complex disc |tau| < R = sqrt(6 / (|a1| + 27 |a3| + 125 |a5|))
+        theta/tau stays within about 1 of 2, so beta has no pole there and
+        the series through tau^6 errs by about (tau/R)^8 relative.  The
+        window is SERIES_TAU, narrowed to R/16 (an error of about 1e-11)
+        for the large coefficients of extreme targets.
+        """
+        s = abs(self.a1) + 27.0 * abs(self.a3) + 125.0 * abs(self.a5)
+        return min(SERIES_TAU, math.sqrt(6.0 / s) / 16.0)
+
 
 def _ansatz_derivs(ansatz: ThetaAnsatz, tau) -> tuple:
     """theta and its first three derivatives at tau, sharing one evaluation:
-    sin and cos of tau, 3 tau and 5 tau are computed once per sample."""
+    one sin and one cos of tau per sample, with the 3 tau and 5 tau terms
+    by angle addition."""
     a1, a3, a5 = ansatz.a1, ansatz.a3, ansatz.a5
     t = np.asarray(tau, dtype=float)
-    t3, t5 = 3.0 * t, 5.0 * t
-    s1, s3, s5 = np.sin(t), np.sin(t3), np.sin(t5)
-    c1, c3, c5 = np.cos(t), np.cos(t3), np.cos(t5)
+    s1, c1 = np.sin(t), np.cos(t)
+    s2, c2 = 2.0 * s1 * c1, c1 * c1 - s1 * s1
+    s3, c3 = s2 * c1 + c2 * s1, c2 * c1 - s2 * s1
+    s5, c5 = s3 * c2 + c3 * s2, c3 * c2 - s3 * s2
     out = (
         a1 * s1 + a3 * s3 + a5 * s5,
         a1 * c1 + 3.0 * a3 * c3 + 5.0 * a5 * c5,
@@ -120,28 +186,35 @@ def _theta_derivs(theta: ThetaLike, tau):
 
 
 def beta_from_theta(theta: ThetaLike, tau):
-    """Stiffness generated by theta; switches to the series limit near zeros.
+    """Stiffness generated by theta; switches to the series limit near zeros,
+    and for an ansatz to its Taylor series within series_tau of tau = 0.
 
     Raises SingularityError if theta vanishes with slope away from +-2.
     """
-    th, th1, th2, th3 = _theta_derivs(theta, tau)
     scalar = np.isscalar(tau) or getattr(tau, "ndim", 1) == 0
-    th = np.atleast_1d(np.asarray(th, dtype=float))
-    th1 = np.atleast_1d(np.asarray(th1, dtype=float))
-    th2 = np.atleast_1d(np.asarray(th2, dtype=float))
-    th3 = np.atleast_1d(np.asarray(th3, dtype=float))
+    t = np.atleast_1d(np.asarray(tau, dtype=float))
+    th, th1, th2, th3 = (np.atleast_1d(np.asarray(x, dtype=float))
+                         for x in _theta_derivs(theta, tau))
 
     small = np.abs(th) < EPS_THETA
-    if np.any(small & (np.abs(np.abs(th1) - 2.0) > SLOPE_GUARD)):
-        bad = np.atleast_1d(np.asarray(tau, dtype=float))[small][0]
-        raise SingularityError(
-            f"theta vanishes near tau = {bad!r} with theta' != +-2; "
-            "beta is singular there"
-        )
-    th_safe = np.where(small, 1.0, th)
-    regular = -th2 / (2.0 * th_safe) + ((th1 / 2.0) ** 2 - 1.0) / th_safe**2
-    limit = -th1 * th3 / 16.0
-    out = np.where(small, limit, regular)
+    any_small = small.any()
+    if any_small:
+        if np.any(small & (np.abs(np.abs(th1) - 2.0) > SLOPE_GUARD)):
+            bad = t[small][0]
+            raise SingularityError(
+                f"theta vanishes near tau = {bad!r} with theta' != +-2; "
+                "beta is singular there"
+            )
+        th = np.where(small, 1.0, th)
+    out = -th2 / (2.0 * th) + ((th1 / 2.0) ** 2 - 1.0) / th**2
+    if any_small:
+        out = np.where(small, -th1 * th3 / 16.0, out)
+    if isinstance(theta, ThetaAnsatz):
+        near = np.abs(t) < theta.series_tau
+        if near.any():
+            b0, b2, b4, b6 = theta.beta_series
+            x = t[near] ** 2
+            out[near] = b0 + x * (b2 + x * (b4 + x * b6))
     if scalar:
         return float(out[0])
     return out

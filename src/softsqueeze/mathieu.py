@@ -129,7 +129,9 @@ def scan_grid(rect: ScanRect, cfg: IntegratorConfig = DEFAULT_CONFIG) -> ScanRes
     b1_axis = rect.beta1_axis()
     bb0, bb1 = np.meshgrid(b0_axis, b1_axis, indexing="ij")
     u11, u12, u21, u22 = evolution.mathieu_batch(bb0, bb1, rect.tau0, rect.tau1, cfg.steps)
-    failed = ~_det_gate(u11, u12, u21, u22, cfg.det_tol)[0]
+    # huge finite entries overflow the gate's products; such a node fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        failed = ~_det_gate(u11, u12, u21, u22, cfg.det_tol)[0]
     gamma = u11 + u22
     zone = evolution.zone_codes(gamma)
     zone[failed] = 0
@@ -225,7 +227,8 @@ def _gated_batch(beta0, beta1, tau0, tau1, cfg: IntegratorConfig, what: str):
     that fails _det_gate at cfg.det_tol, NaN included, raises
     IntegrationError through evolution._check_det."""
     cols = evolution.mathieu_batch(beta0, beta1, tau0, tau1, cfg.steps)
-    ok = _det_gate(*cols, cfg.det_tol)[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # as in scan_grid
+        ok = _det_gate(*cols, cfg.det_tol)[0]
     if not np.all(ok):
         n = int(np.argmin(ok))
         evolution._check_det([c[n] for c in cols], cfg,

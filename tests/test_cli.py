@@ -171,6 +171,22 @@ def test_scan_finds_unstable_zone(capsys):
     assert "III" in zones
 
 
+def test_scan_nodes_too_large_to_gate_fail_without_warnings(capsys):
+    # entries near 1e260 overflow the determinant gate's products: every
+    # node is marked failed, the scan still exits 0, and no numpy warning
+    # reaches stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["scan", "--rect", "-9000,-8999,0,1", "--grid", "2,2",
+                     "--steps", "2000"]) == 0
+    assert [str(w.message) for w in caught] == []
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert len(lines) == 1 + 4
+    assert all(line.endswith(",failed") for line in lines[1:])
+
+
 def test_scan_locus_csv(capsys):
     lines = run_lines(capsys, [
         "scan", "--locus", "u21", "--rect", "1.044,1.064,0.55,0.75",

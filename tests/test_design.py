@@ -205,6 +205,176 @@ def test_beta_scalar_and_one_element_array_agree(b, beta0, tau):
 
 
 # ---------------------------------------------------------------------------
+# beta near the zero of theta at tau = 0: series window and mpmath oracle
+
+# 40-digit mpmath values of beta, printed by tests/make_beta_references.py,
+# which re-solves the ansatz in mpmath (so theta'(0) = 2 to 40 digits) and
+# shares no code with softsqueeze: (b, beta0, ((tau, beta), ...))
+BETA_REFERENCES = [
+    (1.7, 0.2, (
+        (1e-7, 0.75867647058821363),
+        (-1e-7, 0.75867647058821363),
+        (1e-6, 0.75867647058605841),
+        (-1e-6, 0.75867647058605841),
+        (3e-6, 0.75867647056864254),
+        (-3e-6, 0.75867647056864254),
+        (1e-5, 0.75867647037053704),
+        (-1e-5, 0.75867647037053704),
+        (1e-4, 0.75867644881840012),
+        (-1e-4, 0.75867644881840012),
+        (1e-3, 0.75867429360616518),
+        (-1e-3, 0.75867429360616518),
+        (4.9e-3, 0.75862420206206222),
+        (-4.9e-3, 0.75862420206206222),
+        (5.1e-3, 0.75861984824225428),
+        (-5.1e-3, 0.75861984824225428),
+        (0.1, 0.73705418546393531),
+        (-0.1, 0.73705418546393531),
+        (1.0, -0.072125496740552822),
+        (-1.0, -0.072125496740552822),
+    )),
+    (0.8, 0.05, (
+        (1e-7, 2.717499999999933),
+        (-1e-7, 2.717499999999933),
+        (1e-6, 2.7174999999933159),
+        (-1e-6, 2.7174999999933159),
+        (3e-6, 2.7174999999398444),
+        (-3e-6, 2.7174999999398444),
+        (1e-5, 2.7174999993316055),
+        (-1e-5, 2.7174999993316055),
+        (1e-4, 2.7174999331605617),
+        (-1e-4, 2.7174999331605617),
+        (1e-3, 2.7174933160499702),
+        (-1e-3, 2.7174933160499702),
+        (4.9e-3, 2.7173395148904188),
+        (-4.9e-3, 2.7173395148904188),
+        (5.1e-3, 2.7173261463746916),
+        (-5.1e-3, 2.7173261463746916),
+        (0.1, 2.6500309905228313),
+        (-0.1, 2.6500309905228313),
+        (1.0, -4.5533560945901121),
+        (-1.0, -4.5533560945901121),
+    )),
+    (2.9, 0.37, (
+        (1e-7, -1.1241293103447461),
+        (-1e-7, -1.1241293103447461),
+        (1e-6, -1.1241293103366953),
+        (-1e-6, -1.1241293103366953),
+        (3e-6, -1.1241293102716382),
+        (-3e-6, -1.1241293102716382),
+        (1e-5, -1.1241293095316138),
+        (-1e-5, -1.1241293095316138),
+        (1e-4, -1.1241292290234639),
+        (-1e-4, -1.1241292290234639),
+        (1e-3, -1.1241211782266654),
+        (-1e-3, -1.1241211782266654),
+        (4.9e-3, -1.1239340683372608),
+        (-4.9e-3, -1.1239340683372608),
+        (5.1e-3, -1.1239178059019982),
+        (-5.1e-3, -1.1239178059019982),
+        (0.1, -1.0446113415664378),
+        (-0.1, -1.0446113415664378),
+        (1.0, 0.72832239083179571),
+        (-1.0, 0.72832239083179571),
+    )),
+    (-1.99, 0.28, (
+        (1e-7, 6.1864655778895337),
+        (-1e-7, 6.1864655778895337),
+        (1e-6, 6.186465577898096),
+        (-1e-6, 6.186465577898096),
+        (3e-6, 6.186465577967287),
+        (-3e-6, 6.186465577967287),
+        (1e-5, 6.1864655787543336),
+        (-1e-5, 6.1864655787543336),
+        (1e-4, 6.1864656643780966),
+        (-1e-4, 6.1864656643780966),
+        (1e-3, 6.1864742267969233),
+        (-1e-3, 6.1864742267969233),
+        (4.9e-3, 6.1866732618964754),
+        (-4.9e-3, 6.1866732618964754),
+        (5.1e-3, 6.1866905639242315),
+        (-5.1e-3, 6.1866905639242315),
+        (0.1, 6.2774283751795858),
+        (-0.1, 6.2774283751795858),
+        (1.0, 2.6663033756311834),
+        (-1.0, 2.6663033756311834),
+    )),
+]
+
+@pytest.mark.parametrize("b,beta0,points", BETA_REFERENCES)
+def test_beta_matches_mpmath_near_and_away_from_the_theta_zero(b, beta0, points):
+    a = ThetaAnsatz.from_targets(b, beta0)
+    taus = np.array([tau for tau, _ in points])
+    want = np.array([value for _, value in points])
+    assert np.max(np.abs(beta_from_theta(a, taus) - want)) <= 1e-10
+    for tau, value in points:
+        assert abs(beta_from_theta(a, tau) - value) <= 1e-10
+
+
+def _direct_theta_derivs(a, tau):
+    # theta and its first three derivatives from np.sin(k tau), np.cos(k tau)
+    terms = ((1, a.a1), (3, a.a3), (5, a.a5))
+    return (
+        sum(c * np.sin(k * tau) for k, c in terms),
+        sum(c * k * np.cos(k * tau) for k, c in terms),
+        -sum(c * k**2 * np.sin(k * tau) for k, c in terms),
+        -sum(c * k**3 * np.cos(k * tau) for k, c in terms),
+    )
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(b=st.one_of(st.floats(-5.0, -0.2), st.floats(0.2, 5.0)),
+       beta0=st.floats(-1.0, 1.0),
+       tau=st.floats(-HALF_PI, HALF_PI))
+def test_shared_angle_sampler_matches_direct_sines(b, beta0, tau):
+    # sin and cos of 3 tau and 5 tau by angle addition agree with direct
+    # evaluation to 8 ulps of the order's scale sum_k k^n |a_k|
+    a = ThetaAnsatz.from_targets(b, beta0)
+    for order, want in enumerate(_direct_theta_derivs(a, tau)):
+        scale = abs(a.a1) + 3**order * abs(a.a3) + 5**order * abs(a.a5)
+        assert abs(theta_eval(a, tau, order) - want) <= 8 * np.spacing(scale)
+
+
+@pytest.mark.parametrize("b,beta0", [
+    (1.7, 0.2), (0.8, 0.05), (2.9, 0.37), (-1.99, 0.28), (0.6, 0.0), (3.0, 0.4),
+])
+def test_beta_hands_over_to_its_series_without_a_jump(b, beta0):
+    a = ThetaAnsatz.from_targets(b, beta0)
+    edge = design.SERIES_TAU
+    assert a.series_tau == edge
+    for sign in (1.0, -1.0):
+        inside = beta_from_theta(a, sign * np.nextafter(edge, 0.0))
+        outside = beta_from_theta(a, sign * edge)
+        assert abs(inside - outside) <= 1e-11
+
+
+@pytest.mark.parametrize("b,beta0", [(100.0, 0.0), (1e-3, 0.0), (-1e3, 5.0)])
+def test_series_window_narrows_for_large_coefficients(b, beta0):
+    # over the full window the series' truncation error (3e-10 to 3e-6
+    # relative for these targets) would show as a jump at its edge
+    a = ThetaAnsatz.from_targets(b, beta0)
+    edge = a.series_tau
+    assert edge < design.SERIES_TAU
+    for sign in (1.0, -1.0):
+        inside = beta_from_theta(a, sign * np.nextafter(edge, 0.0))
+        outside = beta_from_theta(a, sign * edge)
+        assert abs(inside - outside) <= 1e-10 * max(1.0, abs(outside))
+
+
+def test_ansatz_sampled_at_an_off_origin_zero_is_singular():
+    # from_targets(0.3, 0) has theta zeros away from 0 whose slopes are not
+    # +-2; the series about 0 covers only that zero, so these still raise
+    a = ThetaAnsatz.from_targets(0.3, 0.0)
+    zero = validate_lemma(a).theta_zeros[0]
+    assert zero.tau == pytest.approx(-1.22596, abs=1e-5)
+    assert zero.theta_prime == pytest.approx(1.2379, abs=1e-4)
+    with pytest.raises(SingularityError):
+        ThetaDerivedBeta(a).beta_array(np.array([0.0, zero.tau]))
+    with pytest.raises(SingularityError):
+        ThetaDerivedBeta(a).beta(zero.tau)
+
+
+# ---------------------------------------------------------------------------
 # lemma validation
 
 
