@@ -7,7 +7,8 @@ units where they apply), JSON reports carry schema_version.  Exit codes:
 and a non-finite number in a flag or a profile, included), 3 numerical
 failure, 4 validation failure; `design` exits 4 without integrating the
 pulse when a theta zero's slope is not +-2, with "verification": null in
-its report.
+its report, and any command that samples a theta profile with such a zero
+(evolve, shadow) exits 4, wherever its samples fall.
 
 Angles and times may be given as decimals or as pi fractions ("pi/2",
 "5pi/2", "-3pi/4"), parsed exactly.  A negative value may follow its flag

@@ -135,6 +135,26 @@ class ThetaAnsatz:
         s = abs(self.a1) + 27.0 * abs(self.a3) + 125.0 * abs(self.a5)
         return min(SERIES_TAU, math.sqrt(6.0 / s) / 16.0)
 
+    @cached_property
+    def side_zeros(self) -> tuple:
+        """(tau, theta'(tau)) at the zeros of theta in (0, pi/2]; theta is
+        odd, so each -tau is a zero of the same slope.
+
+        With s = sin(tau) the multiple-angle formulas give theta =
+        s (A - B s^2 + C s^4), A = a1 + 3 a3 + 5 a5, B = 4 a3 + 20 a5 and
+        C = 16 a5, so these zeros are asin(sqrt x) for the roots x in (0, 1]
+        of A - B x + C x^2, taken in the form that does not cancel.
+        """
+        a = self.a1 + 3.0 * self.a3 + 5.0 * self.a5
+        b, c = 4.0 * self.a3 + 20.0 * self.a5, 16.0 * self.a5
+        disc = b * b - 4.0 * a * c
+        q = 0.5 * (b + math.copysign(math.sqrt(max(disc, 0.0)), b))
+        if disc < 0.0 or q == 0.0:
+            return ()
+        roots = {x for x in (q / c if c else 0.0, a / q) if 0.0 < x <= 1.0}
+        taus = sorted(math.asin(math.sqrt(x)) for x in roots)
+        return tuple((t, theta_eval(self, t, 1)) for t in taus)
+
 
 def _ansatz_derivs(ansatz: ThetaAnsatz, tau) -> tuple:
     """theta and its first three derivatives at tau, sharing one evaluation:
@@ -233,8 +253,17 @@ class ThetaDerivedBeta(BetaProfile):
     kind = "theta"
 
     def beta_array(self, taus) -> np.ndarray:
+        """beta at taus; raises SingularityError if theta has a zero in the
+        domain whose slope is not +-2 within SLOPE_GUARD, wherever the
+        samples fall."""
         taus = np.asarray(taus, dtype=float)
         self._check_samples(taus)
+        for z, slope in self.ansatz.side_zeros[::-1]:  # outermost first
+            if abs(abs(slope) - 2.0) > SLOPE_GUARD:
+                raise SingularityError(
+                    f"theta vanishes at tau = {self.offset - z!r} and {self.offset + z!r} "
+                    f"with theta' = {slope:.6g}, not +-2; beta is singular there"
+                )
         return beta_from_theta(self.ansatz, taus - self.offset)
 
     def domain(self):

@@ -26,15 +26,22 @@ merges of the block stack write into the earlier product in place.
 The product is the level-wise pairwise tree over all steps: each level
 multiplies neighbours, later step on the left, and an odd last element is
 carried up.  The engine walks it in aligned blocks of 2^k steps, sized so
-that a block times the batch width stays within a fixed element budget,
-which bounds memory for any step count; mathieu_batch splits a batch wider
-than the budget into column chunks of that many nodes.  The tree's shape
-depends only on the step count, never on the block size, the block's
-layout or the batch width, so a node's result is bit-identical alone or
-inside any batch, and run to run.  Determinant drift is checked after
-every run and never silently corrected.  A run over a finite interval
-whose entries overflow a float raises OverflowError without a numpy
-warning.
+that a block times the batch width stays within a fixed element budget
+(_BLOCK_ELEMENTS), and a block has at most half the budget in steps.  A
+run has at most half the budget in columns: mathieu_batch splits a wider
+batch into chunks of that many nodes.  So memory is bounded for any step
+count.  Every array of a block is a view into one flat workspace, filled
+with out= arithmetic in the order of the formulas: the beta rows, the
+maps, the tree's levels in two spaces taken in turn, scratch and the block
+stack.  A run within 10 doubles per budget element reuses the one kept
+workspace of that size, so the narrow batches of root finding allocate
+nothing per block and fault no pages in; a wider run gets a workspace of
+its own.  The tree's shape depends only on the step count, never on the
+block size, the block's layout or the batch width, so a node's result is
+bit-identical alone or inside any batch, and run to run.  Determinant
+drift is checked after every run and never silently corrected.  A run
+over a finite interval whose entries overflow a float raises
+OverflowError without a numpy warning.
 
 A run's step is h = (tau1 - tau0) / steps.  The Mathieu drive is even
 about every multiple of pi, so mathieu_batch, which every Mathieu
@@ -48,6 +55,7 @@ builds u(tau, -tau) with it too.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Optional
@@ -124,57 +132,69 @@ class ZoneReport:
 # ---------------------------------------------------------------------------
 # RK4 step-map engine
 
-# Step maps per block times columns, and nodes per mathieu_batch chunk.
-# Bounds the engine's working set; results do not depend on it (see the
-# module docstring).
-_BLOCK_ELEMENTS = 4096
+# Step maps per block times columns.  Half of it bounds a block's steps,
+# which keeps a one-column run's beta_array calls at 8193 samples, and a
+# run's columns (the nodes of a mathieu_batch chunk), which keeps a wide
+# run's stack of block products, 4 doubles per column and level, within
+# 4096 columns.  Bounds the engine's working set; results do not depend on
+# it (see the module docstring).
+_BLOCK_ELEMENTS = 8192
+
+_kept = []  # the engine's workspace between runs, see _workspace
 
 
-def _grid(t0, t1, steps: int, j0: int, j1: int):
-    """Rows j0..j1-1 of np.linspace(t0, t1, 2*steps + 1), as a column per
-    interval: the RK4 nodes and midpoints, computed exactly as linspace
-    does, so a block's samples equal those of the whole grid."""
-    taus = np.arange(j0, j1, dtype=float)[:, None] * ((t1 - t0) / (2 * steps)) + t0
-    if j1 == 2 * steps + 1:
-        taus[-1] = t1
-    return taus
+def _workspace(size: int) -> np.ndarray:
+    """A flat buffer of at least size doubles for one run of _rk4.  A run
+    within 10 doubles per budget element takes the one kept buffer of that
+    size (a fresh one while another run holds it, or after the budget
+    changed); a larger run gets a buffer of its own, which is not kept."""
+    cap = 10 * _BLOCK_ELEMENTS
+    if size > cap:
+        return np.empty(size)
+    try:
+        ws = _kept.pop()  # one step, so two threads never share it
+    except IndexError:
+        ws = None
+    return ws if ws is not None and ws.size == cap else np.empty(cap)
 
 
-def _step_deltas(b, k):
-    """S - 1 for the RK4 step maps, and the axis of their steps, where b
-    holds beta at the 2m+1 nodes and midpoints of m steps, a row each, in
-    w columns, and k the step's h-only factors (h, h^4/24, h^2/6, h^2/3,
-    h^3/6, h^3/12, h/6, 2h/3), computed once per run:
+def _step_deltas(b, k, e):
+    """S - 1 for the RK4 step maps of a block of m steps, written into the
+    (2, 2, m, w) view e.  b holds beta at the block's m + 1 nodes, rows
+    0..m, and its m midpoints, rows m+1..2m, in w columns; k holds the
+    step's h-only factors (h, h^4/24, h^2/6, h^2/3, h^3/6, h^3/12, h/6,
+    2h/3), computed once per run:
 
       d11 = b1 b2 h^4/24 - h^2 (b1/6 + b2/3)
       d12 = h - b2 h^3/6
       d21 = h ((b1 + b3) b2 h^2/12 - (b1 + 4 b2 + b3)/6)
       d22 = b2 b3 h^4/24 - h^2 (b2/3 + b3/6)
 
-    with b1, b2 and b3 at a step's node, midpoint and end.  The arithmetic
-    and the maps run along the longer axis of b, which is their last,
-    contiguous axis: if b has more rows than columns, its nodes and its
-    midpoints are copied into contiguous columns and the maps are a
-    (2, 2, w, m) array, steps axis 3, else they are (2, 2, m, w), steps
-    axis 2.  Neither is a transposed view of the other, since numpy runs
-    ufuncs on permuted axes more slowly.
+    with b1, b2 and b3 at a step's node, midpoint and end, evaluated as
+    d11 = b1 r - q and d22 = b3 r - q with r = b2 h^4/24 - h^2/6 and
+    q = b2 h^2/3, which first take the places of d12 and d21, and
+    d21 = (b1 + b3)(b2 h^3/12 - h/6) - b2 2h/3.
     """
     h, h4_24, h2_6, h2_3, h3_6, h3_12, h_6, h_23 = k
-    steps_last = b.shape[0] > b.shape[1]
-    if steps_last:
-        nodes, b2 = np.asfortranarray(b[::2]), np.asfortranarray(b[1::2])
-    else:
-        nodes, b2 = b[::2], b[1::2]
-    b1, b3 = nodes[:-1], nodes[1:]
-    r = b2 * h4_24 - h2_6
-    q = b2 * h2_3
-    d = np.empty((2, 2) + (b2.shape[::-1] if steps_last else b2.shape))
-    e = d.swapaxes(2, 3) if steps_last else d  # d as (2, 2, m, w)
-    np.subtract(b1 * r, q, out=e[0, 0])
-    np.subtract(h, b2 * h3_6, out=e[0, 1])
-    np.subtract((b1 + b3) * (b2 * h3_12 - h_6), b2 * h_23, out=e[1, 0])
-    np.subtract(b3 * r, q, out=e[1, 1])
-    return d, 2 + steps_last
+    m = e.shape[2]
+    b1, b2, b3 = b[:m], b[m + 1:], b[1:m + 1]
+    (d11, r), (q, d22) = e
+    np.multiply(b2, h4_24, out=r)
+    r -= h2_6
+    np.multiply(b2, h2_3, out=q)
+    np.multiply(b1, r, out=d11)
+    d11 -= q
+    np.multiply(b3, r, out=d22)
+    d22 -= q
+    d12, d21 = r, q
+    np.multiply(b2, h3_12, out=d12)
+    d12 -= h_6
+    np.add(b1, b3, out=d21)
+    d21 *= d12
+    np.multiply(b2, h_23, out=d12)
+    d21 -= d12
+    np.multiply(b2, h3_6, out=d12)
+    np.subtract(h, d12, out=d12)
 
 
 def _mul(a, b, out=None, t=None):
@@ -187,24 +207,42 @@ def _mul(a, b, out=None, t=None):
 
 def _merge(a, b, out=None, p=None, t=None):
     """Delta form of (1 + a)(1 + b), a + b + ab, with a the later map: each
-    entry is (a_ij + b_ij) + (a_i0 b_0j + a_i1 b_1j).  out may be b; p and
-    t are optional scratch arrays of b's shape."""
+    entry is (a_ij + b_ij) + (a_i0 b_0j + a_i1 b_1j).  out may be b, or t
+    when out is neither a nor b; p and t are optional scratch arrays of
+    b's shape."""
     p = _mul(a, b, p, t)
     out = np.add(a, b, out=out)
     out += p
     return out
 
 
-def _tree(d, axis):
-    """Level-wise pairwise product of the maps along axis 2 or 3 of d."""
+def _carve(buf, shape, steps_last=False):
+    """The first elements of the flat buffer buf as an array of shape,
+    C-ordered, or if steps_last a view of one with its last two axes
+    swapped, so that the steps, axis -2, are contiguous."""
+    if steps_last:
+        return _carve(buf, shape[:-2] + shape[:-3:-1]).swapaxes(-1, -2)
+    return buf[:math.prod(shape)].reshape(shape)
+
+
+def _tree(d, axis, levels, p):
+    """Level-wise pairwise product of the maps along axis 2 or 3 of d.
+    The levels are written into the two flat buffers of levels in turn,
+    with scratch from the flat buffer p; an odd last map is copied up."""
     at = (slice(None),) * axis
     while d.shape[axis] > 1:
         m = d.shape[axis]
-        even = m - m % 2
-        merged = _merge(d[at + (slice(1, even, 2),)], d[at + (slice(0, even, 2),)])
-        if m != even:
-            merged = np.concatenate([merged, d[at + (slice(-1, None),)]], axis=axis)
-        d = merged
+        half = m // 2
+        shape = list(d.shape)
+        shape[axis] = m - half
+        out = _carve(levels[0], tuple(shape))
+        levels = levels[::-1]
+        top = out[at + (slice(0, half),)]
+        _merge(d[at + (slice(1, 2 * half, 2),)], d[at + (slice(0, 2 * half, 2),)],
+               top, _carve(p, top.shape), top)
+        if m % 2:
+            out[at + (-1,)] = d[at + (-1,)]
+        d = out
     return d[at + (0,)]
 
 
@@ -213,45 +251,98 @@ def _rk4(beta_at, t0, t1, steps: int, width: int) -> np.ndarray:
     arrays) for a batch of width columns each, as a (2, 2, g * width) array
     with the columns of each interval together.
 
-    beta_at maps the (rows, g) taus of _grid to (rows, g * width) betas.
-    Full blocks are pushed on a stack whose equal-sized neighbours merge at
-    once, and what is left is merged from right to left: together this is
-    the level-wise tree over all steps, whatever the block size.  The stack
-    merges write into the earlier product, with two scratch arrays.  A block
-    samples beta from its first midpoint on; its first node is the previous
-    block's last row.
+    beta_at(taus, out) writes beta at the (rows, g) taus into the
+    (rows, g, width) view out, and may overwrite taus.  The steps run in
+    blocks: each samples beta at its nodes, then its midpoints (a later
+    block takes its first node from the previous block's last), into rows
+    laid out along the block's longer axis, builds the maps and multiplies
+    them in a tree.  Full blocks are pushed on a stack whose equal-sized
+    neighbours merge at once, and what is left is merged from right to
+    left: together this is the level-wise tree over all steps, whatever
+    the block size.  Every array a block touches is a view into one
+    workspace (_workspace): the beta rows, whose space the odd tree levels
+    reuse, the maps, whose space the even levels reuse, a scratch space
+    for the grid and the merge products, and the stack with two scratch
+    maps for its merges.
     """
     g = np.size(t0)
+    w = g * width
     h = (t1 - t0) / steps
+    dt = (t1 - t0) / (2 * steps)  # the grid step of np.linspace(t0, t1, 2 * steps + 1)
     if np.ndim(h):
         h = np.repeat(h, width)
     h2 = h * h
     k = (h, h2 * h2 / 24.0, h2 / 6.0, h2 / 3.0, h2 * h / 6.0, h2 * h / 12.0, h / 6.0, 2.0 * h / 3.0)
-    block = 1 << (max(_BLOCK_ELEMENTS // max(g * width, 1), 1).bit_length() - 1)
-    stack = []  # (steps covered, delta product)
-    scratch = (np.empty((2, 2, g * width)), np.empty((2, 2, g * width)))
-    last = None  # beta at the previous block's end
-    for s0 in range(0, steps, block):
-        s1 = min(s0 + block, steps)
-        b = beta_at(_grid(t0, t1, steps, 2 * s0 + (s0 > 0), 2 * s1 + 1))
-        if s0:
-            b = np.concatenate([last, b])
-        last = b[-1:].copy()
-        d = _tree(*_step_deltas(b, k))
-        del b  # free the samples before the next block takes its own
-        n = s1 - s0
-        while stack and stack[-1][0] == n:
-            n *= 2
-            earlier = stack.pop()[1]
-            d = _merge(d, earlier, earlier, *scratch)
-        stack.append((n, d))
-    d = stack.pop()[1]
-    while stack:
-        earlier = stack.pop()[1]
-        d = _merge(d, earlier, earlier, *scratch)
-    d[0, 0] += 1.0
-    d[1, 1] += 1.0
-    return d
+    # steps per block: a power of 2 within the budget and half of it
+    n = min(1 << (max(_BLOCK_ELEMENTS // max(w, 2), 1).bit_length() - 1), steps)
+    rows = 2 * n + 1
+    depth = (steps // n).bit_length() + 1  # most stack entries at once
+    ends = list(itertools.accumulate(
+        ((rows + 1) * w, 4 * n * w, max(2 * n * w, rows * (g + 1)), (depth + 2) * 4 * w)))
+    ws = _workspace(ends[-1])
+    beta_space, map_space, scratch = (ws[a:b] for a, b in zip([0] + ends, ends[:-1]))
+    stack = _carve(ws[ends[2]:], (depth + 2, 2, 2, w))
+    merge_scratch = stack[-2:]
+    counts = []  # steps covered by each stack entry; entry i is stack[i]
+    index = np.arange(n + 1.0)
+    last = np.empty(w)  # beta at the previous block's last node
+    for s0 in range(0, steps, n):
+        m = min(n, steps - s0)
+        first = 1 if s0 else 0
+        steps_last = 2 * m + 1 > w
+        b = _carve(beta_space, (2 * m + 1, w), steps_last)
+        e = _carve(map_space, (2, 2, m, w), steps_last)
+        # grid rows 2 (s0 + j): the nodes, then 2 (s0 + j) + 1: the midpoints
+        nodes = m + 1 - first
+        j = scratch[:2 * m + 1 - first]
+        np.add(index[first:m + 1], s0, out=j[:nodes])
+        np.add(index[:m], s0 + 0.5, out=j[nodes:])
+        j *= 2.0
+        taus = _carve(scratch[j.size:], (j.size, g), steps_last)
+        np.multiply(j[:, None], dt, out=taus)
+        taus += t0
+        if s0 + m == steps:
+            taus[nodes - 1] = t1
+        beta_at(taus, b[first:].reshape(j.size, g, width))
+        if first:
+            b[0] = last
+        last[...] = b[m]
+        _step_deltas(b, k, e)
+        d = _tree(e.swapaxes(2, 3) if steps_last else e, 2 + steps_last,
+                  (beta_space, map_space), scratch)
+        size = m
+        while counts and counts[-1] == size:
+            size *= 2
+            counts.pop()
+            d = _merge(d, stack[len(counts)], stack[len(counts)], *merge_scratch)
+        if size == m:
+            stack[len(counts)] = d
+        counts.append(size)
+    d = stack[len(counts) - 1]
+    for i in range(len(counts) - 2, -1, -1):
+        d = _merge(d, stack[i], stack[i], *merge_scratch)
+    u = d.copy()
+    u[0, 0] += 1.0
+    u[1, 1] += 1.0
+    if ws.size == 10 * _BLOCK_ELEMENTS:
+        _kept[:] = [ws]
+    return u
+
+
+def _sampler(profile: BetaProfile):
+    """beta_at for _rk4 that copies in the samples of profile.beta_array.
+    It asks for them in pieces contiguous in memory, whole rows of taus or,
+    laid out steps last, whole intervals, of about _BLOCK_ELEMENTS samples,
+    so that the temporaries of a costly profile stay small whatever the
+    block."""
+    def beta_at(taus, rows):
+        rows = rows[..., 0]
+        if not taus.flags.c_contiguous:
+            taus, rows = taus.T, rows.T
+        step = _BLOCK_ELEMENTS // taus.shape[1] + 1
+        for r in range(0, len(taus), step):
+            rows[r:r + step] = profile.beta_array(taus[r:r + step])
+    return beta_at
 
 
 def _finite(u, t0, t1):
@@ -287,12 +378,12 @@ def _one_period(beta_at, t0, t1, steps: int, width: int, out=None) -> np.ndarray
     ceil(steps * length / (t1 - t0)) steps, at least 1, so h never exceeds
     (t1 - t0) / steps; a zero-length V is one step of h = 0, the identity.
     Pieces of equal step count run as one engine batch when their columns
-    fit the element budget together.  beta_at is as for _rk4.
+    fit half the element budget together.  beta_at is as for _rk4.
     """
     c = math.pi * math.floor(t0 / math.pi)
     ends = np.array([c, t0, c + math.pi])
     counts = [max(math.ceil(steps * ((b - a) / (t1 - t0))), 1) for a, b in zip(ends, ends[1:])]
-    if counts[0] == counts[1] and 2 * width <= _BLOCK_ELEMENTS:
+    if counts[0] == counts[1] and 2 * width <= _BLOCK_ELEMENTS // 2:
         vw = _rk4(beta_at, ends[:2], ends[1:], counts[0], width)
         v, w = vw[..., :width], vw[..., width:]
     else:
@@ -340,7 +431,7 @@ def integrate(
     if isinstance(profile, MathieuBeta):
         u = mathieu_batch(profile.beta0, profile.beta1, tau0, tau1, cfg.steps)
     else:
-        u = _finite(_rk4(profile.beta_array, tau0, tau1, cfg.steps, 1), tau0, tau1).ravel()
+        u = _finite(_rk4(_sampler(profile), tau0, tau1, cfg.steps, 1), tau0, tau1).ravel()
     return _check_det(u, cfg, f"integrate over [{tau0}, {tau1}]")
 
 
@@ -525,7 +616,7 @@ def _rk4_segments(profile: BetaProfile, taus: list, cfg: IntegratorConfig) -> li
     entries = np.empty((4, lo.size))
     for n in np.unique(counts):
         idx = np.flatnonzero(counts == n)
-        entries[:, idx] = _rk4(profile.beta_array, lo[idx], hi[idx], int(n), 1).reshape(4, -1)
+        entries[:, idx] = _rk4(_sampler(profile), lo[idx], hi[idx], int(n), 1).reshape(4, -1)
     _finite(entries, lo, hi)
     return [
         _check_det(e, cfg, f"integrate over [{a}, {b}]")
@@ -538,14 +629,16 @@ def mathieu_batch(beta0, beta1, tau0: float, tau1: float, steps: int = DEFAULT_C
     """RK4 evolution entries for many (beta0, beta1) pairs at once.
 
     beta = beta0 + 2 beta1 cos(tau), sampled with MathieuBeta.beta_array's
-    arithmetic.  The pairs are the batch axis of the step-map engine, run
-    in chunks of at most _BLOCK_ELEMENTS pairs, so memory stays bounded for
-    any batch; a pair's entries do not depend on the batch size, bit for
-    bit.  This is where a one-period interval, tau1 - tau0 = 2pi, is
-    integrated from half a period by reflection (_one_period); any other
-    interval is the direct run at h = (tau1 - tau0) / steps.  integrate
-    runs its Mathieu profiles through here.  Entries that overflow over a
-    finite interval raise OverflowError (_finite).
+    arithmetic: 2 beta1 cos(tau) is written into the engine's workspace and
+    beta0 added, the same sum.  The pairs are the batch axis of the step-map
+    engine, run in chunks of at most _BLOCK_ELEMENTS // 2 pairs, so memory
+    stays bounded for any batch; a pair's entries do not depend on the
+    batch size, bit for bit.  This is where a one-period interval, tau1 -
+    tau0 = 2pi, is integrated from half a period by reflection
+    (_one_period); any other interval is the direct run at h = (tau1 -
+    tau0) / steps.  integrate runs its Mathieu profiles through here.
+    Entries that overflow over a finite interval raise OverflowError
+    (_finite).
 
     Returns four arrays (u11, u12, u21, u22) of the broadcast input shape.
     """
@@ -556,12 +649,15 @@ def mathieu_batch(beta0, beta1, tau0: float, tau1: float, steps: int = DEFAULT_C
     two_beta1 = 2.0 * np.broadcast_to(beta1, shape).ravel()
     reflect = tau1 - tau0 == 2.0 * math.pi
     out = np.empty((2, 2, beta0.size))
-    for c0 in range(0, beta0.size, _BLOCK_ELEMENTS):
-        c = slice(c0, c0 + _BLOCK_ELEMENTS)
+    chunk = max(_BLOCK_ELEMENTS // 2, 1)
+    for c0 in range(0, beta0.size, chunk):
+        c = slice(c0, c0 + chunk)
         b0, tb1 = beta0[c], two_beta1[c]
 
-        def beta_at(taus):
-            return (b0 + tb1 * np.cos(taus[..., None])).reshape(len(taus), -1)
+        def beta_at(taus, rows):
+            np.cos(taus, out=taus)
+            np.multiply(tb1, taus[..., None], out=rows)
+            rows += b0
 
         if reflect:
             _one_period(beta_at, tau0, tau1, steps, b0.size, out[..., c])

@@ -6,8 +6,9 @@ curves where u12 or u21 vanishes, and refines their intersection: the double
 zero where the matrix becomes diag(lambda, 1/lambda), a pure q-p squeeze.
 
 All node integrations go through evolution.mathieu_batch: a whole scan
-and each locus pass are one call, and a double-zero Newton step is one
-call for its four-node difference stencil plus one per line-search trial.
+and each locus pass are one call, and a double zero evaluates its seed
+and each full Newton step together with that point's four-node
+difference stencil, one call each, so n full steps take n + 1 calls.
 mathieu_batch chunks its own batch to bound memory, and its result for a
 node does not depend on the batch it runs in, so output is bit-identical
 run to run regardless of how the work is chunked or scheduled.  Zones
@@ -253,12 +254,20 @@ def find_double_zero(
     """Damped Newton root of (u12, u21) = (0, 0) from a zone III seed.
 
     The Jacobian is central finite differences with step DZ_FD_STEP in the
-    two parameters, its four nodes one batch; steps that increase the
-    residual are halved (up to 8 times) before being taken.  Stops once
-    max(|u12|, |u21|) <= DZ_TARGET, after at most DZ_MAX_ITER iterations.
-    Converges to machine-level zeros in a handful of iterations for seeds
-    inside the tongue.  Every node raises IntegrationError on determinant
-    drift beyond cfg.det_tol.
+    two parameters; steps that do not decrease the residual are halved (up
+    to 8 times) before being taken.  Stops once max(|u12|, |u21|) <=
+    DZ_TARGET, after at most DZ_MAX_ITER iterations, each a residual check;
+    the seed's is the first.  Converges to machine-level zeros in a handful
+    of iterations for seeds inside the tongue.
+
+    The seed and each full step's trial run in one mathieu_batch call with
+    the four nodes of their own stencil, which the next step uses if the
+    trial is taken and the residual is still above DZ_TARGET: a double zero
+    whose steps are all full takes one call per iteration.  A halved trial
+    runs alone, and its stencil, if taken, in a call of its own.  A node
+    raises IntegrationError on determinant drift beyond cfg.det_tol when
+    it is used: the seed or a trial at once, a stencil's four nodes in
+    order when the Jacobian needs them, never a stencil that goes unused.
     """
     if tau1 < tau0:
         raise ValueError(f"need tau1 >= tau0, got [{tau0}, {tau1}]")
@@ -266,12 +275,23 @@ def find_double_zero(
     if not (math.isfinite(b0) and math.isfinite(b1)):
         raise ValueError(f"double-zero seed must be finite, got ({b0}, {b1})")
     cfg.check_steps(cfg.steps)
+    h = DZ_FD_STEP
 
-    def entries(x0, x1):
-        cols = _gated_batch(x0, x1, tau0, tau1, cfg, "double-zero")
-        return [SymplecticMatrix2(*map(float, e)) for e in zip(*cols)]
+    def stencil(x0, x1):
+        return [(x0 + h, x1), (x0 - h, x1), (x0, x1 + h), (x0, x1 - h)]
 
-    (u,) = entries([b0], [b1])
+    def evaluate(nodes):
+        x0, x1 = (list(x) for x in zip(*nodes))
+        cols = evolution.mathieu_batch(x0, x1, tau0, tau1, cfg.steps)
+        return [(a, b, e) for a, b, e in zip(x0, x1, zip(*cols))]
+
+    def gated(node):
+        x0, x1, e = node
+        return evolution._check_det(e, cfg, f"double-zero node ({x0}, {x1})")
+
+    # a point runs with its stencil, which is gated only once Newton uses it
+    node, *around = evaluate([(b0, b1)] + stencil(b0, b1))
+    u = gated(node)
     zone = ZONES[evolution.zone_codes(u.trace)]
     if zone != "III":
         raise ConvergenceError(
@@ -285,8 +305,7 @@ def find_double_zero(
     for it in range(1, DZ_MAX_ITER + 1):
         if resid(u) <= DZ_TARGET:
             break
-        h = DZ_FD_STEP
-        up0, um0, up1, um1 = entries([b0 + h, b0 - h, b0, b0], [b1, b1, b1 + h, b1 - h])
+        up0, um0, up1, um1 = map(gated, around or evaluate(stencil(b0, b1)))
         jac = np.array([
             [(up0.u12 - um0.u12), (up1.u12 - um1.u12)],
             [(up0.u21 - um0.u21), (up1.u21 - um1.u21)],
@@ -297,7 +316,8 @@ def find_double_zero(
             raise ConvergenceError(f"singular Jacobian at ({b0}, {b1})") from exc
         for k in range(9):
             x0, x1 = b0 + 0.5**k * step[0], b1 + 0.5**k * step[1]
-            (cand,) = entries([x0], [x1])
+            node, *trial_around = evaluate([(x0, x1)] + (stencil(x0, x1) if k == 0 else []))
+            cand = gated(node)
             if resid(cand) < resid(u):
                 break
         else:
@@ -305,7 +325,7 @@ def find_double_zero(
                 f"no residual decrease at ({b0}, {b1}); last residual "
                 f"{resid(u):.3e}"
             )
-        b0, b1, u = x0, x1, cand
+        b0, b1, u, around = x0, x1, cand, trial_around
     if resid(u) > 1e-6:
         raise ConvergenceError(
             f"did not reach |u12|,|u21| <= 1e-06 in {DZ_MAX_ITER} iterations; "

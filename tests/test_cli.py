@@ -323,6 +323,19 @@ def test_design_singular_theta_zero_is_validation_failure(capsys, b, beta0):
     assert "numerical failure" not in captured.err
 
 
+@pytest.mark.parametrize("command", ["evolve", "shadow"])
+def test_profile_with_singular_theta_zeros_is_validation_failure(capsys, command):
+    # theta of b = 0.3 vanishes at +-0.748 and +-1.226 with slopes -1.40 and
+    # 1.24; no sample lands on them, yet the profile is rejected as design does
+    profile = '{"kind": "theta", "b": 0.3, "beta0": 0}'
+    code = main([command, "--profile", profile, "--from=-pi/2", "--to=pi/2", "--steps", "2000"])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("validation error: theta vanishes at tau = -1.22596")
+    assert "determinant drift" not in captured.err
+
+
 def test_design_two_stage_chain(capsys):
     """Chained 5/3 then 184/95 stages land on the negative-diagonal total."""
     out = run_json(capsys, [

@@ -374,6 +374,45 @@ def test_ansatz_sampled_at_an_off_origin_zero_is_singular():
         ThetaDerivedBeta(a).beta(zero.tau)
 
 
+@pytest.mark.parametrize("b,beta0", [
+    (0.3, 0.0), (0.01, 0.2), (2.0, 100.0), (1.7, 0.2), (2.9, 0.37)])
+def test_side_zeros_match_validate_lemma(b, beta0):
+    # the closed form's zeros in (0, pi/2] and their slopes, against the
+    # sign-change scan of validate_lemma, whose other zeros are 0 and -tau
+    a = ThetaAnsatz.from_targets(b, beta0)
+    scanned = [(z.tau, z.theta_prime) for z in validate_lemma(a).theta_zeros if z.tau > 0]
+    assert len(a.side_zeros) == len(scanned)
+    for (tau, slope), (want_tau, want_slope) in zip(a.side_zeros, scanned):
+        assert tau == pytest.approx(want_tau, abs=1e-12)
+        assert slope == pytest.approx(want_slope, abs=1e-9)
+
+
+@pytest.mark.parametrize("offset", [0.0, PI])
+def test_profile_with_a_singular_side_zero_raises_wherever_it_is_sampled(offset):
+    # no sample need fall near the zeros: beta between them is finite but
+    # huge, so a profile rejects the ansatz on any sampling, not on creation
+    a = ThetaAnsatz.from_targets(0.3, 0.0)
+    (_, slope_in), (tau, slope_out) = a.side_zeros
+    assert tau == pytest.approx(1.22596, abs=1e-5)
+    assert slope_in == pytest.approx(-1.4018, abs=1e-4)
+    assert slope_out == pytest.approx(1.2379, abs=1e-4)
+    prof = ThetaDerivedBeta(a, offset=offset)
+    with pytest.raises(SingularityError, match=f"tau = {offset - tau!r} and {offset + tau!r}"):
+        prof.beta_array(np.array([offset + 0.1, offset + 0.2]))
+    with pytest.raises(SingularityError):
+        prof.beta(offset)
+    # the sampler's own check at the zero stays
+    with pytest.raises(SingularityError):
+        beta_from_theta(a, np.array([0.0, -tau]))
+
+
+def test_bench_range_ansatzes_have_no_side_zeros():
+    # the designs of the benchmark's range sample exactly as before
+    for b in np.linspace(0.6, 3.0, 25):
+        for beta0 in np.linspace(0.0, 0.4, 9):
+            assert ThetaAnsatz.from_targets(float(b), float(beta0)).side_zeros == ()
+
+
 # ---------------------------------------------------------------------------
 # lemma validation
 

@@ -1,6 +1,8 @@
 """Integrators, monodromy, zone classification."""
 
+import concurrent.futures
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -391,6 +393,25 @@ def test_integrate_path_equals_composed_segments(points):
 # batched Mathieu kernel
 
 
+@pytest.fixture
+def poisoned_workspace(monkeypatch):
+    """Fill every engine workspace with NaN before its run, so that a run
+    reading a value it did not write cannot match bit for bit; the kept
+    workspace is reused with these stale values.  Returns the sizes asked
+    for."""
+    sizes = []
+    real = evolution._workspace
+
+    def poisoned(size):
+        ws = real(size)
+        ws.fill(np.nan)
+        sizes.append(size)
+        return ws
+
+    monkeypatch.setattr(evolution, "_workspace", poisoned)
+    return sizes
+
+
 def test_mathieu_batch_matches_scalar():
     b0 = np.array([1.054, 1.217, 1.577, 1.774])
     b1 = np.array([0.646, 0.844, 1.231, 1.454])
@@ -410,7 +431,7 @@ def test_mathieu_batch_det():
     assert np.max(np.abs(dets - 1.0)) < 1e-9
 
 
-def test_mathieu_batch_independent_of_batch_and_block_size(monkeypatch):
+def test_mathieu_batch_independent_of_batch_and_block_size(monkeypatch, poisoned_workspace):
     # the product tree depends only on the step count: a node gives the same
     # bits alone, inside a 4096-wide batch, and under any block budget
     rng = np.random.default_rng(4096)
@@ -435,33 +456,85 @@ def test_mathieu_batch_independent_of_batch_and_block_size(monkeypatch):
         chunked = mathieu_batch(b0[:11], b1[:11], PI / 2, tau1, steps=steps)
         assert [[float(e[k]) for e in chunked] for k in range(11)] == [
             [float(e) for e in a] for a in alone]
+    assert poisoned_workspace
 
 
-@pytest.mark.parametrize("nodes,block,axis", [(160, (17, 320), 2), (8, (513, 16), 3)])
+@pytest.mark.parametrize("nodes,block,axis", [(160, (2, 2, 16, 320), 2), (8, (2, 2, 16, 500), 3)])
 def test_block_layouts_match_single_nodes_at_default_budget(monkeypatch, nodes, block, axis):
     # refine's one-period batches at its 2000 steps and the default budget:
-    # 160 nodes run V and W as 8-step blocks of 320 columns, steps first;
-    # 8 nodes as 256-step blocks of 16 columns, steps last.  A node alone
+    # 160 nodes run V and W as 16-step blocks of 320 columns, steps first;
+    # 8 nodes as one 500-step block of 16 columns, steps last.  A node alone
     # runs 2 columns, steps last; every node matches its run alone
-    assert evolution._BLOCK_ELEMENTS == 4096
+    assert evolution._BLOCK_ELEMENTS == 8192
     rng = np.random.default_rng(nodes)
     b0 = rng.uniform(0.9, 1.9, size=nodes)
     b1 = rng.uniform(0.5, 1.6, size=nodes)
     layouts = set()
-    real = evolution._step_deltas
+    real = evolution._tree
 
-    def recorded(b, k):
-        d, steps_axis = real(b, k)
-        layouts.add((b.shape, steps_axis))
-        return d, steps_axis
+    def recorded(d, axis, *args):
+        layouts.add((d.shape, axis))
+        return real(d, axis, *args)
 
-    monkeypatch.setattr(evolution, "_step_deltas", recorded)
+    monkeypatch.setattr(evolution, "_tree", recorded)
     batch = mathieu_batch(b0, b1, PI / 2, 5 * PI / 2, steps=2000)
     assert (block, axis) in layouts
     assert all(a == axis for _, a in layouts)
     for k in range(nodes):
         alone = mathieu_batch(b0[k], b1[k], PI / 2, 5 * PI / 2, steps=2000)
         assert [float(e[k]) for e in batch] == [float(a) for a in alone]
+
+
+def test_workspace_is_kept_within_its_bound():
+    # runs within 10 doubles per budget element share one kept buffer of
+    # that size; a wider run gets a buffer of its own, which is not kept
+    mathieu_batch(1.2, 0.85, PI / 2, 5 * PI / 2, steps=2000)
+    (kept,) = evolution._kept
+    assert kept.size == 10 * evolution._BLOCK_ELEMENTS
+    mathieu_batch(np.full(160, 1.2), np.full(160, 0.85), PI / 2, 5 * PI / 2, steps=2000)
+    mathieu_batch(np.full(4096, 1.2), np.full(4096, 0.85), PI / 2, 5 * PI / 2, steps=40)
+    assert len(evolution._kept) == 1 and evolution._kept[0] is kept
+
+
+def test_threads_never_share_a_workspace():
+    # the kept workspace is module state: runs in threads, which numpy's
+    # ufuncs let overlap, each take their own and give every node its bits
+    rng = np.random.default_rng(7)
+    batches = [(rng.uniform(0.9, 1.9, n), rng.uniform(0.5, 1.6, n)) for n in (1, 5, 8, 160)] * 2
+    want = [mathieu_batch(b0, b1, PI / 2, 5 * PI / 2, steps=500) for b0, b1 in batches]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(mathieu_batch, b0, b1, PI / 2, 5 * PI / 2, 500)
+                       for _ in range(3) for b0, b1 in batches]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    for i, cols in enumerate(got):
+        assert all(np.array_equal(c, w) for c, w in zip(cols, want[i % len(batches)]))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux minor-fault counts")
+def test_narrow_batches_reuse_their_memory():
+    # every block's arrays are views into one kept workspace, so repeated
+    # narrow batches fault in no fresh pages; allocating them per block
+    # instead, at a budget of 16384, averaged about 660 faults per call
+    resource = pytest.importorskip("resource")
+    rng = np.random.default_rng(5)
+    batches = [(rng.uniform(0.9, 1.9, n), rng.uniform(0.5, 1.6, n)) for n in (1, 5, 8, 160)]
+
+    def run():
+        for b0, b1 in batches:
+            mathieu_batch(b0, b1, PI / 2, 5 * PI / 2, steps=2000)
+
+    run()
+    run()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        run()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / (20 * len(batches)) < 1.0
 
 
 @pytest.mark.parametrize("beta0,beta1,tau1", [
@@ -507,6 +580,11 @@ def test_mathieu_batch_matches_mpmath_reference():
     assert np.max(np.abs(got - np.array(ref))) <= 1.3e-13
 
 
+# half the default block budget, two budgets that send every merge through
+# the block stack, and the default
+BUDGETS = [evolution._BLOCK_ELEMENTS // 2, 1, 4, evolution._BLOCK_ELEMENTS]
+
+
 def _reference_rk4(profile, tau0, tau1, steps):
     """The engine's algorithm in plain Python: RK4 step maps in delta form
     from profile.beta_array samples on the linspace node/midpoint grid,
@@ -544,9 +622,9 @@ def _reference_rk4(profile, tau0, tau1, steps):
     return (d11 + 1.0, d12, d21, d22 + 1.0)
 
 
-@pytest.mark.parametrize("budget", [evolution._BLOCK_ELEMENTS, 1, 4])
+@pytest.mark.parametrize("budget", BUDGETS)
 @pytest.mark.parametrize("steps", [1, 2, 3, 5, 17])
-def test_integrate_matches_plain_python_tree(monkeypatch, steps, budget):
+def test_integrate_matches_plain_python_tree(monkeypatch, poisoned_workspace, steps, budget):
     # bit for bit: the engine's arrays, block stack and in-place merges are
     # the plain level-wise tree over the same beta samples; small block
     # budgets send every merge through the stack.  The interval is not one
@@ -556,6 +634,7 @@ def test_integrate_matches_plain_python_tree(monkeypatch, steps, budget):
     cfg = IntegratorConfig(steps=steps, det_tol=math.inf)
     u = integrate(profile, 0.25, 6.0, cfg)
     assert (u.u11, u.u12, u.u21, u.u22) == _reference_rk4(profile, 0.25, 6.0, steps)
+    assert poisoned_workspace
 
 
 def _reference_one_period(profile, tau0, steps):
@@ -584,10 +663,11 @@ ONE_PERIOD = [("pi/2", "5pi/2"), ("0", "2pi"), ("pi/4", "9pi/4"),
               ("-pi/2", "3pi/2"), ("3pi/2", "7pi/2")]
 
 
-@pytest.mark.parametrize("budget", [evolution._BLOCK_ELEMENTS, 1, 4])
+@pytest.mark.parametrize("budget", BUDGETS)
 @pytest.mark.parametrize("steps", [1, 3, 17, 40])
 @pytest.mark.parametrize("interval", ONE_PERIOD)
-def test_one_period_matches_plain_python_reflection(monkeypatch, interval, steps, budget):
+def test_one_period_matches_plain_python_reflection(monkeypatch, poisoned_workspace, interval,
+                                                   steps, budget):
     # bit for bit, through integrate and a batch: the two half-period pieces
     # are the plain tree, composed by the reflection formula; the budgets run
     # the pieces as one engine batch or as two, in one block or in several
@@ -600,6 +680,7 @@ def test_one_period_matches_plain_python_reflection(monkeypatch, interval, steps
     assert (u.u11, u.u12, u.u21, u.u22) == want
     batch = mathieu_batch([1.9, 1.217, 0.5], [1.6, 0.844, 0.1], tau0, tau1, steps)
     assert tuple(float(e[1]) for e in batch) == want
+    assert poisoned_workspace
 
 
 @pytest.mark.parametrize("interval", ONE_PERIOD[1:])
@@ -612,8 +693,8 @@ def test_one_period_agrees_with_direct_run(interval):
     b1 = np.concatenate([[m[1] for m in MPMATH_MATRICES], rng.uniform(0.1, 1.6, 12)])
     got = np.array(mathieu_batch(b0, b1, tau0, tau1))
 
-    def beta_at(taus):
-        return (b0 + 2.0 * b1 * np.cos(taus[..., None])).reshape(len(taus), -1)
+    def beta_at(taus, out):
+        out[...] = b0 + 2.0 * b1 * np.cos(taus[..., None])
 
     direct = evolution._rk4(beta_at, tau0, tau1, DEFAULT_CONFIG.steps, b0.size).reshape(4, -1)
     assert np.max(np.abs(got - direct)) <= 1e-12

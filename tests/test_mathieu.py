@@ -2,11 +2,13 @@
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
 
 from softsqueeze import evolution, mathieu
+from softsqueeze.cli import main
 from softsqueeze.evolution import ZONES, IntegrationError, IntegratorConfig, classify, integrate
 from softsqueeze.core import MathieuBeta, rotation_matrix
 from softsqueeze.mathieu import (
@@ -226,9 +228,9 @@ def _bisection_locus(rect, entry, cfg):
     return b0, mid, lam
 
 
-def _count_batches(monkeypatch, nan_at=None):
+def _count_batches(monkeypatch, nan_at=None, node=0):
     """Count evolution.mathieu_batch calls; call number nan_at (0 is the
-    scan) returns NaN entries at its first node."""
+    first) returns NaN entries at the given node."""
     calls = []
     real = evolution.mathieu_batch
 
@@ -236,7 +238,7 @@ def _count_batches(monkeypatch, nan_at=None):
         cols = real(*args, **kwargs)
         if len(calls) == nan_at:
             for c in cols:
-                c[0] = np.nan
+                c[node] = np.nan
         calls.append(np.size(args[0]))
         return cols
 
@@ -302,6 +304,46 @@ def test_find_double_zero_from_documented_seed(double_zero):
 def test_find_double_zero_location_regression(double_zero):
     assert double_zero.beta0 == pytest.approx(1.2294897861, abs=1e-6)
     assert double_zero.beta1 == pytest.approx(0.8357090045, abs=1e-6)
+
+
+DZ_SEED = (1.2, 0.85)  # in the refine benchmark's box of Newton starts
+
+
+def test_find_double_zero_runs_each_point_with_its_stencil(monkeypatch):
+    # the seed, then each full Newton step's trial, in one batch with its
+    # four difference nodes: one call per residual check
+    calls = _count_batches(monkeypatch)
+    res = find_double_zero(DZ_SEED, REFINE_CFG)
+    assert res.iterations == 4
+    assert calls == [5] * res.iterations
+
+
+@pytest.mark.parametrize("used", [False, True])
+def test_find_double_zero_gates_a_stencil_node_only_when_used(monkeypatch, capsys, used):
+    # a NaN stencil node of the last trial, which met DZ_TARGET, changes
+    # nothing; the same node of the seed's stencil fails the gate as a
+    # node of its own batch did
+    argv = ["scan", "--double-zero", "--seed", "1.2,0.85", "--steps", "2000"]
+    want = find_double_zero(DZ_SEED, REFINE_CFG)
+    assert main(argv) == 0
+    want_out = capsys.readouterr().out
+    calls = _count_batches(monkeypatch)
+    find_double_zero(DZ_SEED, REFINE_CFG)
+    nan_at = 0 if used else len(calls) - 1
+    if used:
+        message = f"double-zero node ({1.2 + 1e-6}, 0.85): determinant drift nan"
+        _count_batches(monkeypatch, nan_at, node=1)
+        with pytest.raises(IntegrationError, match=re.escape(message)):
+            find_double_zero(DZ_SEED, REFINE_CFG)
+        _count_batches(monkeypatch, nan_at, node=1)
+        assert main(argv) == 3
+        assert f"numerical failure: {message}" in capsys.readouterr().err
+    else:
+        _count_batches(monkeypatch, nan_at, node=1)
+        assert find_double_zero(DZ_SEED, REFINE_CFG) == want
+        _count_batches(monkeypatch, nan_at, node=1)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want_out
 
 
 def test_find_double_zero_rejects_stable_seed():
