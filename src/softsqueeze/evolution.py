@@ -33,11 +33,10 @@ batch into chunks of that many nodes.  So memory is bounded for any step
 count.  Every array of a block is a view into one flat workspace, filled
 with out= arithmetic in the order of the formulas: the beta rows, the
 maps, the tree's levels in two spaces taken in turn, scratch and the block
-stack.  A run within 10 doubles per budget element reuses the one kept
-workspace of that size, so the narrow batches of root finding allocate
-nothing per block and fault no pages in; a wider run gets a workspace of
-its own.  The tree's shape depends only on the step count, never on the
-block size, the block's layout or the batch width, so a node's result is
+stack.  A run takes one fresh workspace of about 8 doubles per budget
+element plus the stack, so no block allocates anything.  The tree's
+shape depends only on the step count, never on the block size, the
+block's layout or the batch width, so a node's result is
 bit-identical alone or inside any batch, and run to run.  Determinant
 drift is checked after every run and never silently corrected.  A run
 over a finite interval whose entries overflow a float raises
@@ -140,22 +139,11 @@ class ZoneReport:
 # it (see the module docstring).
 _BLOCK_ELEMENTS = 8192
 
-_kept = []  # the engine's workspace between runs, see _workspace
-
 
 def _workspace(size: int) -> np.ndarray:
-    """A flat buffer of at least size doubles for one run of _rk4.  A run
-    within 10 doubles per budget element takes the one kept buffer of that
-    size (a fresh one while another run holds it, or after the budget
-    changed); a larger run gets a buffer of its own, which is not kept."""
-    cap = 10 * _BLOCK_ELEMENTS
-    if size > cap:
-        return np.empty(size)
-    try:
-        ws = _kept.pop()  # one step, so two threads never share it
-    except IndexError:
-        ws = None
-    return ws if ws is not None and ws.size == cap else np.empty(cap)
+    """The flat buffer of size doubles that one run of _rk4 carves its
+    arrays from."""
+    return np.empty(size)
 
 
 def _step_deltas(b, k, e):
@@ -324,8 +312,6 @@ def _rk4(beta_at, t0, t1, steps: int, width: int) -> np.ndarray:
     u = d.copy()
     u[0, 0] += 1.0
     u[1, 1] += 1.0
-    if ws.size == 10 * _BLOCK_ELEMENTS:
-        _kept[:] = [ws]
     return u
 
 

@@ -1,6 +1,5 @@
 """Integrators, monodromy, zone classification."""
 
-import concurrent.futures
 import math
 import sys
 
@@ -396,9 +395,8 @@ def test_integrate_path_equals_composed_segments(points):
 @pytest.fixture
 def poisoned_workspace(monkeypatch):
     """Fill every engine workspace with NaN before its run, so that a run
-    reading a value it did not write cannot match bit for bit; the kept
-    workspace is reused with these stale values.  Returns the sizes asked
-    for."""
+    reading a value it did not write cannot match bit for bit.  Returns
+    the sizes asked for."""
     sizes = []
     real = evolution._workspace
 
@@ -485,39 +483,9 @@ def test_block_layouts_match_single_nodes_at_default_budget(monkeypatch, nodes, 
         assert [float(e[k]) for e in batch] == [float(a) for a in alone]
 
 
-def test_workspace_is_kept_within_its_bound():
-    # runs within 10 doubles per budget element share one kept buffer of
-    # that size; a wider run gets a buffer of its own, which is not kept
-    mathieu_batch(1.2, 0.85, PI / 2, 5 * PI / 2, steps=2000)
-    (kept,) = evolution._kept
-    assert kept.size == 10 * evolution._BLOCK_ELEMENTS
-    mathieu_batch(np.full(160, 1.2), np.full(160, 0.85), PI / 2, 5 * PI / 2, steps=2000)
-    mathieu_batch(np.full(4096, 1.2), np.full(4096, 0.85), PI / 2, 5 * PI / 2, steps=40)
-    assert len(evolution._kept) == 1 and evolution._kept[0] is kept
-
-
-def test_threads_never_share_a_workspace():
-    # the kept workspace is module state: runs in threads, which numpy's
-    # ufuncs let overlap, each take their own and give every node its bits
-    rng = np.random.default_rng(7)
-    batches = [(rng.uniform(0.9, 1.9, n), rng.uniform(0.5, 1.6, n)) for n in (1, 5, 8, 160)] * 2
-    want = [mathieu_batch(b0, b1, PI / 2, 5 * PI / 2, steps=500) for b0, b1 in batches]
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(mathieu_batch, b0, b1, PI / 2, 5 * PI / 2, 500)
-                       for _ in range(3) for b0, b1 in batches]
-            got = [f.result(timeout=60) for f in futures]
-    finally:
-        sys.setswitchinterval(switch)
-    for i, cols in enumerate(got):
-        assert all(np.array_equal(c, w) for c, w in zip(cols, want[i % len(batches)]))
-
-
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux minor-fault counts")
 def test_narrow_batches_reuse_their_memory():
-    # every block's arrays are views into one kept workspace, so repeated
+    # every block's arrays are views into one workspace per run, so repeated
     # narrow batches fault in no fresh pages; allocating them per block
     # instead, at a budget of 16384, averaged about 660 faults per call
     resource = pytest.importorskip("resource")
