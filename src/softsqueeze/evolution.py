@@ -28,15 +28,17 @@ multiplies neighbours, later step on the left, and an odd last element is
 carried up.  The engine walks it in aligned blocks of 2^k steps, sized so
 that a block times the batch width stays within a fixed element budget
 (_BLOCK_ELEMENTS), and a block has at most half the budget in steps.  A
-run has at most half the budget in columns: mathieu_batch splits a wider
-batch into chunks of that many nodes.  So memory is bounded for any step
-count.  Every array of a block is a view into one flat workspace, filled
-with out= arithmetic in the order of the formulas: the beta rows, the
-maps, the tree's levels in two spaces taken in turn, scratch and the block
-stack.  A run takes one fresh workspace of about 8 doubles per budget
-element plus the stack, so no block allocates anything.  The tree's
-shape depends only on the step count, never on the block size, the
-block's layout or the batch width, so a node's result is
+run has at most the budget in columns, and mathieu_batch chunks and pairs
+its nodes so that no run is narrower than half the budget unless its
+batch is.  Every array of a block is a view into one flat workspace,
+filled with out= arithmetic in the order of the formulas: the beta rows,
+the maps, the tree's levels in two spaces taken in turn, scratch and the
+block stack, 4 doubles per column for each of at most bit_length(steps)
+levels.  A run of w columns, w at most the budget, takes one fresh
+workspace of at most 9 _BLOCK_ELEMENTS + 4 w (bit_length(steps) + 1)
+doubles, so memory is bounded for any step count and no block allocates
+anything.  The tree's shape depends only on the step count, never on the
+block size, the block's layout or the batch width, so a node's result is
 bit-identical alone or inside any batch, and run to run.  Determinant
 drift is checked after every run and never silently corrected.  A run
 over a finite interval whose entries overflow a float raises
@@ -132,11 +134,12 @@ class ZoneReport:
 # RK4 step-map engine
 
 # Step maps per block times columns.  Half of it bounds a block's steps,
-# which keeps a one-column run's beta_array calls at 8193 samples, and a
-# run's columns (the nodes of a mathieu_batch chunk), which keeps a wide
-# run's stack of block products, 4 doubles per column and level, within
-# 4096 columns.  Bounds the engine's working set; results do not depend on
-# it (see the module docstring).
+# which keeps a one-column run's beta_array calls at 8193 samples.  It also
+# bounds a run's columns, so a wide run's stack of block products, 4 doubles
+# per column and level, spans at most 8192 columns: a mathieu_batch chunk
+# has at most that many nodes, or half of it when its two half-period
+# pieces run together.  Bounds the engine's working set; results do not
+# depend on it (see the module docstring).
 _BLOCK_ELEMENTS = 8192
 
 
@@ -214,9 +217,11 @@ def _carve(buf, shape, steps_last=False):
 
 
 def _tree(d, axis, levels, p):
-    """Level-wise pairwise product of the maps along axis 2 or 3 of d.
-    The levels are written into the two flat buffers of levels in turn,
-    with scratch from the flat buffer p; an odd last map is copied up."""
+    """Level-wise pairwise product of the maps along axis 2 or 3 of d, and
+    the one of the two flat buffers of levels that does not hold it.  The
+    levels are written into those buffers in turn, d's own buffer being the
+    second, with scratch from the flat buffer p; an odd last map is copied
+    up."""
     at = (slice(None),) * axis
     while d.shape[axis] > 1:
         m = d.shape[axis]
@@ -231,7 +236,7 @@ def _tree(d, axis, levels, p):
         if m % 2:
             out[at + (-1,)] = d[at + (-1,)]
         d = out
-    return d[at + (0,)]
+    return d[at + (0,)], levels[0]
 
 
 def _rk4(beta_at, t0, t1, steps: int, width: int) -> np.ndarray:
@@ -250,27 +255,29 @@ def _rk4(beta_at, t0, t1, steps: int, width: int) -> np.ndarray:
     the block size.  Every array a block touches is a view into one
     workspace (_workspace): the beta rows, whose space the odd tree levels
     reuse, the maps, whose space the even levels reuse, a scratch space
-    for the grid and the merge products, and the stack with two scratch
-    maps for its merges.
+    for the grid and the merge products, and the stack.  The stack's
+    merges take their two scratch maps from the scratch space and from
+    the level space that does not hold the block's product.  h stays a
+    scalar when the g intervals share it.
     """
     g = np.size(t0)
     w = g * width
     h = (t1 - t0) / steps
     dt = (t1 - t0) / (2 * steps)  # the grid step of np.linspace(t0, t1, 2 * steps + 1)
     if np.ndim(h):
-        h = np.repeat(h, width)
+        h = h[0] if (h == h[0]).all() else np.repeat(h, width)
     h2 = h * h
     k = (h, h2 * h2 / 24.0, h2 / 6.0, h2 / 3.0, h2 * h / 6.0, h2 * h / 12.0, h / 6.0, 2.0 * h / 3.0)
     # steps per block: a power of 2 within the budget and half of it
     n = min(1 << (max(_BLOCK_ELEMENTS // max(w, 2), 1).bit_length() - 1), steps)
     rows = 2 * n + 1
-    depth = (steps // n).bit_length() + 1  # most stack entries at once
+    depth = (steps // n).bit_length() + (steps % n > 0)  # most stack entries at once
     ends = list(itertools.accumulate(
-        ((rows + 1) * w, 4 * n * w, max(2 * n * w, rows * (g + 1)), (depth + 2) * 4 * w)))
+        ((rows + 1) * w, 4 * n * w, max(2 * n * w, 4 * w, rows * (g + 1)), depth * 4 * w)))
     ws = _workspace(ends[-1])
     beta_space, map_space, scratch = (ws[a:b] for a, b in zip([0] + ends, ends[:-1]))
-    stack = _carve(ws[ends[2]:], (depth + 2, 2, 2, w))
-    merge_scratch = stack[-2:]
+    stack = _carve(ws[ends[2]:], (depth, 2, 2, w))
+    t = _carve(scratch, (2, 2, w))  # scratch of the stack's merges, with p
     counts = []  # steps covered by each stack entry; entry i is stack[i]
     index = np.arange(n + 1.0)
     last = np.empty(w)  # beta at the previous block's last node
@@ -296,19 +303,20 @@ def _rk4(beta_at, t0, t1, steps: int, width: int) -> np.ndarray:
             b[0] = last
         last[...] = b[m]
         _step_deltas(b, k, e)
-        d = _tree(e.swapaxes(2, 3) if steps_last else e, 2 + steps_last,
-                  (beta_space, map_space), scratch)
+        d, free = _tree(e.swapaxes(2, 3) if steps_last else e, 2 + steps_last,
+                        (beta_space, map_space), scratch)
+        p = _carve(free, (2, 2, w))
         size = m
         while counts and counts[-1] == size:
             size *= 2
             counts.pop()
-            d = _merge(d, stack[len(counts)], stack[len(counts)], *merge_scratch)
+            d = _merge(d, stack[len(counts)], stack[len(counts)], p, t)
         if size == m:
             stack[len(counts)] = d
         counts.append(size)
     d = stack[len(counts) - 1]
     for i in range(len(counts) - 2, -1, -1):
-        d = _merge(d, stack[i], stack[i], *merge_scratch)
+        d = _merge(d, stack[i], stack[i], p, t)
     u = d.copy()
     u[0, 0] += 1.0
     u[1, 1] += 1.0
@@ -363,13 +371,14 @@ def _one_period(beta_at, t0, t1, steps: int, width: int, out=None) -> np.ndarray
     u(t1, t0) = (V (D U^-1 D)) W.  Each piece takes
     ceil(steps * length / (t1 - t0)) steps, at least 1, so h never exceeds
     (t1 - t0) / steps; a zero-length V is one step of h = 0, the identity.
-    Pieces of equal step count run as one engine batch when their columns
-    fit half the element budget together.  beta_at is as for _rk4.
+    Pieces of equal step count run as one engine run, 2 width columns,
+    when those fit the element budget; else each runs width columns alone.
+    beta_at is as for _rk4.
     """
     c = math.pi * math.floor(t0 / math.pi)
     ends = np.array([c, t0, c + math.pi])
     counts = [max(math.ceil(steps * ((b - a) / (t1 - t0))), 1) for a, b in zip(ends, ends[1:])]
-    if counts[0] == counts[1] and 2 * width <= _BLOCK_ELEMENTS // 2:
+    if counts[0] == counts[1] and 2 * width <= _BLOCK_ELEMENTS:
         vw = _rk4(beta_at, ends[:2], ends[1:], counts[0], width)
         v, w = vw[..., :width], vw[..., width:]
     else:
@@ -617,14 +626,25 @@ def mathieu_batch(beta0, beta1, tau0: float, tau1: float, steps: int = DEFAULT_C
     beta = beta0 + 2 beta1 cos(tau), sampled with MathieuBeta.beta_array's
     arithmetic: 2 beta1 cos(tau) is written into the engine's workspace and
     beta0 added, the same sum.  The pairs are the batch axis of the step-map
-    engine, run in chunks of at most _BLOCK_ELEMENTS // 2 pairs, so memory
-    stays bounded for any batch; a pair's entries do not depend on the
-    batch size, bit for bit.  This is where a one-period interval, tau1 -
-    tau0 = 2pi, is integrated from half a period by reflection
-    (_one_period); any other interval is the direct run at h = (tau1 -
-    tau0) / steps.  integrate runs its Mathieu profiles through here.
-    Entries that overflow over a finite interval raise OverflowError
-    (_finite).
+    engine; a pair's entries do not depend on the batch size, bit for bit.
+    This is where a one-period interval, tau1 - tau0 = 2pi, is integrated
+    from half a period by reflection (_one_period); any other interval is
+    the direct run at h = (tau1 - tau0) / steps.  integrate runs its
+    Mathieu profiles through here.  Entries that overflow over a finite
+    interval raise OverflowError (_finite).
+
+    A batch of more than B = _BLOCK_ELEMENTS pairs runs in the fewest
+    chunks of at most B pairs, balanced to within one pair, so each has at
+    least B / 2.  A one-period chunk of at most B / 2 pairs runs its two
+    half-period pieces as one run of twice its width, a wider one as two
+    runs.  So every engine run has at most B columns, and at least B / 2
+    unless the batch has fewer pairs.  One run is alive at a time, and a
+    run of w columns at s steps takes a workspace of at most 9 B + 4 w
+    (bit_length(s) + 1) doubles; besides it a call holds at most 9 doubles
+    per column of its widest run, 18 if that run's two pieces differ in h,
+    and 7 per pair of the batch.  Over the default [pi/2, 5pi/2] at 20000
+    steps each piece takes 5000 steps, so a call of B pairs peaks under
+    81 B doubles, 5.3 MB at B = 8192.
 
     Returns four arrays (u11, u12, u21, u22) of the broadcast input shape.
     """
@@ -635,9 +655,9 @@ def mathieu_batch(beta0, beta1, tau0: float, tau1: float, steps: int = DEFAULT_C
     two_beta1 = 2.0 * np.broadcast_to(beta1, shape).ravel()
     reflect = tau1 - tau0 == 2.0 * math.pi
     out = np.empty((2, 2, beta0.size))
-    chunk = max(_BLOCK_ELEMENTS // 2, 1)
-    for c0 in range(0, beta0.size, chunk):
-        c = slice(c0, c0 + chunk)
+    chunks = -(-beta0.size // _BLOCK_ELEMENTS)  # the fewest of at most B pairs
+    edges = [beta0.size * i // max(chunks, 1) for i in range(chunks + 1)]
+    for c in itertools.starmap(slice, zip(edges, edges[1:])):
         b0, tb1 = beta0[c], two_beta1[c]
 
         def beta_at(taus, rows):

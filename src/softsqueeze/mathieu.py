@@ -160,8 +160,8 @@ def trace_locus(rect: ScanRect, entry: str,
     final bracket, at most LOCUS_XTOL wide; results are ordered by beta0
     (then beta1).  An empty list simply means the locus does not cross the
     rectangle.  Raises ConvergenceError if a bracket is still open after
-    LOCUS_MAX_ITER passes, and IntegrationError if a node fails the
-    determinant gate.
+    LOCUS_MAX_ITER passes, and IntegrationError if a node of a pass or of
+    the final batch fails the determinant gate.
     """
     if entry not in _ENTRY_INDEX:
         raise ValueError(f"entry must be 'u12' or 'u21', got {entry!r}")

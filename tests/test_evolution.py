@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -431,15 +432,18 @@ def test_mathieu_batch_det():
 
 def test_mathieu_batch_independent_of_batch_and_block_size(monkeypatch, poisoned_workspace):
     # the product tree depends only on the step count: a node gives the same
-    # bits alone, inside a 4096-wide batch, and under any block budget
+    # bits alone, inside a wide batch on either side of a chunk edge (8193
+    # nodes split at 4096, 10000 at 5000), and under any block budget
     rng = np.random.default_rng(4096)
-    b0 = rng.uniform(0.9, 1.9, size=4096)
-    b1 = rng.uniform(0.5, 1.6, size=4096)
+    b0 = rng.uniform(0.9, 1.9, size=10000)
+    b1 = rng.uniform(0.5, 1.6, size=10000)
     steps = 1001  # odd, so elements are carried up the tree
-    wide = mathieu_batch(b0, b1, PI / 2, 5 * PI / 2, steps=steps)
-    for k in (0, 1234, 4095):
-        alone = mathieu_batch(b0[k], b1[k], PI / 2, 5 * PI / 2, steps=steps)
-        assert [float(w[k]) for w in wide] == [float(a) for a in alone]
+    for size, nodes in ((10000, (0, 4999, 5000, 9999)), (8193, (4095, 4096, 8192)),
+                        (6400, (2303, 4095, 4096, 6399)), (4096, (0, 1234, 4095))):
+        wide = mathieu_batch(b0[:size], b1[:size], PI / 2, 5 * PI / 2, steps=steps)
+        for k in nodes:
+            alone = mathieu_batch(b0[k], b1[k], PI / 2, 5 * PI / 2, steps=steps)
+            assert [float(w[k]) for w in wide] == [float(a) for a in alone]
     for budget in (1, 64, 1 << 16):
         monkeypatch.setattr(evolution, "_BLOCK_ELEMENTS", budget)
         narrow = mathieu_batch(b0[:8], b1[:8], PI / 2, 5 * PI / 2, steps=steps)
@@ -455,6 +459,59 @@ def test_mathieu_batch_independent_of_batch_and_block_size(monkeypatch, poisoned
         assert [[float(e[k]) for e in chunked] for k in range(11)] == [
             [float(e) for e in a] for a in alone]
     assert poisoned_workspace
+
+
+def _run_widths(monkeypatch, nodes, tau1, steps=8):
+    """The column counts of the _rk4 runs of a mathieu_batch of nodes."""
+    widths = []
+    real = evolution._rk4
+
+    def recorded(beta_at, t0, t1, steps, width):
+        widths.append(np.size(t0) * width)
+        return real(beta_at, t0, t1, steps, width)
+
+    monkeypatch.setattr(evolution, "_rk4", recorded)
+    rng = np.random.default_rng(nodes)
+    mathieu_batch(rng.uniform(0.9, 1.9, nodes), rng.uniform(0.5, 1.6, nodes), PI / 2, tau1, steps)
+    return widths
+
+
+@pytest.mark.parametrize("nodes,one_period,direct", [
+    (6400, [6400] * 2, [6400]),       # an 80x80 scan: one chunk, V and W apart
+    (2500, [5000], [2500]),           # V and W as one run
+    (40000, [8000] * 10, [8000] * 5),
+    (8193, [8192, 4097, 4097], [4096, 4097]),  # chunks of 4096 and 4097
+    (4096, [8192], [4096]),
+])
+def test_run_widths_stay_within_half_the_budget_and_the_budget(monkeypatch, nodes, one_period,
+                                                                direct):
+    # no engine run is narrower than half the budget unless the batch is,
+    # and none is wider than the budget
+    budget = evolution._BLOCK_ELEMENTS
+    for tau1, expected in ((5 * PI / 2, one_period), (2.0, direct)):
+        widths = _run_widths(monkeypatch, nodes, tau1)
+        assert widths == expected
+        assert all(min(nodes, budget // 2) <= w <= budget for w in widths)
+
+
+def test_widest_chunk_stays_under_memory_bound():
+    # mathieu_batch's docstring: a run of w columns at s steps takes a
+    # workspace of at most 9 B + 4 w (bit_length(s) + 1) doubles, and a call
+    # holds besides it at most 9 doubles per column of its widest run and 7
+    # per pair.  B pairs over the default interval at 20000 steps run V and
+    # W apart, B columns of 5000 steps each
+    budget = evolution._BLOCK_ELEMENTS
+    rng = np.random.default_rng(budget)
+    b0 = rng.uniform(0.9, 1.9, budget)
+    b1 = rng.uniform(0.5, 1.6, budget)
+    bound = 8 * (9 * budget + 4 * budget * ((5000).bit_length() + 1) + 9 * budget + 7 * budget)
+    tracemalloc.start()
+    try:
+        mathieu_batch(b0, b1, PI / 2, 5 * PI / 2, steps=20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 @pytest.mark.parametrize("nodes,block,axis", [(160, (2, 2, 16, 320), 2), (8, (2, 2, 16, 500), 3)])
