@@ -24,9 +24,13 @@ ansatz's beta is its even Taylor series about its zero at tau = 0, through
 tau^6, for |tau| < SERIES_TAU (|theta| below about 1e-2; narrower for the
 large coefficients of extreme targets, see ThetaAnsatz.series_tau), with
 the coefficients computed once per ansatz and theta'(0) = 2 taken as exact.
-Elsewhere, and for a callable theta, the evaluator switches to the limit
-below |theta| = EPS_THETA and raises SingularityError where theta' is not
-+-2 there.
+Elsewhere the evaluator switches to the limit below |theta| = EPS_THETA and
+raises SingularityError where theta' is not +-2 there.
+
+With s = sin(tau) the multiple-angle formulas (DLMF 4.21(iv)) factor theta =
+s (A - B s^2 + C s^4) and theta' = cos(tau) (A - B' s^2 + C' s^4), A = a1 +
+3 a3 + 5 a5, so the zeros of both on [-pi/2, pi/2] come in closed form from
+two quadratics in s^2 (_unit_roots); no root search is needed.
 
 An ansatz is sampled with one sin and one cos of tau per sample; the 3 tau
 and 5 tau terms follow by angle addition (2 tau = tau + tau, then 3 tau =
@@ -36,10 +40,9 @@ and 5 tau terms follow by angle addition (2 tau = tau + tau, then 3 tau =
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -47,8 +50,8 @@ from .core import BetaProfile, CompositeBeta, ConstantBeta, SymplecticMatrix2
 from . import evolution
 from .evolution import DEFAULT_CONFIG, IntegratorConfig
 
-# |theta| below which the analytic limit is used: for a callable theta, and
-# for an ansatz's zeros outside the series window about tau = 0
+# |theta| below which the analytic limit is used, at the zeros of theta
+# outside the series window about tau = 0
 EPS_THETA = 1e-6
 # |tau| below which an ansatz's beta is its Taylor series about 0; just
 # outside, the regular formula's cancellation costs a few 1e-12
@@ -88,6 +91,11 @@ class ThetaAnsatz:
             self.a1 - self.a3 + self.a5 - self.b,
             -self.a1 + 9.0 * self.a3 - 25.0 * self.a5 + 2.0 / self.b + 2.0 * self.b * self.beta0,
         )
+
+    @property
+    def slope0(self) -> float:
+        """theta'(0) = a1 + 3 a3 + 5 a5, which the design fixes at 2."""
+        return self.a1 + 3.0 * self.a3 + 5.0 * self.a5
 
     @cached_property
     def beta_series(self) -> tuple:
@@ -140,20 +148,44 @@ class ThetaAnsatz:
         """(tau, theta'(tau)) at the zeros of theta in (0, pi/2]; theta is
         odd, so each -tau is a zero of the same slope.
 
-        With s = sin(tau) the multiple-angle formulas give theta =
-        s (A - B s^2 + C s^4), A = a1 + 3 a3 + 5 a5, B = 4 a3 + 20 a5 and
-        C = 16 a5, so these zeros are asin(sqrt x) for the roots x in (0, 1]
-        of A - B x + C x^2, taken in the form that does not cancel.
+        theta = s (A - B s^2 + C s^4) with s = sin(tau), A = slope0, B =
+        4 a3 + 20 a5 and C = 16 a5, so these zeros are asin(sqrt x) for the
+        roots x in (0, 1] of A - B x + C x^2.
         """
-        a = self.a1 + 3.0 * self.a3 + 5.0 * self.a5
-        b, c = 4.0 * self.a3 + 20.0 * self.a5, 16.0 * self.a5
-        disc = b * b - 4.0 * a * c
-        q = 0.5 * (b + math.copysign(math.sqrt(max(disc, 0.0)), b))
-        if disc < 0.0 or q == 0.0:
-            return ()
-        roots = {x for x in (q / c if c else 0.0, a / q) if 0.0 < x <= 1.0}
-        taus = sorted(math.asin(math.sqrt(x)) for x in roots)
+        xs = _unit_roots(self.slope0, 4.0 * self.a3 + 20.0 * self.a5, 16.0 * self.a5)
+        taus = [math.asin(math.sqrt(x)) for x in xs]
         return tuple((t, theta_eval(self, t, 1)) for t in taus)
+
+
+def _unit_roots(a: float, b: float, c: float) -> list:
+    """The roots x in (0, 1] of a - b x + c x^2, ascending and each once.
+
+    With q = (b + sign(b) sqrt(b^2 - 4 a c)) / 2 they are q/c and a/q,
+    the forms that do not cancel; c = 0 leaves the one root a/b.
+    """
+    disc = b * b - 4.0 * a * c
+    q = 0.5 * (b + math.copysign(math.sqrt(max(disc, 0.0)), b))
+    if disc < 0.0 or q == 0.0:
+        return []
+    return sorted({x for x in (q / c if c else 0.0, a / q) if 0.0 < x <= 1.0})
+
+
+def _mirrored(taus) -> list:
+    """taus and their negatives, ascending and each once (0.0 stays +0.0)."""
+    return sorted({u for t in taus for u in (t, -t)})
+
+
+def _check_slopes(zeros, offset: float = 0.0) -> None:
+    """Raise SingularityError at the first (tau, theta'(tau)) zero of theta
+    in zeros, tau >= 0, whose slope is not +-2 within SLOPE_GUARD; theta is
+    odd, so it vanishes at offset - tau and offset + tau."""
+    for z, slope in zeros:
+        if abs(abs(slope) - 2.0) > SLOPE_GUARD:
+            where = f"{offset - z!r} and {offset + z!r}" if z else f"{offset + z!r}"
+            raise SingularityError(
+                f"theta vanishes at tau = {where} with theta' = {slope:.6g}, "
+                "not +-2; beta is singular there"
+            )
 
 
 def _ansatz_derivs(ansatz: ThetaAnsatz, tau) -> tuple:
@@ -188,39 +220,23 @@ def theta_eval(ansatz: ThetaAnsatz, tau, order: int = 0):
     return _ansatz_derivs(ansatz, tau)[order]
 
 
-ThetaLike = Union[ThetaAnsatz, Callable[[float, int], float]]
+def beta_from_theta(ansatz: ThetaAnsatz, tau):
+    """Stiffness generated by an ansatz; switches to the series limit near
+    zeros of theta, and to its Taylor series within series_tau of tau = 0.
 
-
-def _theta_derivs(theta: ThetaLike, tau):
-    """(theta, theta', theta'', theta''') at tau.  For an ansatz the four
-    share one evaluation of the sines and cosines; a callable is asked once
-    per order and sample."""
-    if isinstance(theta, ThetaAnsatz):
-        return _ansatz_derivs(theta, tau)
-    t = np.asarray(tau, dtype=float)
-    if t.ndim == 0:
-        return tuple(float(theta(float(t), k)) for k in range(4))
-    return tuple(
-        np.array([theta(float(x), k) for x in t]) for k in range(4)
-    )
-
-
-def beta_from_theta(theta: ThetaLike, tau):
-    """Stiffness generated by theta; switches to the series limit near zeros,
-    and for an ansatz to its Taylor series within series_tau of tau = 0.
-
-    Raises SingularityError if theta vanishes with slope away from +-2.
+    Raises SingularityError if theta vanishes at a sample with slope away
+    from +-2, or if the Taylor series is used and theta'(0) is not +-2.
     """
     scalar = np.isscalar(tau) or getattr(tau, "ndim", 1) == 0
     t = np.atleast_1d(np.asarray(tau, dtype=float))
     th, th1, th2, th3 = (np.atleast_1d(np.asarray(x, dtype=float))
-                         for x in _theta_derivs(theta, tau))
+                         for x in _ansatz_derivs(ansatz, tau))
 
     small = np.abs(th) < EPS_THETA
     any_small = small.any()
     if any_small:
         if np.any(small & (np.abs(np.abs(th1) - 2.0) > SLOPE_GUARD)):
-            bad = t[small][0]
+            bad = float(t[small][0])
             raise SingularityError(
                 f"theta vanishes near tau = {bad!r} with theta' != +-2; "
                 "beta is singular there"
@@ -229,12 +245,13 @@ def beta_from_theta(theta: ThetaLike, tau):
     out = -th2 / (2.0 * th) + ((th1 / 2.0) ** 2 - 1.0) / th**2
     if any_small:
         out = np.where(small, -th1 * th3 / 16.0, out)
-    if isinstance(theta, ThetaAnsatz):
-        near = np.abs(t) < theta.series_tau
-        if near.any():
-            b0, b2, b4, b6 = theta.beta_series
-            x = t[near] ** 2
-            out[near] = b0 + x * (b2 + x * (b4 + x * b6))
+    near = np.abs(t) < ansatz.series_tau
+    if near.any():
+        # the series takes theta'(0) = 2 as exact
+        _check_slopes([(0.0, ansatz.slope0)])
+        b0, b2, b4, b6 = ansatz.beta_series
+        x = t[near] ** 2
+        out[near] = b0 + x * (b2 + x * (b4 + x * b6))
     if scalar:
         return float(out[0])
     return out
@@ -258,13 +275,10 @@ class ThetaDerivedBeta(BetaProfile):
         samples fall."""
         taus = np.asarray(taus, dtype=float)
         self._check_samples(taus)
-        for z, slope in self.ansatz.side_zeros[::-1]:  # outermost first
-            if abs(abs(slope) - 2.0) > SLOPE_GUARD:
-                raise SingularityError(
-                    f"theta vanishes at tau = {self.offset - z!r} and {self.offset + z!r} "
-                    f"with theta' = {slope:.6g}, not +-2; beta is singular there"
-                )
-        return beta_from_theta(self.ansatz, taus - self.offset)
+        a = self.ansatz
+        # outermost zero first
+        _check_slopes([*a.side_zeros[::-1], (0.0, a.slope0)], self.offset)
+        return beta_from_theta(a, taus - self.offset)
 
     def domain(self):
         return (-HALF_PI + self.offset, HALF_PI + self.offset)
@@ -277,7 +291,7 @@ class ThetaDerivedBeta(BetaProfile):
 
 
 # ---------------------------------------------------------------------------
-# Lemma-style validation of a general theta
+# Lemma-style validation of a designed stage
 
 
 @dataclass(frozen=True)
@@ -307,53 +321,35 @@ class LemmaReport:
         return not self.violations
 
 
-def validate_lemma(
-    theta: ThetaLike,
-    interval=( -HALF_PI, HALF_PI),
-    samples: int = 2001,
-    slope_tol: float = 1e-6,
-) -> LemmaReport:
-    """Check the zero-slope conditions of a design function.
+def validate_lemma(ansatz: ThetaAnsatz) -> LemmaReport:
+    """Check the zero-slope conditions of a designed stage on [-pi/2, pi/2].
 
     At every zero of theta the slope must be +-2 (otherwise beta is
     singular there); at every zero of theta' the evolution matrix is a
     squeezed Fourier map with magnitude theta(tau), reported together with
     beta and beta' there.  beta'(tau) = 0 exactly where theta''' vanishes.
+
+    The zeros of theta are 0 and +-side_zeros.  theta' = cos(tau) (A - B s^2
+    + C s^4) with s = sin(tau), A = slope0, B = 12 a3 + 60 a5 and C = 80 a5,
+    so the zeros of theta' are +-pi/2 and +-asin(sqrt x) for the roots x in
+    (0, 1] of A - B x + C x^2, a root x = 1 being pi/2 again.
     """
-    lo, hi = float(interval[0]), float(interval[1])
-    grid = np.linspace(lo, hi, samples)
-    th, th1, _, _ = _theta_derivs(theta, grid)
-
-    def fn(order):
-        return lambda x: _theta_derivs(theta, x)[order]
-
-    zeros = _bracket_roots(grid, th, fn(0))
+    tol = 1e-6
     zero_checks = []
     violations = []
-    for z in zeros:
-        slope = float(_theta_derivs(theta, z)[1])
-        ok = abs(abs(slope) - 2.0) <= slope_tol
+    for z in _mirrored([0.0, *(t for t, _ in ansatz.side_zeros)]):
+        slope = theta_eval(ansatz, z, 1)
+        ok = abs(abs(slope) - 2.0) <= tol
         zero_checks.append(ZeroCheck(tau=z, theta_prime=slope, ok=ok))
         if not ok:
             violations.append(
                 f"theta zero at tau = {z:.6g} has slope {slope:.6g}, not +-2"
             )
 
-    slope_roots = _bracket_roots(grid, th1, fn(1))
-    # endpoints sit on exact theta' zeros for the sin-series designs, but
-    # floating cos(k pi/2) is only ~1e-16, so sign-change detection skips
-    # them; admit them by absolute size instead
-    scale = max(1.0, float(np.max(np.abs(th1))))
-    for edge in (lo, hi):
-        if abs(float(_theta_derivs(theta, edge)[1])) <= 1e-9 * scale:
-            if all(abs(edge - r) > 1e-9 for r in slope_roots):
-                slope_roots.append(edge)
-    slope_roots.sort()
-
+    xs = _unit_roots(ansatz.slope0, 12.0 * ansatz.a3 + 60.0 * ansatz.a5, 80.0 * ansatz.a5)
     fourier = []
-    for w in slope_roots:
-        d = _theta_derivs(theta, w)
-        th_w, th2_w, th3_w = d[0], d[2], d[3]
+    for w in _mirrored([HALF_PI, *(math.asin(math.sqrt(x)) for x in xs)]):
+        th_w, _, th2_w, th3_w = _ansatz_derivs(ansatz, w)
         if abs(th_w) < EPS_THETA:
             continue  # coincides with a theta zero; covered above
         beta_w = (-0.5 * th2_w * th_w - 1.0) / th_w**2
@@ -364,7 +360,7 @@ def validate_lemma(
                 b=th_w,
                 beta=beta_w,
                 beta_prime=beta_prime,
-                beta_prime_zero=abs(th3_w) <= slope_tol,
+                beta_prime_zero=abs(th3_w) <= tol,
             )
         )
 
@@ -373,106 +369,6 @@ def validate_lemma(
         fourier_points=tuple(fourier),
         violations=tuple(violations),
     )
-
-
-def _bracket_roots(grid, values, f) -> list:
-    """Roots of f on the grid: exact hits plus sign changes refined by
-    Brent's method (Brent, Algorithms for Minimization Without Derivatives,
-    1973, ch. 4), in grid order.
-
-    The refinement is `_brentq`, whose iterates match scipy's `brentq` bit
-    for bit, so the roots, and the design output that prints them, do not
-    depend on scipy; tests/test_design.py pins this against scipy.
-    """
-    roots = []
-    vals = np.asarray(values, dtype=float)
-    head, tail = vals[:-1], vals[1:]
-    # signs, not products: a product overflows, or underflows to +-0
-    change = ((head < 0.0) & (tail > 0.0)) | ((head > 0.0) & (tail < 0.0))
-    for i in np.flatnonzero((head == 0.0) | change):
-        if vals[i] == 0.0:
-            roots.append(float(grid[i]))
-        else:
-            roots.append(_brentq(f, grid[i], grid[i + 1]))
-    if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    # merge near-duplicates from adjacent brackets
-    merged = []
-    for r in roots:
-        if not merged or abs(r - merged[-1]) > 1e-9:
-            merged.append(r)
-    return merged
-
-
-BRENT_XTOL = 1e-14
-BRENT_RTOL = 4.0 * sys.float_info.epsilon
-BRENT_MAXITER = 100
-
-
-def _brentq(f, a, b) -> float:
-    """A root of f in the sign-changing bracket [a, b] by Brent's method
-    (Brent 1973, ch. 4).
-
-    Operation for operation the loop of scipy's compiled `brentq`
-    (scipy/optimize/Zeros/brentq.c) at xtol BRENT_XTOL and its default
-    rtol and maxiter, so the iterates and the root match scipy's bit for
-    bit; tests/test_design.py pins this.  Like scipy it raises ValueError
-    for endpoints of one sign or a NaN value of f, and RuntimeError after
-    BRENT_MAXITER iterations.
-    """
-
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (
-                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        # the tolerance is 2 delta
-        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # secant step
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError(
-        f"Brent's method failed to converge after {BRENT_MAXITER} iterations, "
-        f"value is {xcur!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -156,26 +156,49 @@ def test_beta_is_symmetric():
                        atol=1e-10)
 
 
+def _direct_ansatz(a1, a3, a5):
+    # an ansatz given by its coefficients, with b = theta(pi/2) and beta0 =
+    # beta(pi/2) = -theta''(pi/2)/(2 b) - 1/b^2 to match
+    b = a1 - a3 + a5
+    return ThetaAnsatz(a1, a3, a5, b, (a1 - 9 * a3 + 25 * a5) / (2 * b) - 1 / b**2)
+
+
 def test_beta_from_pure_sine_is_constant_quarter():
     # theta = 2 sin(tau) is the symmetric-interval u12 of beta = 1/4
-    def theta(tau, order=0):
-        return [2 * math.sin(tau), 2 * math.cos(tau),
-                -2 * math.sin(tau), -2 * math.cos(tau)][order]
-
-    for tau in (0.3, PI / 4, 1.2):
-        assert beta_from_theta(theta, tau) == pytest.approx(0.25, abs=1e-12)
+    a = _direct_ansatz(2.0, 0.0, 0.0)
+    assert a.beta0 == 0.25
+    for tau in (0.3, PI / 4, 1.2, 1e-3):
+        assert beta_from_theta(a, tau) == pytest.approx(0.25, abs=1e-12)
     u = integrate_symmetric(ConstantBeta(0.25), 1.2, CFG)
-    assert u.u12 == pytest.approx(theta(1.2), abs=1e-10)
+    assert u.u12 == pytest.approx(2 * math.sin(1.2), abs=1e-10)
 
 
 def test_beta_singularity_detected():
-    # theta = sin(tau) vanishes at 0 with slope 1: Lemma condition violated
-    def theta(tau, order=0):
-        return [math.sin(tau), math.cos(tau),
-                -math.sin(tau), -math.cos(tau)][order]
+    # theta = sin(tau) vanishes at 0 with slope 1: Lemma condition violated;
+    # the message prints tau as a plain float, from a scalar or an array
+    a = _direct_ansatz(1.0, 0.0, 0.0)
+    message = r"^theta vanishes near tau = 1e-08 with theta' != \+-2; beta is singular there$"
+    with pytest.raises(SingularityError, match=message):
+        beta_from_theta(a, 1e-8)
+    with pytest.raises(SingularityError, match=message):
+        beta_from_theta(a, np.array([0.5, 1e-8]))
 
-    with pytest.raises(SingularityError):
-        beta_from_theta(theta, 1e-8)
+
+@pytest.mark.parametrize("tau", [1e-3, 4e-3])
+def test_bad_slope_at_the_origin_is_singular_inside_the_series_window(tau):
+    # beta_series takes theta'(0) = 2 as exact; for theta = sin(tau) it gave
+    # beta(1e-3) = 0.125, where beta is about -7.5e5, so it must not be used
+    a = _direct_ansatz(1.0, 0.0, 0.0)
+    assert tau < a.series_tau and abs(theta_eval(a, tau)) > design.EPS_THETA
+    message = r"^theta vanishes at tau = 0\.0 with theta' = 1, not \+-2; beta is singular there$"
+    for x in (tau, -tau, np.array([tau, 0.3])):
+        with pytest.raises(SingularityError, match=message):
+            beta_from_theta(a, x)
+    # a profile rejects it wherever it is sampled, here outside the window
+    with pytest.raises(SingularityError, match=message):
+        ThetaDerivedBeta(a).beta_array(np.array([0.3]))
+    with pytest.raises(SingularityError, match=f"^theta vanishes at tau = {PI!r} with"):
+        ThetaDerivedBeta(a, offset=PI).beta_array(np.array([PI + 0.3]))
 
 
 def test_beta_array_matches_scalar():
@@ -374,19 +397,6 @@ def test_ansatz_sampled_at_an_off_origin_zero_is_singular():
         ThetaDerivedBeta(a).beta(zero.tau)
 
 
-@pytest.mark.parametrize("b,beta0", [
-    (0.3, 0.0), (0.01, 0.2), (2.0, 100.0), (1.7, 0.2), (2.9, 0.37)])
-def test_side_zeros_match_validate_lemma(b, beta0):
-    # the closed form's zeros in (0, pi/2] and their slopes, against the
-    # sign-change scan of validate_lemma, whose other zeros are 0 and -tau
-    a = ThetaAnsatz.from_targets(b, beta0)
-    scanned = [(z.tau, z.theta_prime) for z in validate_lemma(a).theta_zeros if z.tau > 0]
-    assert len(a.side_zeros) == len(scanned)
-    for (tau, slope), (want_tau, want_slope) in zip(a.side_zeros, scanned):
-        assert tau == pytest.approx(want_tau, abs=1e-12)
-        assert slope == pytest.approx(want_slope, abs=1e-9)
-
-
 @pytest.mark.parametrize("offset", [0.0, PI])
 def test_profile_with_a_singular_side_zero_raises_wherever_it_is_sampled(offset):
     # no sample need fall near the zeros: beta between them is finite but
@@ -438,133 +448,172 @@ def test_lemma_reports_edge_fourier_points():
 
 
 def test_lemma_flags_bad_slope():
-    def theta(tau, order=0):
-        return [math.sin(tau), math.cos(tau),
-                -math.sin(tau), -math.cos(tau)][order]
-
-    rep = validate_lemma(theta, interval=(-1.0, 1.0))
+    # theta = sin(tau) vanishes at 0 with slope 1
+    rep = validate_lemma(_direct_ansatz(1.0, 0.0, 0.0))
     assert not rep.ok
-    assert "slope" in rep.violations[0]
+    assert rep.violations == ("theta zero at tau = 0 has slope 1, not +-2",)
 
 
 # ---------------------------------------------------------------------------
-# root finding: the in-package Brent matches scipy's brentq bit for bit
+# the lemma's zeros in closed form, against oracles that share no code with it
 
-
-def _scipy_root(f, a, b):
-    from scipy.optimize import brentq
-
-    return brentq(f, a, b, xtol=1e-14)
-
-
-def _scipy_bracket_roots(grid, values, f):
-    # the scalar scan over scipy's brentq that _bracket_roots replaces
-    roots = []
-    for i in range(len(grid) - 1):
-        if values[i] == 0.0:
-            roots.append(float(grid[i]))
-        elif values[i] * values[i + 1] < 0.0:
-            roots.append(float(_scipy_root(f, grid[i], grid[i + 1])))
-    if values[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    merged = []
-    for r in roots:
-        if not merged or abs(r - merged[-1]) > 1e-9:
-            merged.append(r)
-    return merged
-
-
-def _outcome(root, f, a, b):
-    """The root's bits, or the type of the error raised."""
-    try:
-        x = root(f, a, b)
-    except (ValueError, RuntimeError) as exc:
-        return type(exc)
-    assert type(x) is float
-    return np.float64(x).tobytes()
-
-
-def _matches_scipy(f, a, b):
-    return _outcome(design._brentq, f, a, b) == _outcome(_scipy_root, f, a, b)
-
-
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(cubic=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
-       sine=st.tuples(st.floats(-2.0, 2.0), st.floats(0.5, 8.0)),
-       expo=st.tuples(st.floats(-1.0, 1.0), st.floats(-2.0, 2.0)),
-       lo=st.floats(-4.0, -0.1), hi=st.floats(0.1, 4.0))
-def test_brentq_matches_scipy_on_random_functions(cubic, sine, expo, lo, hi):
-    c0, c1, c2, c3 = cubic
-    (s, k), (e, c) = sine, expo
-
-    def f(x):
-        return c0 + x * (c1 + x * (c2 + x * c3)) + s * math.sin(k * x) + e * math.exp(c * x)
-
-    grid = np.linspace(lo, hi, 17)
-    vals = [f(float(x)) for x in grid]
-    brackets = [(lo, hi)] if vals[0] * vals[-1] < 0.0 else []
-    brackets += [(grid[i], grid[i + 1]) for i in range(16) if vals[i] * vals[i + 1] < 0.0]
-    for a, b in brackets:
-        assert _matches_scipy(f, a, b)
+# no node falls on tau = 0 (an even node count) or on +-pi/2 (3.2e-6 away),
+# where theta and theta' vanish; the grid spacing is 5e-5
+SCAN = np.linspace(-1.6, 1.6, 64_000)
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(b=st.one_of(st.floats(-5.0, -0.2), st.floats(0.2, 5.0)), beta0=st.floats(-3.0, 3.0))
-def test_bracket_roots_match_scipy_on_lemma_grid(b, beta0):
-    # theta and theta' of a designed stage over validate_lemma's default grid
+def test_lemma_zeros_match_a_dense_sign_scan(b, beta0):
+    # every zero lies in a grid cell over which theta (or theta') changes
+    # sign, one zero per cell that meets [-pi/2, pi/2]
     a = ThetaAnsatz.from_targets(b, beta0)
-    grid = np.linspace(-HALF_PI, HALF_PI, 2001)
-    for order in (0, 1):
-        vals = theta_eval(a, grid, order)
-
-        def f(x, order=order):
-            return theta_eval(a, x, order)
-
-        for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
-            assert _matches_scipy(f, grid[i], grid[i + 1])
-        roots = design._bracket_roots(grid, vals, f)
-        assert roots == _scipy_bracket_roots(grid, vals, f)
-        assert all(type(r) is float for r in roots)
-
-
-def test_bracket_roots_exact_hits_match_scalar_scan():
-    # exact zeros on the grid, at the last node included, take the hit branch
-    grid = np.linspace(-1.0, 1.0, 201)
-
-    def f(x):
-        return math.sin(7.0 * x) - 0.3 * x
-
-    vals = np.array([f(float(x)) for x in grid])
-    vals[[0, 13, 14, 90, 200]] = 0.0
-    roots = design._bracket_roots(grid, vals, f)
-    assert roots == _scipy_bracket_roots(grid, vals, f)
-    assert roots[0] == -1.0 and roots[-1] == 1.0
+    t = SCAN
+    theta = a.a1 * np.sin(t) + a.a3 * np.sin(3 * t) + a.a5 * np.sin(5 * t)
+    slope = a.a1 * np.cos(t) + 3 * a.a3 * np.cos(3 * t) + 5 * a.a5 * np.cos(5 * t)
+    rep = validate_lemma(a)
+    for values, taus in ((theta, [z.tau for z in rep.theta_zeros]),
+                         (slope, [f.tau for f in rep.fourier_points])):
+        cells = np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0.0)
+        lo, hi = t[cells], t[cells + 1]
+        inside = (lo < HALF_PI) & (hi > -HALF_PI)
+        assert len(taus) == np.count_nonzero(inside)
+        assert np.all(lo[inside] <= taus) and np.all(taus <= hi[inside])
 
 
-@pytest.mark.parametrize("f,a,b", [
-    (lambda x: x, 0.0, 1.0),              # root at a
-    (lambda x: x - 1.0, 0.0, 1.0),        # root at b
-    (lambda x: -x, 0.0, 1.0),             # f(a) = -0.0
-    (lambda x: x, -0.0, 1.0),             # a = -0.0 is the root
-    (lambda x: 1.0 if x < 0.0 else -0.0, -1.0, 1.0),  # f(b) = -0.0
-    (lambda x: x - 0.25, -0.0, 1.0),
-    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+# 30-digit zeros of theta and of theta' on [-pi/2, pi/2], printed by
+# tests/make_beta_references.py from the ansatz re-solved in mpmath:
+# (b, beta0, (zeros of theta), (zeros of theta'))
+LEMMA_ZERO_REFERENCES = [
+    (0.3, 0,
+        (-1.2259604367736124251, -0.7477580397129653414, 0.0, 0.7477580397129653414, 1.2259604367736124251,),
+        (-1.5707963267948966192, -0.98050751545958812051, -0.35170323383822285434, 0.35170323383822285434, 0.98050751545958812051, 1.5707963267948966192,),
+    ),
+    (2, 0,
+        (0.0,),
+        (-1.5707963267948966192, 1.5707963267948966192,),
+    ),
+    (1.99, 0.28,
+        (0.0,),
+        (-1.5707963267948966192, 1.5707963267948966192,),
+    ),
+    (100, 0.1,
+        (-7.9237191939733733216e-72,),
+        (-1.5707963267948966192, 1.5707963267948966192,),
+    ),
+    (0.01, 0.2,
+        (-1.5607955000200532774, -0.14050578776119240341, -9.0556790788267123675e-72, 0.14050578776119240341, 1.5607955000200532774,),
+        (-1.5707963267948966192, -0.89141788180991507511, -0.080587670634374849153, 0.080587670634374849153, 0.89141788180991507511, 1.5707963267948966192,),
+    ),
+    (2, 100,
+        (-1.4699895457651401128, -0.10080678102975650648, 1.9243318042506763781e-70, 0.10080678102975650648, 1.4699895457651401128,),
+        (-1.5707963267948966192, -0.88264968945258613232, -0.05800241683299631372, 0.05800241683299631372, 0.88264968945258613232, 1.5707963267948966192,),
+    ),
+    (1e4, 0.1,
+        (-2.1544264220046994593e-66,),
+        (-1.5707963267948966192, 1.5707963267948966192,),
+    ),
+    (2.9, 0.37,
+        (0.0,),
+        (-1.5707963267948966192, 1.5707963267948966192,),
+    ),
+    (1.7, 0.2,
+        (0.0,),
+        (-1.5707963267948966192, 1.5707963267948966192,),
+    ),
+    (0.8, 0.05,
+        (0.0,),
+        (-1.5707963267948966192, -0.9378502799974873361, -0.57350947779971129507, 0.57350947779971129507, 0.9378502799974873361, 1.5707963267948966192,),
+    ),
+    (-2, 0.1,
+        (-0.56007954555065814743, 0.0, 0.56007954555065814743,),
+        (-1.5707963267948966192, -0.29911205440339109337, 0.29911205440339109337, 1.5707963267948966192,),
+    ),
+]
+
+
+@pytest.mark.parametrize("b,beta0,zeros,slope_zeros", LEMMA_ZERO_REFERENCES,
+                         ids=[f"{float(r[0])}-{float(r[1])}" for r in LEMMA_ZERO_REFERENCES])
+def test_lemma_zeros_match_mpmath(b, beta0, zeros, slope_zeros):
+    rep = validate_lemma(ThetaAnsatz.from_targets(b, beta0))
+    taus = [z.tau for z in rep.theta_zeros]
+    assert len(taus) == len(zeros)
+    assert np.max(np.abs(np.array(taus) - zeros)) <= 1e-13
+    taus = [f.tau for f in rep.fourier_points]
+    assert len(taus) == len(slope_zeros)
+    assert np.max(np.abs(np.array(taus) - slope_zeros)) <= 1e-13
+
+
+@pytest.mark.parametrize("a,b,c,roots", [
+    (2.0, 4.0, 0.0, [0.5]),           # c = 0 (a5 = 0): the one root a/b
+    (2.0, 0.0, 0.0, []),              # q = 0: a nonzero constant
+    (0.0, 0.0, 1.0, []),              # q = 0: the double root x = 0
+    (1.0, 4.0, 4.0, [0.5]),           # a double root, listed once
+    (2.0, 42.0, 40.0, [0.05, 1.0]),   # a root at x = 1
+    (0.0, 1.0, 1.0, [1.0]),           # a root at x = 0 is left out
+    (2.0, 1.0, 1.0, []),              # complex roots
+    (1.0, -3.0, 2.0, []),             # negative roots
 ])
-def test_brentq_edge_brackets_match_scipy(f, a, b):
-    assert isinstance(_outcome(design._brentq, f, a, b), bytes)
-    assert _matches_scipy(f, a, b)
+def test_unit_roots_edge_cases(a, b, c, roots):
+    # the roots in (0, 1] of a - b x + c x^2
+    assert design._unit_roots(a, b, c) == roots
 
 
-@pytest.mark.parametrize("f,a,b,error", [
-    (lambda x: x * x + 1.0, -1.0, 1.0, ValueError),       # same sign
-    (lambda x: math.nan, -1.0, 1.0, ValueError),
-    (lambda x: x if x < 0.5 else math.nan, -1.0, 1.0, ValueError),
-    # a sign step over a huge bracket needs about 1000 bisections
-    (lambda x: math.copysign(1.0, x - 0.3), -1e300, 1e300, RuntimeError),
-    (lambda x: x ** 3, -2.0, 1.0, RuntimeError),          # triple root at 0
-])
-def test_brentq_failures_match_scipy(f, a, b, error):
-    assert _outcome(design._brentq, f, a, b) == _outcome(_scipy_root, f, a, b) == error
+def test_unit_roots_small_root_does_not_cancel():
+    # 1e-12 - x + x^2: (b - sqrt(b^2 - 4ac)) / (2c) would lose 4 digits
+    small, large = design._unit_roots(1e-12, 1.0, 1.0)
+    assert small == pytest.approx(1e-12 + 1e-24, rel=1e-15)
+    assert large == pytest.approx(1.0 - 1e-12, rel=1e-15)
+
+
+def test_lemma_zeros_without_a5():
+    # a5 = 0 leaves one root per quadratic: theta = sin(3 tau) - sin(tau)
+    # = 2 s (1 - 2 s^2) vanishes at 0 and +-pi/4, with slope -2 sqrt(2)
+    # there, and theta' = cos(tau) (2 - 12 s^2) at +-pi/2 and s^2 = 1/6
+    rep = validate_lemma(_direct_ansatz(-1.0, 1.0, 0.0))
+    assert [z.tau for z in rep.theta_zeros] == pytest.approx([-PI / 4, 0.0, PI / 4], abs=1e-15)
+    assert rep.theta_zeros[2].theta_prime == pytest.approx(-2 * math.sqrt(2), abs=1e-14)
+    assert [z.ok for z in rep.theta_zeros] == [False, True, False]
+    w = math.asin(math.sqrt(1 / 6))
+    assert [f.tau for f in rep.fourier_points] == pytest.approx(
+        [-HALF_PI, -w, w, HALF_PI], abs=1e-15)
+
+
+def test_lemma_double_zero_of_theta():
+    # theta = 2 s (1 - 2 s^2)^2 touches 0 at +-pi/4 with slope 0, so no sign
+    # scan sees it; theta' = cos(tau) (2 - 24 s^2 + 40 s^4) vanishes at s^2 =
+    # 0.1 and at s^2 = 0.5, where theta does too, so pi/4 is no Fourier point
+    a = _direct_ansatz(1.0, -0.5, 0.5)
+    rep = validate_lemma(a)
+    assert [z.tau for z in rep.theta_zeros] == pytest.approx([-PI / 4, 0.0, PI / 4], abs=1e-15)
+    assert [z.ok for z in rep.theta_zeros] == [False, True, False]
+    assert abs(rep.theta_zeros[2].theta_prime) <= 1e-14
+    w = math.asin(math.sqrt(0.1))
+    assert [f.tau for f in rep.fourier_points] == pytest.approx(
+        [-HALF_PI, -w, w, HALF_PI], abs=1e-15)
+    with pytest.raises(SingularityError):
+        ThetaDerivedBeta(a).beta_array(np.array([0.1]))
+
+
+def test_lemma_slope_root_at_the_edge_is_listed_once():
+    # theta''(pi/2) = 0 puts a root of theta''s quadratic, 2 - 42 x + 40 x^2,
+    # at x = s^2 = 1, on the zero of cos(tau) at pi/2
+    rep = validate_lemma(_direct_ansatz(-3.5, 1.0, 0.5))
+    w = math.asin(math.sqrt(0.05))
+    taus = [f.tau for f in rep.fourier_points]
+    assert taus == pytest.approx([-HALF_PI, -w, w, HALF_PI], abs=1e-15)
+    assert taus[0] == -HALF_PI and taus[-1] == HALF_PI
+
+
+def test_lemma_of_a_pure_sine_has_only_the_trivial_zeros():
+    # theta = 2 sin(tau): both quadratics are the constant 2, so q = 0
+    rep = validate_lemma(_direct_ansatz(2.0, 0.0, 0.0))
+    assert rep.ok
+    assert [z.tau for z in rep.theta_zeros] == [0.0]
+    edges = [f.tau for f in rep.fourier_points]
+    assert edges == [-HALF_PI, HALF_PI]
+    assert [f.b for f in rep.fourier_points] == pytest.approx([-2.0, 2.0], abs=1e-15)
+    assert [f.beta for f in rep.fourier_points] == pytest.approx([0.25, 0.25], abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
