@@ -6,9 +6,11 @@ curves where u12 or u21 vanishes, and refines their intersection: the double
 zero where the matrix becomes diag(lambda, 1/lambda), a pure q-p squeeze.
 
 All node integrations go through evolution.mathieu_batch: a whole scan
-and each locus pass are one call, and a double zero evaluates its seed
-and each full Newton step together with that point's four-node
-difference stencil, one call each, so n full steps take n + 1 calls.
+and each locus pass are one call (a locus starts from the scan's own
+interpolant, so a finely gridded one is its scan and one pass of three
+nodes per crossing), and a double zero evaluates its seed and each full
+Newton step together with that point's four-node difference stencil,
+one call each, so n full steps take n + 1 calls.
 mathieu_batch chunks its own batch to bound memory, and its result for a
 node does not depend on the batch it runs in, so output is bit-identical
 run to run regardless of how the work is chunked or scheduled.  Zones
@@ -29,8 +31,10 @@ from .evolution import DEFAULT_CONFIG, ZONES, IntegratorConfig
 HALF_PI = math.pi / 2.0
 DEFAULT_INTERVAL = (HALF_PI, 5.0 * HALF_PI)  # [pi/2, 5pi/2]
 
-LOCUS_MAX_ITER = 60  # trace_locus: most Illinois passes before ConvergenceError
+LOCUS_MAX_ITER = 60  # trace_locus: most passes, the first included, before ConvergenceError
 LOCUS_XTOL = 1e-12   # trace_locus: bracket width that ends them
+LOCUS_STENCIL = 12   # trace_locus: most scan values of a line that fit a bracket's start
+LOCUS_MIN_STENCIL = 6  # trace_locus: fewest; brackets of shorter lines get no start
 DZ_FD_STEP = 1e-6    # find_double_zero: central-difference step
 DZ_MAX_ITER = 40     # find_double_zero: most Newton iterations
 DZ_TARGET = 1e-10    # find_double_zero: max(|u12|, |u21|) that ends them
@@ -148,20 +152,29 @@ _ENTRY_INDEX = {"u12": 1, "u21": 2}
 
 def trace_locus(rect: ScanRect, entry: str,
                 cfg: IntegratorConfig = DEFAULT_CONFIG) -> list:
-    """Points where the chosen entry vanishes, refined in beta1 by the
-    Illinois variant of regula falsi (Dowell & Jarratt, BIT 11 (1971) 168).
+    """Points where the chosen entry vanishes, refined in beta1.
 
     Sign changes between unfailed neighbours along each constant-beta0 grid
-    line are refined in lockstep: each pass evaluates one secant point per
-    bracket still wider than LOCUS_XTOL, all in one batch, kept at least
-    0.4 LOCUS_XTOL inside the bracket so that a secant on the root also
-    closes the far side.  When the same end moves twice in a row the value
-    kept at the other end is halved.  Each point is the midpoint of its
-    final bracket, at most LOCUS_XTOL wide; results are ordered by beta0
-    (then beta1).  An empty list simply means the locus does not cross the
-    rectangle.  Raises ConvergenceError if a bracket is still open after
-    LOCUS_MAX_ITER passes, and IntegrationError if a node of a pass or of
-    the final batch fails the determinant gate.
+    line are refined in lockstep passes, each one mathieu_batch call of
+    gated nodes.  The first pass evaluates x0 - d, x0 and x0 + d, with d
+    just under LOCUS_XTOL / 2 and x0 the root of the scan's own
+    interpolant (_stencil_roots): a root in that window closes the bracket
+    with x0 as its midpoint, and x0's node gives the point's residual and
+    lambda; a root outside it leaves the bracket beyond x0 - d or x0 + d.
+    A bracket without a start at least d inside its cell, and every
+    bracket still wider than LOCUS_XTOL after the first pass, takes one
+    Illinois regula-falsi point per pass (Dowell & Jarratt, BIT 11 (1971)
+    168), kept at least 0.4 LOCUS_XTOL inside the bracket so that a secant
+    on the root also closes the far side; when the same end moves twice in
+    a row the value kept at the other end is halved.  A final batch
+    evaluates the midpoints that no window gave.
+
+    Each point is the midpoint of its final bracket, at most LOCUS_XTOL
+    wide; results are ordered by beta0 (then beta1).  An empty list simply
+    means the locus does not cross the rectangle.  Raises ConvergenceError
+    if a bracket is still open after LOCUS_MAX_ITER passes, and
+    IntegrationError if a node of a pass or of the final batch fails the
+    determinant gate.
     """
     if entry not in _ENTRY_INDEX:
         raise ValueError(f"entry must be 'u12' or 'u21', got {entry!r}")
@@ -184,16 +197,13 @@ def trace_locus(rect: ScanRect, entry: str,
     hi = np.where(exact[i, j], lo, scan.beta1s[j + 1])
     flo, fhi = fa[i, j], fb[i, j]
     moved = np.zeros(i.size, dtype=np.int8)  # end that moved last: -1 lo, 1 hi
-    pad = 0.4 * LOCUS_XTOL
-    for _ in range(LOCUS_MAX_ITER):
-        k = np.flatnonzero(hi - lo > LOCUS_XTOL)
-        if k.size == 0:
-            break
-        with np.errstate(all="ignore"):
-            x = hi[k] - fhi[k] * (hi[k] - lo[k]) / (fhi[k] - flo[k])
-        x = np.where(np.isfinite(x), np.clip(x, lo[k] + pad, hi[k] - pad),
-                     0.5 * (lo[k] + hi[k]))
-        fx = _gated_batch(b0[k], x, rect.tau0, rect.tau1, cfg, "locus")[col]
+    pad, d = 0.4 * LOCUS_XTOL, 0.49 * LOCUS_XTOL  # 2 d, rounded, < LOCUS_XTOL if |beta1| < 256
+    start = _stencil_roots(scan.beta1s, vals, scan.failed, i, j)
+    window = (start - d > lo) & (start + d < hi)  # False where start is NaN
+    done = np.zeros(i.size, dtype=bool)  # point evaluated by its window
+    resid, lam = np.empty(i.size), np.empty(i.size)
+
+    def update(k, x, fx):
         zero = fx == 0.0
         lo_moves = ~zero & ((fx < 0.0) == (flo[k] < 0.0))
         hi_moves = ~zero & ~lo_moves
@@ -205,6 +215,31 @@ def trace_locus(rect: ScanRect, entry: str,
         flo[k[lo_moves]] = fx[lo_moves]
         fhi[k[hi_moves]] = fx[hi_moves]
         moved[k] = np.where(lo_moves, -1, 1)
+
+    for _ in range(LOCUS_MAX_ITER):
+        k = np.flatnonzero(hi - lo > LOCUS_XTOL)
+        if k.size == 0:
+            break
+        w, k = k[window[k]], k[~window[k]]
+        window[:] = False  # only the first pass has windows
+        with np.errstate(all="ignore"):
+            x = hi[k] - fhi[k] * (hi[k] - lo[k]) / (fhi[k] - flo[k])
+        x = np.where(np.isfinite(x), np.clip(x, lo[k] + pad, hi[k] - pad),
+                     0.5 * (lo[k] + hi[k]))
+        # a window's nodes: its ends and their midpoint, as mid takes it
+        xl, xh = start[w] - d, start[w] + d
+        xw = np.stack([xl, 0.5 * (xl + xh), xh], axis=1)
+        cols = _gated_batch(np.concatenate([b0[k], np.repeat(b0[w], 3)]),
+                            np.concatenate([x, xw.ravel()]),
+                            rect.tau0, rect.tau1, cfg, "locus")
+        update(k, x, cols[col][:k.size])
+        fl, fm, fh = cols[col][k.size:].reshape(-1, 3).T
+        update(w, xl, fl)
+        right = hi[w] > xl  # lo moved to xl, so xh splits [xl, hi]
+        update(w[right], xh[right], fh[right])
+        hit = (lo[w] == xl) & (hi[w] == xh) & ~(xh - xl > LOCUS_XTOL)
+        done[w[hit]] = True
+        resid[w[hit]], lam[w[hit]] = fm[hit], cols[0][k.size + 1::3][hit]
     k = np.flatnonzero(hi - lo > LOCUS_XTOL)
     if k.size:
         lines = ", ".join(f"beta0 = {a!r} in [{b!r}, {c!r}]" for a, b, c in
@@ -214,13 +249,45 @@ def trace_locus(rect: ScanRect, entry: str,
             f"after {LOCUS_MAX_ITER} passes: {lines}"
         )
     mid = 0.5 * (lo + hi)
-    final = _gated_batch(b0, mid, rect.tau0, rect.tau1, cfg, "locus")
+    k = np.flatnonzero(~done)
+    if k.size:
+        final = _gated_batch(b0[k], mid[k], rect.tau0, rect.tau1, cfg, "locus")
+        resid[k], lam[k] = final[col], final[0]
     points = [
-        LocusPoint(float(x0), float(x1), entry, float(r), float(lam))
-        for x0, x1, r, lam in zip(b0, mid, final[col], final[0])
+        LocusPoint(float(x0), float(x1), entry, float(r), float(u11))
+        for x0, x1, r, u11 in zip(b0, mid, resid, lam)
     ]
     points.sort(key=lambda p: (p.beta0, p.beta1))
     return points
+
+
+def _stencil_roots(x, vals, failed, i, j):
+    """Start of each bracket [x_j, x_j+1] on grid line i: the root of the
+    polynomial through the LOCUS_STENCIL values of the line nearest the
+    cell, or through all of a shorter line's, or NaN where the line has
+    fewer than LOCUS_MIN_STENCIL values or a stencil node failed the gate;
+    a Newton run that fails gives NaN or a root outside the cell too.
+
+    The roots come from Newton steps on the barycentric form (Berrut &
+    Trefethen, SIAM Rev. 46 (2004) 501), started at the cell's secant
+    point and run for all brackets at once; grid lines are equispaced, so
+    the weights are signed binomial coefficients.
+    """
+    m = min(LOCUS_STENCIL, x.size)
+    if m < LOCUS_MIN_STENCIL:
+        return np.full(i.size, np.nan)
+    idx = np.clip(j - (m - 2) // 2, 0, x.size - m)[:, None] + np.arange(m)
+    xs, fs = x[idx], vals[i[:, None], idx]
+    w = np.array([(-1.0) ** n * math.comb(m - 1, n) for n in range(m)])
+    with np.errstate(all="ignore"):  # a failed node or a step onto a node gives NaN
+        r = x[j + 1] - vals[i, j + 1] * (x[j + 1] - x[j]) / (vals[i, j + 1] - vals[i, j])
+        for _ in range(5):  # Newton doubles the secant's 2 to 4 digits each step
+            dx = r[:, None] - xs
+            c = w / dx
+            den = np.sum(c, axis=1)
+            p = np.sum(c * fs, axis=1) / den
+            r = r - p * den / np.sum(c * (p[:, None] - fs) / dx, axis=1)
+    return np.where(failed[i[:, None], idx].any(axis=1), np.nan, r)
 
 
 def _gated_batch(beta0, beta1, tau0, tau1, cfg: IntegratorConfig, what: str):

@@ -211,6 +211,15 @@ def test_scan_locus_bracket_left_open_is_numerical_failure(monkeypatch, capsys):
     assert "beta0 = 1.054 in [" in err and err.count("\n") == 1
 
 
+def test_scan_locus_on_a_grid_that_fails_the_gate_prints_the_header(capsys):
+    # at 200 steps all 8 grid nodes fail the determinant gate; a failed
+    # node bounds no bracket and enters no start, so no point is printed
+    assert main(["scan", "--locus", "u21", "--rect", "1.2,1.3,0.5,1.6",
+                 "--grid", "2,4", "--steps", "200"]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == ("beta0,beta1,entry,lambda\n", "")
+
+
 def test_scan_double_zero_from_seed(capsys):
     out = run_json(capsys, [
         "scan", "--double-zero", "--seed", "1.217,0.844", "--steps", "4000",

@@ -167,6 +167,29 @@ def test_trace_locus_regression_anchor(u21_locus):
     assert hits[0].lam == pytest.approx(0.391679, abs=1e-4)
 
 
+# (entry, beta0, beta1, lambda) at 30 digits from tests/make_locus_references.py
+LOCUS_REFERENCES = [
+    ("u21", 1.054, 0.62282046921147613985, 0.39167886714826270667),
+    ("u12", 1.0, 1.3041361590187686663, 0.06347319850223269277),
+]
+
+
+@pytest.mark.parametrize("entry,beta0,beta1,lam,rect,tol_b1,tol_lam", [
+    # the anchor's and the det-identity test's rectangles at 1500 steps,
+    # where RK4 puts the points 1.3e-11 and 1.2e-10 off in beta1 and
+    # 2.7e-11 and 1.3e-11 off in lambda
+    (*LOCUS_REFERENCES[0], LOCUS_RECT, 3e-11, 5e-11),
+    (*LOCUS_REFERENCES[1], ScanRect(1.0, 1.1, 1.1, 1.35, n0=2, n1=6), 3e-10, 3e-11),
+])
+def test_trace_locus_matches_mpmath_references(entry, beta0, beta1, lam, rect,
+                                               tol_b1, tol_lam):
+    pts = [p for p in trace_locus(rect, entry, IntegratorConfig(steps=1500))
+           if p.beta0 == beta0]
+    assert len(pts) == 1
+    assert abs(pts[0].beta1 - beta1) <= tol_b1
+    assert abs(pts[0].lam - lam) <= tol_lam
+
+
 def test_u12_locus_det_identity():
     # where u12 = 0, det = u11 u22 so lambda * u22 = 1
     rect = ScanRect(1.0, 1.1, 1.1, 1.35, n0=2, n1=6)
@@ -228,9 +251,10 @@ def _bisection_locus(rect, entry, cfg):
     return b0, mid, lam
 
 
-def _count_batches(monkeypatch, nan_at=None, node=0):
+def _count_batches(monkeypatch, nan_at=None, node=0, factor=np.nan):
     """Count evolution.mathieu_batch calls; call number nan_at (0 is the
-    first) returns NaN entries at the given node."""
+    first) returns all four entries at the given node times factor, NaN
+    by default."""
     calls = []
     real = evolution.mathieu_batch
 
@@ -238,7 +262,7 @@ def _count_batches(monkeypatch, nan_at=None, node=0):
         cols = real(*args, **kwargs)
         if len(calls) == nan_at:
             for c in cols:
-                c[node] = np.nan
+                c[node] *= factor
         calls.append(np.size(args[0]))
         return cols
 
@@ -248,13 +272,50 @@ def _count_batches(monkeypatch, nan_at=None, node=0):
 
 @pytest.mark.parametrize("entry,rect", REFINE_LOCI)
 def test_trace_locus_takes_few_batch_passes(monkeypatch, entry, rect):
-    # Illinois steps close every bracket in a handful of passes, where
-    # bisection from a 1/19 grid cell to LOCUS_XTOL takes 36
+    # every start from the scan's own interpolant is within the window, so
+    # one pass of three nodes per bracket closes all 8 and gives their
+    # points, where Illinois steps took 6 to 8 passes and a final batch
     calls = _count_batches(monkeypatch)
     pts = trace_locus(rect, entry, REFINE_CFG)
     assert len(pts) == 8
-    assert calls[0] == 160 and calls[-1] == 8
-    assert len(calls) - 1 <= 10  # passes and the final batch, not the scan
+    assert calls == [160, 24]
+
+
+@pytest.mark.parametrize("entry,rect,steps,most_calls,most_nodes", [
+    # the calls and nodes after the scan that plain Illinois passes took:
+    # windows from 6-point fits miss by about 1e-9 but leave brackets that
+    # narrow, and lines of 4 nodes have no window
+    ("u21", LOCUS_RECT, 1500, 9, 25),
+    ("u12", ScanRect(1.0, 1.1, 1.1, 1.35, n0=2, n1=6), 1500, 7, 14),
+    ("u21", default_rect(n0=6, n1=4), 2000, 10, 44),
+])
+def test_trace_locus_coarse_grids_take_no_more_work(monkeypatch, entry, rect, steps,
+                                                     most_calls, most_nodes):
+    calls = _count_batches(monkeypatch)
+    assert trace_locus(rect, entry, IntegratorConfig(steps=steps))
+    assert calls[0] == rect.n0 * rect.n1
+    assert len(calls) - 1 <= most_calls
+    assert sum(calls[1:]) <= most_nodes
+
+
+@pytest.mark.parametrize("factor", [np.nan, 1.0 + 1e-8])
+def test_trace_locus_failed_stencil_node_falls_back_to_illinois(monkeypatch, factor):
+    # a scan node that fails the gate (NaN, or a det drift of 2e-8 that
+    # moves the entry by as little) inside a crossing's stencil but at
+    # neither end of its bracket: that line's bracket takes one-node
+    # Illinois passes and a final batch, the other 7 still close in the
+    # window pass, and the points match bisection
+    entry, rect = REFINE_LOCI[0].values
+    f = getattr(scan_grid(rect, REFINE_CFG), entry)
+    j = int(np.flatnonzero((f[0, :-1] < 0.0) != (f[0, 1:] < 0.0))[0])
+    node = (0, j - 3 if j >= 3 else j + 4)
+    calls = _count_batches(monkeypatch, nan_at=0, node=node, factor=factor)
+    pts = trace_locus(rect, entry, REFINE_CFG)
+    assert calls[1] == 7 * 3 + 1 and set(calls[2:]) == {1}
+    b0, b1, lam = _bisection_locus(rect, entry, REFINE_CFG)
+    assert [p.beta0 for p in pts] == b0.tolist()
+    assert np.max(np.abs([p.beta1 for p in pts] - b1)) <= 2e-12
+    assert np.max(np.abs([p.lam for p in pts] - lam)) <= 1e-11
 
 
 @pytest.mark.parametrize("entry,rect", REFINE_LOCI)
@@ -266,22 +327,40 @@ def test_trace_locus_agrees_with_bisection(entry, rect):
     assert np.max(np.abs([p.lam for p in pts] - lam)) <= 1e-11
 
 
+# REFINE_LOCI[1] with lines of 6 nodes, whose windows from 6-point fits
+# all miss, so every bracket stays open after the first pass
+COARSE_LOCUS = ScanRect(1.0, 1.0 + 0.45, 0.5, 1.6, n0=8, n1=6)
+
+
 def test_trace_locus_raises_when_a_bracket_stays_open(monkeypatch):
     monkeypatch.setattr(mathieu, "LOCUS_MAX_ITER", 1)
-    entry, rect = REFINE_LOCI[1].values
     with pytest.raises(ConvergenceError, match=r"8 bracket\(s\) .* after 1 passes") as exc:
-        trace_locus(rect, entry, REFINE_CFG)
-    for b0 in rect.beta0_axis().tolist():
+        trace_locus(COARSE_LOCUS, "u21", REFINE_CFG)
+    for b0 in COARSE_LOCUS.beta0_axis().tolist():
         assert f"beta0 = {b0!r} in [" in str(exc.value)
 
 
-@pytest.mark.parametrize("which", ["first pass", "final batch"])
+def test_trace_locus_window_pass_counts_as_a_pass(monkeypatch):
+    entry, rect = REFINE_LOCI[1].values
+    monkeypatch.setattr(mathieu, "LOCUS_MAX_ITER", 1)
+    assert len(trace_locus(rect, entry, REFINE_CFG)) == 8
+    monkeypatch.setattr(mathieu, "LOCUS_MAX_ITER", 0)
+    with pytest.raises(ConvergenceError, match=r"8 bracket\(s\) .* after 0 passes"):
+        trace_locus(rect, entry, REFINE_CFG)
+
+
+@pytest.mark.parametrize("which", ["first pass", "Illinois pass", "final batch"])
 def test_trace_locus_gates_every_node(monkeypatch, which):
-    # a NaN node fails the determinant gate instead of steering a bracket
+    # a NaN node fails the determinant gate instead of steering a bracket:
+    # the window pass of a bench-shaped locus, or the Illinois pass after
+    # it and the final batch of a locus whose windows from 6-point fits miss
     entry, rect = REFINE_LOCI[0].values
+    if which != "first pass":
+        rect = ScanRect(rect.beta0_lo, rect.beta0_hi, rect.beta1_lo, rect.beta1_hi, n0=8, n1=6)
     calls = _count_batches(monkeypatch)
     trace_locus(rect, entry, REFINE_CFG)
-    _count_batches(monkeypatch, nan_at=1 if which == "first pass" else len(calls) - 1)
+    nan_at = {"first pass": 1, "Illinois pass": 2, "final batch": len(calls) - 1}[which]
+    _count_batches(monkeypatch, nan_at=nan_at)
     with pytest.raises(IntegrationError, match=r"locus node \(0\.9, .*determinant drift nan"):
         trace_locus(rect, entry, REFINE_CFG)
 
@@ -306,6 +385,16 @@ def test_find_double_zero_location_regression(double_zero):
     assert double_zero.beta1 == pytest.approx(0.8357090045, abs=1e-6)
 
 
+# 30 digits from tests/make_locus_references.py, Newton from (1.217, 0.844)
+DOUBLE_ZERO_REFERENCE = (1.2294897861163364907, 0.83570900453084672365)
+
+
+def test_find_double_zero_matches_mpmath_reference(double_zero):
+    # at the default 20000 steps RK4 puts it 1.6e-14 and 2.1e-14 off
+    assert abs(double_zero.beta0 - DOUBLE_ZERO_REFERENCE[0]) <= 1e-13
+    assert abs(double_zero.beta1 - DOUBLE_ZERO_REFERENCE[1]) <= 1e-13
+
+
 DZ_SEED = (1.2, 0.85)  # in the refine benchmark's box of Newton starts
 
 
@@ -316,6 +405,9 @@ def test_find_double_zero_runs_each_point_with_its_stencil(monkeypatch):
     res = find_double_zero(DZ_SEED, REFINE_CFG)
     assert res.iterations == 4
     assert calls == [5] * res.iterations
+    # the same double zero; at 2000 steps RK4 puts it 1.3e-11 and 1.0e-11 off
+    assert abs(res.beta0 - DOUBLE_ZERO_REFERENCE[0]) <= 3e-11
+    assert abs(res.beta1 - DOUBLE_ZERO_REFERENCE[1]) <= 3e-11
 
 
 @pytest.mark.parametrize("used", [False, True])
