@@ -222,8 +222,6 @@ def cmd_scan(args) -> int:
 
 
 def cmd_design(args) -> int:
-    if args.b == 0.0:
-        raise ValueError("--b must be nonzero")
     numbers = {"--b": [args.b], "--chain": args.chain or [], "--beta0": [args.beta0],
                "--tail-duration": [] if args.tail_duration is None else [args.tail_duration]}
     for flag, values in numbers.items():

@@ -8,9 +8,9 @@ zero where the matrix becomes diag(lambda, 1/lambda), a pure q-p squeeze.
 All node integrations go through evolution.mathieu_batch: a whole scan
 and each locus pass are one call (a locus starts from the scan's own
 interpolant, so a finely gridded one is its scan and one pass of three
-nodes per crossing), and a double zero evaluates its seed and each full
-Newton step together with that point's four-node difference stencil,
-one call each, so n full steps take n + 1 calls.
+nodes per crossing), and each point of a double zero, halved or not, is
+one gated call with its four difference nodes.  Every node of a locus
+pass, a locus final batch or a double zero is gated in that call.
 mathieu_batch chunks its own batch to bound memory, and its result for a
 node does not depend on the batch it runs in, so output is bit-identical
 run to run regardless of how the work is chunked or scheduled.  Zones
@@ -327,14 +327,11 @@ def find_double_zero(
     the seed's is the first.  Converges to machine-level zeros in a handful
     of iterations for seeds inside the tongue.
 
-    The seed and each full step's trial run in one mathieu_batch call with
-    the four nodes of their own stencil, which the next step uses if the
-    trial is taken and the residual is still above DZ_TARGET: a double zero
-    whose steps are all full takes one call per iteration.  A halved trial
-    runs alone, and its stencil, if taken, in a call of its own.  A node
-    raises IntegrationError on determinant drift beyond cfg.det_tol when
-    it is used: the seed or a trial at once, a stencil's four nodes in
-    order when the Jacobian needs them, never a stencil that goes unused.
+    Each point, the seed and every trial, halved or not, is one gated
+    mathieu_batch call with its four difference nodes, whose Jacobian the
+    next step uses if the trial is taken: a double zero whose steps are all
+    full takes one call per iteration.  Any of the five nodes that fails
+    the determinant gate raises IntegrationError.
     """
     if tau1 < tau0:
         raise ValueError(f"need tau1 >= tau0, got [{tau0}, {tau1}]")
@@ -343,22 +340,15 @@ def find_double_zero(
         raise ValueError(f"double-zero seed must be finite, got ({b0}, {b1})")
     cfg.check_steps(cfg.steps)
     h = DZ_FD_STEP
+    d0, d1 = np.array([0.0, h, -h, 0.0, 0.0]), np.array([0.0, 0.0, 0.0, h, -h])
 
-    def stencil(x0, x1):
-        return [(x0 + h, x1), (x0 - h, x1), (x0, x1 + h), (x0, x1 - h)]
+    def evaluate(x0, x1):
+        cols = _gated_batch(x0 + d0, x1 + d1, tau0, tau1, cfg, "double-zero")
+        f = np.array(cols[1:3])  # u12 and u21 at the five nodes
+        u = SymplecticMatrix2(*(float(c[0]) for c in cols))
+        return u, (f[:, 1::2] - f[:, 2::2]) / (2.0 * h)
 
-    def evaluate(nodes):
-        x0, x1 = (list(x) for x in zip(*nodes))
-        cols = evolution.mathieu_batch(x0, x1, tau0, tau1, cfg.steps)
-        return [(a, b, e) for a, b, e in zip(x0, x1, zip(*cols))]
-
-    def gated(node):
-        x0, x1, e = node
-        return evolution._check_det(e, cfg, f"double-zero node ({x0}, {x1})")
-
-    # a point runs with its stencil, which is gated only once Newton uses it
-    node, *around = evaluate([(b0, b1)] + stencil(b0, b1))
-    u = gated(node)
+    u, jac = evaluate(b0, b1)
     zone = ZONES[evolution.zone_codes(u.trace)]
     if zone != "III":
         raise ConvergenceError(
@@ -372,19 +362,13 @@ def find_double_zero(
     for it in range(1, DZ_MAX_ITER + 1):
         if resid(u) <= DZ_TARGET:
             break
-        up0, um0, up1, um1 = map(gated, around or evaluate(stencil(b0, b1)))
-        jac = np.array([
-            [(up0.u12 - um0.u12), (up1.u12 - um1.u12)],
-            [(up0.u21 - um0.u21), (up1.u21 - um1.u21)],
-        ]) / (2.0 * h)
         try:
             step = np.linalg.solve(jac, [-u.u12, -u.u21])
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"singular Jacobian at ({b0}, {b1})") from exc
         for k in range(9):
             x0, x1 = b0 + 0.5**k * step[0], b1 + 0.5**k * step[1]
-            node, *trial_around = evaluate([(x0, x1)] + (stencil(x0, x1) if k == 0 else []))
-            cand = gated(node)
+            cand, cand_jac = evaluate(x0, x1)
             if resid(cand) < resid(u):
                 break
         else:
@@ -392,7 +376,7 @@ def find_double_zero(
                 f"no residual decrease at ({b0}, {b1}); last residual "
                 f"{resid(u):.3e}"
             )
-        b0, b1, u, around = x0, x1, cand, trial_around
+        b0, b1, u, jac = x0, x1, cand, cand_jac
     if resid(u) > 1e-6:
         raise ConvergenceError(
             f"did not reach |u12|,|u21| <= 1e-06 in {DZ_MAX_ITER} iterations; "

@@ -56,8 +56,9 @@ class PhysicalContext:
 
     def __post_init__(self):
         for name in ("m", "e", "r0", "T", "hbar"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
     @classmethod
     def proton(cls, r0: float, T: float) -> "PhysicalContext":
@@ -128,8 +129,11 @@ def scaling_table(ctx: PhysicalContext, base: dict, t_ref: float, t_list) -> dic
     is a convention of the source design, not derivable here).
     """
     t_list = [float(t) for t in t_list]
-    if any(t <= 0 for t in t_list) or t_ref <= 0:
-        raise ValueError("time scales must be positive")
+    if not all(math.isfinite(t) and t > 0 for t in (t_ref, *t_list)):
+        raise ValueError("time scales must be finite and positive, got "
+                         f"t_ref {t_ref}, T {t_list}")
+    if not all(map(math.isfinite, base.values())):
+        raise ValueError(f"base values must be finite, got {base}")
     out = {"T": t_list, "exponents": dict(SCALING_EXPONENTS)}
     out["q"] = [math.sqrt(ctx.hbar * t / ctx.m) for t in t_list]
     out["p"] = [math.sqrt(ctx.hbar * ctx.m / t) for t in t_list]

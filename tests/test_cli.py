@@ -488,6 +488,12 @@ def test_units_rejects_non_finite_drive(capsys, flag, value):
      "'offset'"),
     (["evolve", "--profile",
       '{"kind": "sampled", "tau": [0, 1, 2, 3, 4], "beta": [1, 1, NaN, 1, 1]}'], "'beta'"),
+    (["units", "--r0", "nan"], "r0"),
+    (["units", "--table", "--t-list", "nan,1", "--base-phi", "1"], "time scales"),
+    (["units", "--table", "--t-list", "inf"], "time scales"),
+    (["units", "--table", "--t-ref", "inf", "--base-b", "2"], "time scales"),
+    (["units", "--table", "--base-b", "nan"], "base values"),
+    (["units", "--table", "--particle", "custom", "--mass", "nan", "--charge", "1"], "m must"),
 ])
 def test_non_finite_input_is_a_configuration_error(capsys, argv, name):
     # no step count fixes a NaN or infinite input, so it is not a numerical
@@ -532,8 +538,8 @@ def test_float_overflow_is_a_configuration_error(capsys, argv):
 def test_json_output_never_holds_nan_or_infinity(capsys, tmp_path):
     # a non-finite value anywhere in a report is a configuration error
     # before anything is written, not a NaN or Infinity token
-    path = tmp_path / "units.json"
-    for argv in (["units", "--omega", "inf"], ["units", "--r0", "nan"]):
+    path = tmp_path / "report.json"
+    for argv in (["units", "--omega", "inf"], ["solenoid", "--amp", "nan"]):
         assert main(argv + ["--output", str(path)]) == 2
         assert "not JSON compliant" in capsys.readouterr().err
         assert not path.exists()

@@ -399,43 +399,55 @@ DZ_SEED = (1.2, 0.85)  # in the refine benchmark's box of Newton starts
 
 
 def test_find_double_zero_runs_each_point_with_its_stencil(monkeypatch):
-    # the seed, then each full Newton step's trial, in one batch with its
-    # four difference nodes: one call per residual check
-    calls = _count_batches(monkeypatch)
-    res = find_double_zero(DZ_SEED, REFINE_CFG)
-    assert res.iterations == 4
-    assert calls == [5] * res.iterations
-    # the same double zero; at 2000 steps RK4 puts it 1.3e-11 and 1.0e-11 off
-    assert abs(res.beta0 - DOUBLE_ZERO_REFERENCE[0]) <= 3e-11
-    assert abs(res.beta1 - DOUBLE_ZERO_REFERENCE[1]) <= 3e-11
+    # the seed, then each Newton trial, full or halved, in one batch with
+    # its four difference nodes: from (1.1, 0.65) the first full step is
+    # rejected and its half taken, six calls for five residual checks
+    for seed, iterations, calls_made in [(DZ_SEED, 4, 4), ((1.1, 0.65), 5, 6)]:
+        calls = _count_batches(monkeypatch)
+        res = find_double_zero(seed, REFINE_CFG)
+        assert res.iterations == iterations
+        assert calls == [5] * calls_made
+        # the same double zero; at 2000 steps RK4 puts it within 1.3e-11
+        assert abs(res.beta0 - DOUBLE_ZERO_REFERENCE[0]) <= 3e-11
+        assert abs(res.beta1 - DOUBLE_ZERO_REFERENCE[1]) <= 3e-11
 
 
-@pytest.mark.parametrize("used", [False, True])
-def test_find_double_zero_gates_a_stencil_node_only_when_used(monkeypatch, capsys, used):
-    # a NaN stencil node of the last trial, which met DZ_TARGET, changes
-    # nothing; the same node of the seed's stencil fails the gate as a
-    # node of its own batch did
-    argv = ["scan", "--double-zero", "--seed", "1.2,0.85", "--steps", "2000"]
-    want = find_double_zero(DZ_SEED, REFINE_CFG)
-    assert main(argv) == 0
-    want_out = capsys.readouterr().out
-    calls = _count_batches(monkeypatch)
-    find_double_zero(DZ_SEED, REFINE_CFG)
-    nan_at = 0 if used else len(calls) - 1
-    if used:
-        message = f"double-zero node ({1.2 + 1e-6}, 0.85): determinant drift nan"
-        _count_batches(monkeypatch, nan_at, node=1)
-        with pytest.raises(IntegrationError, match=re.escape(message)):
-            find_double_zero(DZ_SEED, REFINE_CFG)
-        _count_batches(monkeypatch, nan_at, node=1)
-        assert main(argv) == 3
-        assert f"numerical failure: {message}" in capsys.readouterr().err
-    else:
-        _count_batches(monkeypatch, nan_at, node=1)
-        assert find_double_zero(DZ_SEED, REFINE_CFG) == want
-        _count_batches(monkeypatch, nan_at, node=1)
-        assert main(argv) == 0
-        assert capsys.readouterr().out == want_out
+def test_find_double_zero_that_stops_short_is_a_convergence_error(monkeypatch, capsys):
+    monkeypatch.setattr(mathieu, "DZ_MAX_ITER", 2)
+    message = r"did not reach \|u12\|,\|u21\| <= 1e-06 in 2 iterations; residual 3\.449e-03"
+    with pytest.raises(ConvergenceError, match=message):
+        find_double_zero((1.1, 0.65), REFINE_CFG)
+    assert main(["scan", "--double-zero", "--seed", "1.1,0.65", "--steps", "2000"]) == 3
+    assert re.search(f"numerical failure: {message}", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("seed,nan_at", [
+    # the seed's stencil, which the first Jacobian uses
+    pytest.param(DZ_SEED, 0, id="seed"),
+    # the last trial's, unused: that trial's residual met DZ_TARGET
+    pytest.param(DZ_SEED, -1, id="last-trial"),
+    # the stencil of a halved trial, the third call
+    pytest.param((1.1, 0.65), 2, id="halved-trial"),
+])
+def test_find_double_zero_gates_every_node_it_evaluates(monkeypatch, capsys, seed, nan_at):
+    # a NaN node fails the determinant gate in the call that evaluates it,
+    # whether or not a Jacobian ever uses it
+    argv = ["scan", "--double-zero", "--seed", "%r,%r" % seed, "--steps", "2000"]
+    nodes = []
+    real = evolution.mathieu_batch
+    monkeypatch.setattr(evolution, "mathieu_batch", lambda *a: nodes.append(a[:2]) or real(*a))
+    find_double_zero(seed, REFINE_CFG)
+    b0, b1 = nodes[nan_at]
+    message = f"double-zero node ({b0[1]}, {b1[1]}): determinant drift nan"
+    if nan_at == 0:
+        assert message == f"double-zero node ({1.2 + 1e-6}, 0.85): determinant drift nan"
+    nan_at %= len(nodes)
+    _count_batches(monkeypatch, nan_at, node=1)
+    with pytest.raises(IntegrationError, match=re.escape(message)):
+        find_double_zero(seed, REFINE_CFG)
+    _count_batches(monkeypatch, nan_at, node=1)
+    assert main(argv) == 3
+    assert f"numerical failure: {message}" in capsys.readouterr().err
 
 
 def test_find_double_zero_rejects_stable_seed():

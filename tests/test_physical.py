@@ -45,6 +45,30 @@ def test_context_rejects_nonpositive(field):
         PhysicalContext(**kwargs)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["m", "e", "r0", "T", "hbar"])
+def test_context_rejects_non_finite(field, value):
+    kwargs = dict(m=1.0, e=1.0, r0=1.0, T=1.0, hbar=1.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        PhysicalContext(**kwargs)
+
+
+@pytest.mark.parametrize("t_ref,t_list,base", [
+    (1.0, [math.nan, 1.0], {"Phi": 1.0}),
+    (1.0, [math.inf], {}),
+    (math.inf, [1.0], {"B": 2.0}),
+    (0.0, [1.0], {}),
+    (1.0, [1.0, -1.0], {}),
+    (1.0, [1.0], {"ratio": math.nan}),
+    (1.0, [1.0], {"Phi": -math.inf}),
+])
+def test_scaling_table_rejects_bad_time_scales_and_base_values(t_ref, t_list, base):
+    # no row may be NaN or infinite, and t_ref = inf must not divide to 0
+    with pytest.raises(ValueError, match="must be finite"):
+        scaling_table(PROTON_1S, base=base, t_ref=t_ref, t_list=t_list)
+
+
 def test_proton_constructor_fills_particle_constants():
     ctx = PhysicalContext.proton(r0=3.0, T=0.5)
     assert ctx.r0 == 3.0 and ctx.T == 0.5
