@@ -82,6 +82,16 @@ def parse_angle(text: str) -> float:
     return value
 
 
+def _require_finite(args, *flags):
+    """Raise ValueError naming the first of flags whose value in args, a
+    number, a list of numbers or None, is not finite."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        values = [] if value is None else value if isinstance(value, tuple) else [value]
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{flag} must be finite, got {value}")
+
+
 def _numbers(convert, count=None):
     """argparse type for a comma list of numbers: `count` of them, or one
     or more if count is None."""
@@ -222,11 +232,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_design(args) -> int:
-    numbers = {"--b": [args.b], "--chain": args.chain or [], "--beta0": [args.beta0],
-               "--tail-duration": [] if args.tail_duration is None else [args.tail_duration]}
-    for flag, values in numbers.items():
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"{flag} must be finite, got {values}")
+    _require_finite(args, "--b", "--chain", "--beta0", "--tail-duration")
     bs = [args.b, *(args.chain or ())]
     ansatzes = [design.ThetaAnsatz.from_targets(b, args.beta0) for b in bs]
 
@@ -340,8 +346,7 @@ def _context_from_args(args) -> physical.PhysicalContext:
 
 
 def cmd_units(args) -> int:
-    if not (math.isfinite(args.beta0) and math.isfinite(args.beta1)):
-        raise ValueError(f"--beta0 and --beta1 must be finite, got {args.beta0}, {args.beta1}")
+    _require_finite(args, "--beta0", "--beta1", "--omega")
     ctx = _context_from_args(args)
     if args.table:
         base = {}
@@ -396,6 +401,7 @@ def _parse_qlin(text: str) -> float:
 
 
 def cmd_solenoid(args) -> int:
+    _require_finite(args, "--omega", "--amp", "--field-omega", "--r", "--tau")
     ctx = _context_from_args(args)
     if args.cylinder:
         if args.qlin is None:

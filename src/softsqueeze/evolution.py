@@ -25,24 +25,27 @@ merges of the block stack write into the earlier product in place.
 
 The product is the level-wise pairwise tree over all steps: each level
 multiplies neighbours, later step on the left, and an odd last element is
-carried up.  The engine walks it in aligned blocks of 2^k steps, sized so
-that a block times the batch width stays within a fixed element budget
-(_BLOCK_ELEMENTS), and a block has at most half the budget in steps.  A
-run has at most the budget in columns, and mathieu_batch chunks and pairs
-its nodes so that no run is narrower than half the budget unless its
-batch is.  Every array of a block is a view into one flat workspace,
-filled with out= arithmetic in the order of the formulas: the beta rows,
-the maps, the tree's levels in two spaces taken in turn, scratch and the
-block stack, 4 doubles per column for each of at most bit_length(steps)
-levels.  A run of w columns, w at most the budget, takes one fresh
-workspace of at most 9 _BLOCK_ELEMENTS + 4 w (bit_length(steps) + 1)
-doubles, so memory is bounded for any step count and no block allocates
-anything.  The tree's shape depends only on the step count, never on the
-block size, the block's layout or the batch width, so a node's result is
-bit-identical alone or inside any batch, and run to run.  Determinant
-drift is checked after every run and never silently corrected.  A run
-over a finite interval whose entries overflow a float raises
-OverflowError without a numpy warning.
+carried up.  The engine walks it in aligned blocks of n = 2^k steps, n
+taken from the run's width w and a fixed element budget B
+(_BLOCK_ELEMENTS): the largest with (n + 3) w at most 4 B, and at most
+B / 2 (_block_steps).  So a narrow run takes few long blocks, whose numpy
+calls are long enough to outweigh their fixed cost, and a run of B
+columns takes blocks of one step.  A mathieu_batch run has at most B
+columns, and mathieu_batch chunks and pairs its nodes so that no run is
+narrower than B / 2 unless its batch is.  Every array of a block is a
+view into one flat workspace, filled with out= arithmetic in the order of
+the formulas: the beta rows, the maps, the tree's levels in two spaces
+taken in turn, scratch and the block stack, 4 doubles per column for each
+of at most bit_length(steps) levels.  A run of w columns takes one fresh
+workspace of at most (8 n + 4) w + 4 w bit_length(steps) doubles, 2 n + 1
+more if each of its intervals has one column; for w at most B that is
+under 33 B + 4 w bit_length(steps).  So memory is bounded for any step
+count, and no block allocates anything.  The tree's shape depends only
+on the step count, never on the block size, the block's layout or the
+batch width, so a node's result is bit-identical alone or inside any
+batch, and run to run.  Determinant drift is checked after every run and
+never silently corrected.  A run over a finite interval whose entries
+overflow a float raises OverflowError without a numpy warning.
 
 A run's step is h = (tau1 - tau0) / steps.  The Mathieu drive is even
 about every multiple of pi, so mathieu_batch, which every Mathieu
@@ -133,14 +136,24 @@ class ZoneReport:
 # ---------------------------------------------------------------------------
 # RK4 step-map engine
 
-# Step maps per block times columns.  Half of it bounds a block's steps,
-# which keeps a one-column run's beta_array calls at 8193 samples.  It also
-# bounds a run's columns, so a wide run's stack of block products, 4 doubles
-# per column and level, spans at most 8192 columns: a mathieu_batch chunk
-# has at most that many nodes, or half of it when its two half-period
-# pieces run together.  Bounds the engine's working set; results do not
-# depend on it (see the module docstring).
+# The engine's element budget B.  A block of n steps over w <= B columns
+# holds at most 4 B - 3 w step maps and B / 2 steps (_block_steps); the latter
+# keeps a one-column run's beta_array calls at 8193 samples.  B also bounds
+# a mathieu_batch run's columns, so a wide run's stack of block products,
+# 4 doubles per column and level, spans at most B columns: a chunk has at
+# most B nodes, or B / 2 when its two half-period pieces run together.
+# Bounds the engine's working set; results do not depend on it (see the
+# module docstring).
 _BLOCK_ELEMENTS = 8192
+
+
+def _block_steps(w: int, steps: int) -> int:
+    """Steps per block of a run of w columns: the largest power of 2, n,
+    with (n + 3) w <= 4 B, at least 1 and at most B / 2, or all the steps
+    if fewer.  The 3 w keeps a run of B columns at one step per block, and so
+    the widest runs' workspace within mathieu_batch's bound."""
+    n = max(4 * _BLOCK_ELEMENTS // w - 3, 1)
+    return min(1 << (n.bit_length() - 1), max(_BLOCK_ELEMENTS // 2, 1), steps)
 
 
 def _workspace(size: int) -> np.ndarray:
@@ -246,19 +259,19 @@ def _rk4(beta_at, t0, t1, steps: int, width: int) -> np.ndarray:
 
     beta_at(taus, out) writes beta at the (rows, g) taus into the
     (rows, g, width) view out, and may overwrite taus.  The steps run in
-    blocks: each samples beta at its nodes, then its midpoints (a later
-    block takes its first node from the previous block's last), into rows
-    laid out along the block's longer axis, builds the maps and multiplies
-    them in a tree.  Full blocks are pushed on a stack whose equal-sized
-    neighbours merge at once, and what is left is merged from right to
-    left: together this is the level-wise tree over all steps, whatever
-    the block size.  Every array a block touches is a view into one
-    workspace (_workspace): the beta rows, whose space the odd tree levels
-    reuse, the maps, whose space the even levels reuse, a scratch space
-    for the grid and the merge products, and the stack.  The stack's
-    merges take their two scratch maps from the scratch space and from
-    the level space that does not hold the block's product.  h stays a
-    scalar when the g intervals share it.
+    blocks of _block_steps(g * width, steps): each samples beta at its
+    nodes, then its midpoints (a later block takes its first node from the
+    previous block's last), into rows laid out along the block's longer
+    axis, builds the maps and multiplies them in a tree.  Full blocks are
+    pushed on a stack whose equal-sized neighbours merge at once, and what
+    is left is merged from right to left: together this is the level-wise
+    tree over all steps, whatever the block size.  Every array a block
+    touches is a view into one workspace (_workspace): the beta rows, whose
+    space the odd tree levels reuse, the maps, whose space the even levels
+    reuse, a scratch space for the grid and the merge products, and the
+    stack.  The stack's merges take their two scratch maps from the scratch
+    space and from the level space that does not hold the block's product.
+    h stays a scalar when the g intervals share it.
     """
     g = np.size(t0)
     w = g * width
@@ -268,8 +281,7 @@ def _rk4(beta_at, t0, t1, steps: int, width: int) -> np.ndarray:
         h = h[0] if (h == h[0]).all() else np.repeat(h, width)
     h2 = h * h
     k = (h, h2 * h2 / 24.0, h2 / 6.0, h2 / 3.0, h2 * h / 6.0, h2 * h / 12.0, h / 6.0, 2.0 * h / 3.0)
-    # steps per block: a power of 2 within the budget and half of it
-    n = min(1 << (max(_BLOCK_ELEMENTS // max(w, 2), 1).bit_length() - 1), steps)
+    n = _block_steps(w, steps)
     rows = 2 * n + 1
     depth = (steps // n).bit_length() + (steps % n > 0)  # most stack entries at once
     ends = list(itertools.accumulate(
@@ -638,13 +650,16 @@ def mathieu_batch(beta0, beta1, tau0: float, tau1: float, steps: int = DEFAULT_C
     least B / 2.  A one-period chunk of at most B / 2 pairs runs its two
     half-period pieces as one run of twice its width, a wider one as two
     runs.  So every engine run has at most B columns, and at least B / 2
-    unless the batch has fewer pairs.  One run is alive at a time, and a
-    run of w columns at s steps takes a workspace of at most 9 B + 4 w
-    (bit_length(s) + 1) doubles; besides it a call holds at most 9 doubles
-    per column of its widest run, 18 if that run's two pieces differ in h,
-    and 7 per pair of the batch.  Over the default [pi/2, 5pi/2] at 20000
-    steps each piece takes 5000 steps, so a call of B pairs peaks under
-    81 B doubles, 5.3 MB at B = 8192.
+    unless the batch has fewer pairs.  One run is alive at a time.  A run
+    of w columns at s steps takes blocks of n steps, n w <= 4 B - 3 w, and
+    a workspace of at most (8 n + 4) w + 4 w bit_length(s) doubles, 2 n + 1
+    more for a single pair; besides it a call holds at most 9 doubles per
+    column of its widest run, 18 if that run's two pieces differ in h, and
+    7 per pair of the batch.  Over the default [pi/2, 5pi/2] at 20000 steps
+    each piece takes 5000 steps.  A call of B pairs runs B columns in
+    blocks of one step and peaks under (12 + 52 + 9 + 7) B = 80 B doubles,
+    5.2 MB at B = 8192; since (8 n + 4) w <= 32 B - 20 w, a call of fewer
+    pairs stays under that too.
 
     Returns four arrays (u11, u12, u21, u22) of the broadcast input shape.
     """

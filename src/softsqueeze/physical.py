@@ -126,7 +126,8 @@ def scaling_table(ctx: PhysicalContext, base: dict, t_ref: float, t_list) -> dic
     q, p, v rows come straight from the context scales; Phi, B and the
     radiative ratio scale from caller-supplied base values at t_ref with
     the exact exponents in SCALING_EXPONENTS (their absolute normalization
-    is a convention of the source design, not derivable here).
+    is a convention of the source design, not derivable here).  Finite
+    inputs whose magnitudes overflow a float raise OverflowError.
     """
     t_list = [float(t) for t in t_list]
     if not all(math.isfinite(t) and t > 0 for t in (t_ref, *t_list)):
@@ -141,7 +142,16 @@ def scaling_table(ctx: PhysicalContext, base: dict, t_ref: float, t_list) -> dic
     for key in ("Phi", "B", "ratio"):
         if key in base:
             exp = SCALING_EXPONENTS[key]
-            out[key] = [base[key] * (t / t_ref) ** exp for t in t_list]
+            try:
+                out[key] = [base[key] * (t / t_ref) ** exp for t in t_list]
+            except (OverflowError, ZeroDivisionError):
+                # a float power raises where a product gives inf: on overflow,
+                # and on T / t_ref underflowed to 0 under a negative exponent
+                out[key] = [math.inf]
+    bad = [key for key in SCALING_EXPONENTS if key in out and not all(map(math.isfinite, out[key]))]
+    if bad:
+        raise OverflowError(f"scaling table rows {', '.join(bad)} overflow double precision "
+                            f"at T {t_list}")
     return out
 
 

@@ -494,6 +494,14 @@ def test_units_rejects_non_finite_drive(capsys, flag, value):
     (["units", "--table", "--t-ref", "inf", "--base-b", "2"], "time scales"),
     (["units", "--table", "--base-b", "nan"], "base values"),
     (["units", "--table", "--particle", "custom", "--mass", "nan", "--charge", "1"], "m must"),
+    (["units", "--omega", "nan"], "--omega"),
+    (["units", "--omega", "inf"], "--omega"),
+    (["solenoid", "--amp", "nan"], "--amp"),
+    (["solenoid", "--amp", "inf"], "--amp"),
+    (["solenoid", "--cylinder", "--qlin", "1C", "--omega", "inf"], "--omega"),
+    (["solenoid", "--field-omega", "nan"], "--field-omega"),
+    (["solenoid", "--r", "nan"], "--r"),
+    (["solenoid", "--tau", "nan"], "--tau"),
 ])
 def test_non_finite_input_is_a_configuration_error(capsys, argv, name):
     # no step count fixes a NaN or infinite input, so it is not a numerical
@@ -524,6 +532,8 @@ def test_unbounded_composite_piece_still_evolves(capsys):
     ["evolve", "--profile", '{"kind":"mathieu","beta0":1e300,"beta1":1}', "--from", "0", "--to", "1"],
     ["scan", "--rect", "1,1.1,0.6,0.7", "--grid", "2,2", "--steps", "200", "--from", "0",
      "--to", "1e300"],
+    ["units", "--table", "--base-b", "1e300", "--t-list", "1e-10"],
+    ["units", "--table", "--base-b", "1", "--t-ref", "1e300", "--t-list", "1e-300"],
 ])
 def test_float_overflow_is_a_configuration_error(capsys, argv):
     # a warning would print on stderr ahead of the one error line
@@ -536,10 +546,12 @@ def test_float_overflow_is_a_configuration_error(capsys, argv):
 
 
 def test_json_output_never_holds_nan_or_infinity(capsys, tmp_path):
-    # a non-finite value anywhere in a report is a configuration error
-    # before anything is written, not a NaN or Infinity token
+    # a non-finite value anywhere in a report, here finite flags whose
+    # results overflow, is a configuration error before anything is
+    # written, not a NaN or Infinity token
     path = tmp_path / "report.json"
-    for argv in (["units", "--omega", "inf"], ["solenoid", "--amp", "nan"]):
+    for argv in (["units", "--omega", "1e154"],
+                 ["solenoid", "--amp", "1e308", "--field-omega", "10"]):
         assert main(argv + ["--output", str(path)]) == 2
         assert "not JSON compliant" in capsys.readouterr().err
         assert not path.exists()

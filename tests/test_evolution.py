@@ -133,7 +133,7 @@ def test_max_steps_enforced_before_sampling():
 
 def test_each_beta_sample_taken_once(monkeypatch):
     # consecutive blocks share a node, which the engine carries over instead
-    # of sampling it again: 10 blocks of 4 steps sample 2 * 37 + 1 points
+    # of sampling it again: 19 blocks of at most 2 steps sample 2 * 37 + 1 points
     monkeypatch.setattr(evolution, "_BLOCK_ELEMENTS", 4)
     taus = []
 
@@ -495,29 +495,66 @@ def test_run_widths_stay_within_half_the_budget_and_the_budget(monkeypatch, node
 
 
 def test_widest_chunk_stays_under_memory_bound():
-    # mathieu_batch's docstring: a run of w columns at s steps takes a
-    # workspace of at most 9 B + 4 w (bit_length(s) + 1) doubles, and a call
-    # holds besides it at most 9 doubles per column of its widest run and 7
-    # per pair.  B pairs over the default interval at 20000 steps run V and
-    # W apart, B columns of 5000 steps each
+    # mathieu_batch's docstring: a run of w columns in blocks of n steps, s
+    # in all, takes a workspace of at most (8 n + 4) w + 4 w bit_length(s)
+    # doubles, and a call holds besides it at most 9 doubles per column of
+    # its widest run and 7 per pair.  Over the default interval at 20000
+    # steps each piece takes 5000 steps; B pairs run V and W apart, B
+    # columns in blocks of one step, (12 + 52 + 9 + 7) B = 80 B doubles,
+    # and no call of fewer pairs takes more
     budget = evolution._BLOCK_ELEMENTS
-    rng = np.random.default_rng(budget)
-    b0 = rng.uniform(0.9, 1.9, budget)
-    b1 = rng.uniform(0.5, 1.6, budget)
     bound = 8 * (9 * budget + 4 * budget * ((5000).bit_length() + 1) + 9 * budget + 7 * budget)
-    tracemalloc.start()
-    try:
-        mathieu_batch(b0, b1, PI / 2, 5 * PI / 2, steps=20000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < bound
+    for nodes in (budget, 6400, 4096, 2048, 160):
+        rng = np.random.default_rng(nodes)
+        b0 = rng.uniform(0.9, 1.9, nodes)
+        b1 = rng.uniform(0.5, 1.6, nodes)
+        tracemalloc.start()
+        try:
+            mathieu_batch(b0, b1, PI / 2, 5 * PI / 2, steps=20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, nodes
 
 
-@pytest.mark.parametrize("nodes,block,axis", [(160, (2, 2, 16, 320), 2), (8, (2, 2, 16, 500), 3)])
+@pytest.mark.parametrize("width,steps,n", [
+    (1, 5000, 4096),     # a one-column run: beta_array pieces of 8193 samples
+    (7, 5000, 4096),
+    (8, 5000, 2048),
+    (48, 500, 500),      # refine's 24-node window pass: one block
+    (320, 500, 64),      # refine's 160-node locus scan
+    (6400, 5000, 2),     # an 80x80 scan's V and W
+    (8192, 5000, 1),     # the widest run
+])
+def test_block_steps_follow_the_run_width(monkeypatch, poisoned_workspace, width, steps, n):
+    # a block holds about 4 B step-columns and at most B / 2 steps, and the
+    # run's workspace stays within the bound of mathieu_batch's docstring,
+    # (8 n + 4) w + 4 w bit_length(steps) doubles, 2 n + 1 more for one column
+    budget = evolution._BLOCK_ELEMENTS
+    assert budget == 8192
+    assert evolution._block_steps(width, steps) == n
+    assert (n + 3) * width <= 4 * budget and n <= budget // 2
+    blocks = []
+    real = evolution._tree
+
+    def recorded(d, axis, *args):
+        blocks.append(d.shape[axis])
+        return real(d, axis, *args)
+
+    def beta_at(taus, rows):
+        rows[...] = 1.0
+
+    monkeypatch.setattr(evolution, "_tree", recorded)
+    evolution._rk4(beta_at, 0.0, 1.0, steps, width)
+    assert blocks[0] == n and sum(blocks) == steps
+    bound = (8 * n + 4) * width + 4 * width * steps.bit_length() + (2 * n + 1) * (width == 1)
+    assert len(poisoned_workspace) == 1 and poisoned_workspace[0] <= bound
+
+
+@pytest.mark.parametrize("nodes,block,axis", [(160, (2, 2, 64, 320), 2), (8, (2, 2, 16, 500), 3)])
 def test_block_layouts_match_single_nodes_at_default_budget(monkeypatch, nodes, block, axis):
     # refine's one-period batches at its 2000 steps and the default budget:
-    # 160 nodes run V and W as 16-step blocks of 320 columns, steps first;
+    # 160 nodes run V and W as 64-step blocks of 320 columns, steps first;
     # 8 nodes as one 500-step block of 16 columns, steps last.  A node alone
     # runs 2 columns, steps last; every node matches its run alone
     assert evolution._BLOCK_ELEMENTS == 8192

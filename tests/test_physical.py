@@ -69,6 +69,18 @@ def test_scaling_table_rejects_bad_time_scales_and_base_values(t_ref, t_list, ba
         scaling_table(PROTON_1S, base=base, t_ref=t_ref, t_list=t_list)
 
 
+@pytest.mark.parametrize("ctx,t_ref,t_list,base,rows", [
+    (PROTON_1S, 1.0, [1e-10], {"B": 1e300}, "B"),           # a product overflows
+    (PROTON_1S, 1.0, [1e-200], {"Phi": 1.0}, "Phi"),        # a power overflows
+    (PROTON_1S, 1e300, [1e-300], {"ratio": 1.0}, "ratio"),  # T / t_ref underflows to 0
+    (PhysicalContext(m=1e-300, e=1.0, r0=1.0, T=1.0), 1.0, [1e300], {}, "q"),
+])
+def test_scaling_table_overflow_raises(ctx, t_ref, t_list, base, rows):
+    # finite inputs whose magnitudes overflow a float raise, naming the rows
+    with pytest.raises(OverflowError, match=f"rows {rows} overflow"):
+        scaling_table(ctx, base=base, t_ref=t_ref, t_list=t_list)
+
+
 def test_proton_constructor_fills_particle_constants():
     ctx = PhysicalContext.proton(r0=3.0, T=0.5)
     assert ctx.r0 == 3.0 and ctx.T == 0.5
