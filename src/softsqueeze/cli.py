@@ -11,9 +11,11 @@ its report, and any command that samples a theta profile with such a zero
 (evolve, shadow) exits 4, wherever its samples fall.
 
 Angles and times may be given as decimals or as pi fractions ("pi/2",
-"5pi/2", "-3pi/4"), parsed exactly.  A negative value may follow its flag
-as a separate argument in any notation ("--p0 -1.1e-05", "--from -3pi/4",
-"--inits '-1,0;0,1'"), not only as "--p0=-1.1e-05".
+"5pi/2", "-3pi/4"), parsed exactly.  Every numeric flag of a subcommand,
+on the command line or in --config, must be finite even where it is not
+used.  A negative value may follow its flag as a separate argument in any
+notation ("--p0 -1.1e-05", "--from -3pi/4", "--inits '-1,0;0,1'", "--beta1
+-inf"), not only as "--p0=-1.1e-05".
 
 Profiles are JSON objects passed inline or as a file path:
 
@@ -82,14 +84,11 @@ def parse_angle(text: str) -> float:
     return value
 
 
-def _require_finite(args, *flags):
-    """Raise ValueError naming the first of flags whose value in args, a
-    number, a list of numbers or None, is not finite."""
-    for flag in flags:
-        value = getattr(args, flag[2:].replace("-", "_"))
-        values = [] if value is None else value if isinstance(value, tuple) else [value]
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"{flag} must be finite, got {value}")
+def _require_finite(args):
+    """Raise ValueError naming the first flag whose float or tuple value is not finite."""
+    for dest, value in vars(args).items():
+        if isinstance(value, (float, tuple)) and not np.isfinite(np.asarray(value, float)).all():
+            raise ValueError(f"--{dest.replace('_', '-')} must be finite, got {value}")
 
 
 def _numbers(convert, count=None):
@@ -232,7 +231,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_design(args) -> int:
-    _require_finite(args, "--b", "--chain", "--beta0", "--tail-duration")
+    if args.samples < 2:
+        raise ValueError(f"--samples must be at least 2, got {args.samples}")
     bs = [args.b, *(args.chain or ())]
     ansatzes = [design.ThetaAnsatz.from_targets(b, args.beta0) for b in bs]
 
@@ -346,7 +346,6 @@ def _context_from_args(args) -> physical.PhysicalContext:
 
 
 def cmd_units(args) -> int:
-    _require_finite(args, "--beta0", "--beta1", "--omega")
     ctx = _context_from_args(args)
     if args.table:
         base = {}
@@ -401,19 +400,17 @@ def _parse_qlin(text: str) -> float:
 
 
 def cmd_solenoid(args) -> int:
-    _require_finite(args, "--omega", "--amp", "--field-omega", "--r", "--tau")
     ctx = _context_from_args(args)
     if args.cylinder:
         if args.qlin is None:
             raise ValueError("--cylinder needs --qlin (charge per cm, e.g. '1C')")
-        q_lin = _parse_qlin(args.qlin)
         b = physical.rotating_cylinder_field(
-            args.omega, q_lin, standard_convention=args.standard
+            args.omega, args.qlin, standard_convention=args.standard
         )
         _emit_json({
             "B_gauss": b,
             "omega_per_s": args.omega,
-            "q_lin_esu_per_cm": q_lin,
+            "q_lin_esu_per_cm": args.qlin,
             "convention": "standard (2 omega Q/c)" if args.standard
                           else "literal (4 pi omega Q/c)",
         }, args.output)
@@ -442,9 +439,9 @@ def cmd_solenoid(args) -> int:
 
 
 # Argument strings that are values, not flags: negative numbers in any
-# notation ("-1.1e-05", "-.5"), negative pi fractions ("-3pi/4", "-pi/2")
-# and lists that start with one ("-1,2", "-1,0;0,1").
-_NEGATIVE_VALUE_RE = re.compile(r"^-(\d|\.\d|\s*\*?\s*pi)", re.IGNORECASE)
+# notation ("-1.1e-05", "-.5", "-inf", "-nan"), negative pi fractions
+# ("-3pi/4", "-pi/2") and lists that start with one ("-1,2", "-1,0;0,1").
+_NEGATIVE_VALUE_RE = re.compile(r"^-(\d|\.\d|\s*\*?\s*pi|inf|nan)", re.IGNORECASE)
 
 
 def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
@@ -537,7 +534,7 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
     p = add_command("solenoid", help="solenoid radial corrections / rotating-cylinder field")
     p.add_argument("--cylinder", action="store_true", help="rotating charged cylinder estimate")
     p.add_argument("--omega", type=float, default=1.0, help="rotation rate (1/s)")
-    p.add_argument("--qlin", help="charge per cm of axial length ('1C' or esu)")
+    p.add_argument("--qlin", type=_parse_qlin, help="charge per cm of axial length ('1C' or esu)")
     p.add_argument("--standard", action="store_true",
                    help="use the surface-current convention (divides by 2 pi)")
     p.add_argument("--amp", type=float, default=1.0, help="axis field amplitude (G)")
@@ -622,6 +619,7 @@ def main(argv=None) -> int:
             # explicit flags still win: argparse falls back to defaults
             # only for absent flags
             args = build_parser(overrides).parse_args(argv)
+        _require_finite(args)
         return args.handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -381,6 +381,15 @@ def test_design_samples_csv(tmp_path, capsys):
     assert beta0 == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("samples", ["-3", "0", "1"])
+def test_design_too_few_samples_is_config_error_before_output(tmp_path, capsys, samples):
+    path = tmp_path / "beta.csv"
+    assert main(["design", "--b", "2", "--samples", samples, "--samples-out", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --samples must be at least 2, got {samples}\n"
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # shadow
 
@@ -464,14 +473,16 @@ def test_units_custom_particle_needs_mass_and_charge():
 @pytest.mark.parametrize("flag", ["--beta0", "--beta1"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_units_rejects_non_finite_drive(capsys, flag, value):
-    assert main(["units", f"{flag}={value}"]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "must be finite" in err
+    # "-inf" may follow its flag as a separate argument too
+    for argv in (["units", f"{flag}={value}"], ["units", flag, value]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"{flag} must be finite" in err
 
 
 @pytest.mark.parametrize("argv,name", [
-    (["scan", "--rect", "1,1.1,0.6,inf", "--grid", "2,2", "--steps", "200"], "rectangle"),
-    (["scan", "--locus", "u12", "--rect", "0.9,1.05,0.5,inf"], "rectangle"),
+    (["scan", "--rect", "1,1.1,0.6,inf", "--grid", "2,2", "--steps", "200"], "--rect"),
+    (["scan", "--locus", "u12", "--rect", "0.9,1.05,0.5,inf"], "--rect"),
     (["scan", "--double-zero", "--seed", "nan,0.8"], "seed"),
     (["scan", "--double-zero", "--seed", "inf,0.8"], "seed"),
     (["design", "--b", "nan"], "--b"),
@@ -489,11 +500,11 @@ def test_units_rejects_non_finite_drive(capsys, flag, value):
     (["evolve", "--profile",
       '{"kind": "sampled", "tau": [0, 1, 2, 3, 4], "beta": [1, 1, NaN, 1, 1]}'], "'beta'"),
     (["units", "--r0", "nan"], "r0"),
-    (["units", "--table", "--t-list", "nan,1", "--base-phi", "1"], "time scales"),
-    (["units", "--table", "--t-list", "inf"], "time scales"),
-    (["units", "--table", "--t-ref", "inf", "--base-b", "2"], "time scales"),
-    (["units", "--table", "--base-b", "nan"], "base values"),
-    (["units", "--table", "--particle", "custom", "--mass", "nan", "--charge", "1"], "m must"),
+    (["units", "--table", "--t-list", "nan,1", "--base-phi", "1"], "--t-list"),
+    (["units", "--table", "--t-list", "inf"], "--t-list"),
+    (["units", "--table", "--t-ref", "inf", "--base-b", "2"], "--t-ref"),
+    (["units", "--table", "--base-b", "nan"], "--base-b"),
+    (["units", "--table", "--particle", "custom", "--mass", "nan", "--charge", "1"], "--mass"),
     (["units", "--omega", "nan"], "--omega"),
     (["units", "--omega", "inf"], "--omega"),
     (["solenoid", "--amp", "nan"], "--amp"),
@@ -502,6 +513,17 @@ def test_units_rejects_non_finite_drive(capsys, flag, value):
     (["solenoid", "--field-omega", "nan"], "--field-omega"),
     (["solenoid", "--r", "nan"], "--r"),
     (["solenoid", "--tau", "nan"], "--tau"),
+    # every float flag, used by the command or not
+    (["shadow", "--profile", THETA_B2, "--belt", "nan"], "--belt"),
+    (["shadow", "--profile", THETA_B2, "--kappa", "nan"], "--kappa"),
+    (["shadow", "--profile", THETA_B2, "--q0", "inf"], "--q0"),
+    (["shadow", "--profile", THETA_B2, "--inits", "1,nan"], "--inits"),
+    (["solenoid", "--cylinder", "--qlin", "inf"], "--qlin"),
+    (["solenoid", "--cylinder", "--qlin", "1e400C"], "--qlin"),
+    (["units", "--mass", "nan"], "--mass"),
+    # "-inf" and "-nan" may follow their flag as a separate argument
+    (["design", "--b", "2", "--beta0", "-nan"], "--beta0"),
+    (["solenoid", "--tau", "-Infinity"], "--tau"),
 ])
 def test_non_finite_input_is_a_configuration_error(capsys, argv, name):
     # no step count fixes a NaN or infinite input, so it is not a numerical
@@ -681,6 +703,24 @@ def test_config_value_kinds_are_checked(tmp_path, capsys):
     assert out["tail"] is None and len(out["stages"]) == 2
     cfg.write_text(json.dumps({"rect": "1.0,1.2,0.6,0.8", "grid": "2,3", "steps": 200}))
     assert len(run_lines(capsys, ["--config", str(cfg), "scan"])) == 7
+
+
+@pytest.mark.parametrize("key,value,argv", [
+    ("belt", math.nan, ["shadow", "--profile", THETA_B2]),
+    ("kappa", math.inf, ["shadow", "--profile", THETA_B2]),
+    ("omega", -math.inf, ["units"]),
+    ("mass", math.nan, ["units"]),
+    ("qlin", "inf", ["solenoid", "--cylinder"]),
+    ("rect", "0.9,1.9,0.5,inf", ["scan"]),
+])
+def test_config_value_that_is_not_finite_names_its_flag(tmp_path, capsys, key, value, argv):
+    # a JSON NaN or Infinity reaches its flag's type as text, and the
+    # parsed value meets the same finite rule as a command-line value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main(["--config", str(cfg)] + argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: --{key} must be finite, got ")
 
 
 @pytest.mark.parametrize("argv,flag", [

@@ -38,6 +38,15 @@ def test_rect_validation():
         ScanRect(0.9, 1.9, 0.5, 1.6, tau0=2.0, tau1=1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("k", range(4))
+def test_rect_bounds_must_be_finite(bad, k):
+    bounds = [0.9, 1.9, 0.5, 1.6]
+    bounds[k] = bad
+    with pytest.raises(ValueError, match="rectangle bounds must be finite"):
+        ScanRect(*bounds)
+
+
 def test_default_rect_box():
     rect = default_rect(n0=10, n1=10)
     assert (rect.beta0_lo, rect.beta0_hi) == (0.9, 1.9)
@@ -448,6 +457,14 @@ def test_find_double_zero_gates_every_node_it_evaluates(monkeypatch, capsys, see
     _count_batches(monkeypatch, nan_at, node=1)
     assert main(argv) == 3
     assert f"numerical failure: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [(math.nan, 0.85), (1.2, math.inf), (-math.inf, 0.85)])
+def test_find_double_zero_rejects_non_finite_seed(monkeypatch, seed):
+    # rejected before any integration
+    monkeypatch.setattr(evolution, "mathieu_batch", None)
+    with pytest.raises(ValueError, match="double-zero seed must be finite"):
+        find_double_zero(seed, FAST)
 
 
 def test_find_double_zero_rejects_stable_seed():
