@@ -2,10 +2,11 @@
 
 Subcommands: evolve, scan, design, shadow, units, solenoid.  All outputs
 are deterministic: CSV files carry a single header row naming columns (and
-units where they apply), JSON reports carry schema_version.  Exit codes:
-0 success, 2 configuration error (an input whose result overflows a float,
-and a non-finite number in a flag or a profile, included), 3 numerical
-failure, 4 validation failure; `design` exits 4 without integrating the
+units where they apply) and rows of core._csv_rows, numbers as %.12g; JSON
+reports carry schema_version.  Exit codes: 0 success, 2 configuration
+error (an input whose result overflows a float, a non-finite number in a
+flag or a profile and a MemoryError included), 3 numerical failure, 4
+validation failure; `design` exits 4 without integrating the
 pulse when a theta zero's slope is not +-2, with "verification": null in
 its report, and any command that samples a theta profile with such a zero
 (evolve, shadow) exits 4, wherever its samples fall.
@@ -53,7 +54,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import design, evolution, mathieu, packets, physical
-from .core import profile_from_dict
+from .core import _csv_rows, profile_from_dict
 from .design import SingularityError
 from .evolution import DEFAULT_CONFIG, IntegrationError, IntegratorConfig
 from .mathieu import ConvergenceError
@@ -289,9 +290,7 @@ def cmd_design(args) -> int:
         taus = np.linspace(pulse.interval[0], pulse.interval[1], args.samples)
         betas = pulse.profile.beta_array(taus)
         with _open_out(args.samples_out) as fh:
-            fh.write("tau,beta\n")
-            for t, b in zip(taus, betas):
-                fh.write("%.12g,%.12g\n" % (t, b))
+            fh.write("tau,beta\n" + _csv_rows("%.12g,%.12g\n", taus, betas))
 
     if violations or not report.ok:
         return 4
@@ -320,7 +319,8 @@ def cmd_shadow(args) -> int:
     result = packets.shadow(profile, init, taus, cfg, belt_radius=args.belt)
     if args.format == "json":
         _emit_json({
-            "rows": [list(r) for r in result.rows()],
+            "rows": np.column_stack([result.taus, result.q_mean, result.p_mean,
+                                     result.dq, result.dp]).tolist(),
             "max_delta_q": result.max_delta_q,
             "within_belt": result.within_belt,
             "belt_radius": result.belt_radius,
@@ -333,6 +333,14 @@ def cmd_shadow(args) -> int:
 
 # ---------------------------------------------------------------------------
 # units
+
+
+def _add_particle_flags(p: argparse.ArgumentParser):
+    p.add_argument("--particle", choices=("proton", "custom"), default="proton")
+    p.add_argument("--mass", type=float, help="custom particle mass (g)")
+    p.add_argument("--charge", type=float, help="custom particle charge (esu)")
+    p.add_argument("--r0", type=float, default=10.0, help="trap or bore radius (cm, default 10)")
+    p.add_argument("--T", type=float, default=1.0, help="time scale (s, default 1)")
 
 
 def _context_from_args(args) -> physical.PhysicalContext:
@@ -356,15 +364,13 @@ def cmd_units(args) -> int:
         if args.base_ratio is not None:
             base["ratio"] = args.base_ratio
         table = physical.scaling_table(ctx, base, args.t_ref, args.t_list)
+        units_of = {"q": "cm", "p": "g cm/s", "v": "cm/s", "Phi": "V", "B": "G", "ratio": "1"}
+        keys = [key for key in units_of if key in table]
+        n = len(table["T"])
         with _open_out(args.output) as fh:
-            cols = ",".join("T=%.12g" % t for t in table["T"])
-            fh.write("quantity," + cols + "\n")
-            units_of = {"q": "cm", "p": "g cm/s", "v": "cm/s",
-                        "Phi": "V", "B": "G", "ratio": "1"}
-            for key in ("q", "p", "v", "Phi", "B", "ratio"):
-                if key in table:
-                    row = ",".join("%.12g" % v for v in table[key])
-                    fh.write(f"{key} [{units_of[key]}],{row}\n")
+            fh.write(_csv_rows("quantity" + ",T=%.12g" * n + "\n", *zip(table["T"])))
+            fh.write(_csv_rows("%s [%s]" + ",%.12g" * n + "\n", keys,
+                               [units_of[key] for key in keys], *zip(*map(table.get, keys))))
         return 0
     phi0, phi1 = physical.paul_voltages(ctx, args.beta0, args.beta1, args.omega)
     out = {
@@ -512,11 +518,7 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_shadow)
 
     p = add_command("units", help="laboratory magnitudes for a context particle")
-    p.add_argument("--particle", choices=("proton", "custom"), default="proton")
-    p.add_argument("--mass", type=float, help="custom particle mass (g)")
-    p.add_argument("--charge", type=float, help="custom particle charge (esu)")
-    p.add_argument("--r0", type=float, default=10.0, help="trap radius (cm, default 10)")
-    p.add_argument("--T", type=float, default=1.0, help="time scale (s, default 1)")
+    _add_particle_flags(p)
     p.add_argument("--omega", type=float, default=1e5,
                    help="drive rate (1/s, default 1e5: the long-radio-wave convention)")
     p.add_argument("--beta0", type=float, default=1.217)
@@ -543,11 +545,7 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=1.0, help="radius for the correction (cm)")
     p.add_argument("--tau", type=float, default=0.0)
     p.add_argument("--order", type=int, default=1, help="highest correction order k")
-    p.add_argument("--particle", choices=("proton", "custom"), default="proton")
-    p.add_argument("--mass", type=float)
-    p.add_argument("--charge", type=float)
-    p.add_argument("--r0", type=float, default=10.0, help="bore radius (cm)")
-    p.add_argument("--T", type=float, default=1.0)
+    _add_particle_flags(p)
     p.add_argument("--output", help="output path (default stdout)")
     p.set_defaults(handler=cmd_solenoid)
 
@@ -629,7 +627,8 @@ def main(argv=None) -> int:
     except (IntegrationError, ConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError, OverflowError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError, MemoryError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -45,6 +45,14 @@ def _det_gate(u11, u12, u21, u22, tol: float):
     return drift - floor <= tol, drift, floor
 
 
+def _csv_rows(row: str, *columns) -> str:
+    """row % r for each row r of the equal-length columns, joined: every
+    command's CSV rows.  Numpy columns are read through tolist().  Private,
+    as _det_gate is, so bench/spans.py does not time each call."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    return "".join(map(row.__mod__, zip(*columns)))
+
+
 @dataclass(frozen=True)
 class SymplecticMatrix2:
     """2x2 real evolution matrix; row 1 maps q, row 2 maps p."""

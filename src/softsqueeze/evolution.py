@@ -415,6 +415,18 @@ def _check_det(entries, cfg: IntegratorConfig, what: str) -> SymplecticMatrix2:
     return u
 
 
+def _check_batch(cols, cfg: IntegratorConfig, what):
+    """cols, the entry arrays (u11, u12, u21, u22) of a batch, if every
+    matrix passes _det_gate at cfg.det_tol; else _check_det raises for the
+    first failing column n, named what(n)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries fail, as NaN does
+        ok = _det_gate(*cols, cfg.det_tol)[0]
+    if not np.all(ok):
+        n = int(np.argmin(ok))
+        _check_det([c[n] for c in cols], cfg, what(n))
+    return cols
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def integrate(
     profile: BetaProfile,
@@ -596,9 +608,11 @@ def integrate_path(
 
     Each segment gets max(ceil(length / span * cfg.steps), 8) RK4 steps, so
     the whole span uses about cfg.steps.  Segments with the same step count
-    run as one batch of the step-map engine, which gives each the matrix
-    integrate() gives it alone, bit for bit; each segment's determinant is
-    checked and the segments are composed left to right.
+    run as one batch of the step-map engine, which gives each the matrix of
+    a direct run over it alone, bit for bit: integrate()'s, except for a
+    one-period Mathieu segment, which integrate() builds from half a period.
+    The first segment that fails the determinant gate raises
+    IntegrationError; the segments are composed left to right.
     """
     taus = [float(t) for t in taus]
     if len(taus) < 2:
@@ -624,11 +638,9 @@ def _rk4_segments(profile: BetaProfile, taus: list, cfg: IntegratorConfig) -> li
     for n in np.unique(counts):
         idx = np.flatnonzero(counts == n)
         entries[:, idx] = _rk4(_sampler(profile), lo[idx], hi[idx], int(n), 1).reshape(4, -1)
-    _finite(entries, lo, hi)
-    return [
-        _check_det(e, cfg, f"integrate over [{a}, {b}]")
-        for a, b, e in zip(taus, taus[1:], entries.T)
-    ]
+    _check_batch(_finite(entries, lo, hi), cfg,
+                 lambda n: f"integrate over [{taus[n]}, {taus[n + 1]}]")
+    return [SymplecticMatrix2(*e) for e in entries.T.tolist()]
 
 
 @np.errstate(over="ignore", invalid="ignore")

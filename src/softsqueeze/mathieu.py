@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SymplecticMatrix2, _det_gate
+from .core import SymplecticMatrix2, _csv_rows, _det_gate
 from . import evolution
 from .evolution import DEFAULT_CONFIG, ZONES, IntegratorConfig
 
@@ -65,6 +65,8 @@ class ScanRect:
             raise ValueError("rectangle ranges must be increasing")
         if self.n0 < 2 or self.n1 < 2:
             raise ValueError("grid counts must be at least 2")
+        if self.n0 * self.n1 * 8 > np.iinfo(np.intp).max:
+            raise ValueError(f"grid counts {self.n0} x {self.n1} exceed the address space")
         if not self.tau1 > self.tau0:
             raise ValueError("tau interval must be increasing")
 
@@ -108,17 +110,6 @@ class ScanResult:
             float(self.u11[i, j]), float(self.u12[i, j]),
             float(self.u21[i, j]), float(self.u22[i, j]),
         )
-
-    def iter_rows(self):
-        """Row-major (beta0 outer, beta1 inner) scan rows for emission."""
-        for i, b0 in enumerate(self.beta0s):
-            for j, b1 in enumerate(self.beta1s):
-                yield (
-                    float(b0), float(b1),
-                    float(self.u11[i, j]), float(self.u12[i, j]),
-                    float(self.u21[i, j]), float(self.u22[i, j]),
-                    float(self.gamma[i, j]), ZONES[self.zone[i, j]],
-                )
 
 
 def scan_grid(rect: ScanRect, cfg: IntegratorConfig = DEFAULT_CONFIG) -> ScanResult:
@@ -291,17 +282,10 @@ def _stencil_roots(x, vals, failed, i, j):
 
 
 def _gated_batch(beta0, beta1, tau0, tau1, cfg: IntegratorConfig, what: str):
-    """mathieu_batch's (u11, u12, u21, u22) at the nodes; the first node
-    that fails _det_gate at cfg.det_tol, NaN included, raises
-    IntegrationError through evolution._check_det."""
+    """mathieu_batch's (u11, u12, u21, u22) at the nodes, gated by
+    evolution._check_batch."""
     cols = evolution.mathieu_batch(beta0, beta1, tau0, tau1, cfg.steps)
-    with np.errstate(over="ignore", invalid="ignore"):  # as in scan_grid
-        ok = _det_gate(*cols, cfg.det_tol)[0]
-    if not np.all(ok):
-        n = int(np.argmin(ok))
-        evolution._check_det([c[n] for c in cols], cfg,
-                             f"{what} node ({beta0[n]}, {beta1[n]})")
-    return cols
+    return evolution._check_batch(cols, cfg, lambda n: f"{what} node ({beta0[n]}, {beta1[n]})")
 
 
 @dataclass(frozen=True)
@@ -390,14 +374,16 @@ def find_double_zero(
 
 
 def write_scan_csv(result: ScanResult, fileobj):
+    """Row-major rows, beta0 outer and beta1 inner, one beta0 line per write."""
     fileobj.write("beta0,beta1,u11,u12,u21,u22,Gamma,zone\n")
-    for row in result.iter_rows():
-        fileobj.write(
-            "%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%s\n" % row
-        )
+    for i, b0 in enumerate(result.beta0s):
+        fileobj.write(_csv_rows(
+            "%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%s\n", [b0] * result.beta1s.size,
+            result.beta1s, result.u11[i], result.u12[i], result.u21[i], result.u22[i],
+            result.gamma[i], np.take(ZONES, result.zone[i]),
+        ))
 
 
 def write_locus_csv(points, fileobj):
-    fileobj.write("beta0,beta1,entry,lambda\n")
-    for p in points:
-        fileobj.write("%.12g,%.12g,%s,%.12g\n" % (p.beta0, p.beta1, p.entry, p.lam))
+    fileobj.write("beta0,beta1,entry,lambda\n" + _csv_rows(
+        "%.12g,%.12g,%s,%.12g\n", *zip(*((p.beta0, p.beta1, p.entry, p.lam) for p in points))))

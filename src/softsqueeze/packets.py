@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BetaProfile, CanonicalState, SymplecticMatrix2
+from .core import BetaProfile, CanonicalState, SymplecticMatrix2, _csv_rows
 from . import evolution
 from .evolution import DEFAULT_CONFIG, IntegratorConfig
 
@@ -183,13 +183,6 @@ class ShadowResult:
         """True if |q| + dq stays inside the display belt."""
         return bool(np.max(np.abs(self.q_mean) + self.dq) < self.belt_radius)
 
-    def rows(self):
-        for k in range(len(self.taus)):
-            yield (
-                float(self.taus[k]), float(self.q_mean[k]), float(self.p_mean[k]),
-                float(self.dq[k]), float(self.dp[k]),
-            )
-
 
 def shadow(
     profile: BetaProfile,
@@ -219,16 +212,13 @@ def shadow(
 
 
 def write_shadow_csv(result: ShadowResult, fileobj):
-    fileobj.write("tau,q_mean,p_mean,delta_q,delta_p\n")
-    for row in result.rows():
-        fileobj.write("%.12g,%.12g,%.12g,%.12g,%.12g\n" % row)
+    fileobj.write("tau,q_mean,p_mean,delta_q,delta_p\n" + _csv_rows(
+        "%.12g,%.12g,%.12g,%.12g,%.12g\n",
+        result.taus, result.q_mean, result.p_mean, result.dq, result.dp))
 
 
 def write_congruence_csv(result: CongruenceResult, fileobj):
-    fileobj.write("tau,init_index,q,p\n")
-    for k in range(len(result.taus)):
-        for j in range(result.qs.shape[1]):
-            fileobj.write(
-                "%.12g,%d,%.12g,%.12g\n"
-                % (result.taus[k], j, result.qs[k, j], result.ps[k, j])
-            )
+    n_tau, n_init = result.qs.shape
+    fileobj.write("tau,init_index,q,p\n" + _csv_rows(
+        "%.12g,%d,%.12g,%.12g\n", np.repeat(result.taus, n_init),
+        np.tile(np.arange(n_init), n_tau), result.qs.ravel(), result.ps.ravel()))

@@ -567,6 +567,20 @@ def test_float_overflow_is_a_configuration_error(capsys, argv):
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("grid, message", [
+    ("100000000000000000000000000,2",
+     "error: grid counts 100000000000000000000000000 x 2 exceed the address space\n"),
+    ("9223372036854775807,2", "error: grid counts 9223372036854775807 x 2 exceed the address space\n"),
+    # 2^58 x 2 doubles pass the count check, but the 2 EiB beta0 axis is
+    # beyond any address space, so its allocation fails without allocating
+    ("288230376151711744,2", "error: Unable to allocate 2.00 EiB"),
+])
+def test_grid_beyond_the_address_space_is_a_configuration_error(capsys, grid, message):
+    assert main(["scan", "--grid", grid]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(message) and err.count("\n") == 1
+
+
 def test_json_output_never_holds_nan_or_infinity(capsys, tmp_path):
     # a non-finite value anywhere in a report, here finite flags whose
     # results overflow, is a configuration error before anything is

@@ -12,6 +12,7 @@ from softsqueeze.cli import parse_angle
 from softsqueeze.core import (
     BetaProfile,
     CanonicalState,
+    CompositeBeta,
     ConstantBeta,
     MathieuBeta,
     SampledBeta,
@@ -169,6 +170,16 @@ def test_integrate_path_max_steps_counts_all_segments():
         integrate_path(_UnsampledBeta(), taus, IntegratorConfig(steps=4000, max_steps=4000))
     mats = integrate_path(ConstantBeta(1.0), taus, IntegratorConfig(steps=4000, max_steps=4002))
     assert entrywise_err(mats[-1], rotation_matrix(1.0, 1.0)) < 1e-12
+
+
+def test_integrate_path_names_the_first_segment_that_fails_the_gate():
+    # 8 RK4 steps of h = 1/8 at beta = 400 (k h = 2.5) drift far from det 1,
+    # on both such segments; the first is named
+    prof = CompositeBeta([(0.0, 1.0, ConstantBeta(0.0)), (1.0, 2.0, ConstantBeta(400.0)),
+                          (2.0, 3.0, ConstantBeta(400.0))])
+    with pytest.raises(IntegrationError) as exc:
+        integrate_path(prof, [0.0, 1.0, 2.0, 3.0], IntegratorConfig(steps=24))
+    assert str(exc.value).startswith("integrate over [1.0, 2.0]: determinant drift ")
 
 
 def test_det_failure_asks_for_a_finer_step_only_when_the_step_can_help():

@@ -47,6 +47,14 @@ def test_rect_bounds_must_be_finite(bad, k):
         ScanRect(*bounds)
 
 
+@pytest.mark.parametrize("n0, n1", [(2**59, 2), (2, 2**59), (2**40, 2**40), (10**26, 2)])
+def test_rect_counts_beyond_the_address_space_are_rejected(n0, n1):
+    # n0 n1 doubles must fit in 2^63 - 1 bytes, the largest intp
+    with pytest.raises(ValueError, match=f"grid counts {n0} x {n1} exceed the address space"):
+        ScanRect(0.9, 1.9, 0.5, 1.6, n0=n0, n1=n1)
+    ScanRect(0.9, 1.9, 0.5, 1.6, n0=2**59 - 1, n1=2)  # 2^63 - 16 bytes
+
+
 def test_default_rect_box():
     rect = default_rect(n0=10, n1=10)
     assert (rect.beta0_lo, rect.beta0_hi) == (0.9, 1.9)
@@ -84,7 +92,11 @@ def test_scan_grid_marks_nan_nodes_failed():
         res = scan_grid(ScanRect(0.9, 1.9, 0.5, 1.6, n0=2, n1=2, tau1=math.inf), FAST)
     assert res.failed.all()
     assert (res.zone == 0).all()
-    assert {row[-1] for row in res.iter_rows()} == {"failed"}
+    buf = io.StringIO()
+    write_scan_csv(res, buf)
+    rows = buf.getvalue().splitlines()[1:]
+    assert len(rows) == 4
+    assert {row.split(",")[-1] for row in rows} == {"failed"}
 
 
 def test_scan_grid_zones_flip_across_mathieu_characteristic_curves():
@@ -118,12 +130,17 @@ def test_scan_grid_zones_flip_across_mathieu_characteristic_curves():
 def test_scan_grid_row_major_order():
     rect = ScanRect(1.0, 1.2, 0.6, 0.8, n0=2, n1=3)
     res = scan_grid(rect, FAST)
-    rows = list(res.iter_rows())
+    buf = io.StringIO()
+    write_scan_csv(res, buf)
+    rows = buf.getvalue().splitlines()[1:]
     assert len(rows) == 6
-    b0_seq = [r[0] for r in rows]
-    assert b0_seq == sorted(b0_seq)
-    # inner index (beta1) cycles fastest
-    assert [r[1] for r in rows[:3]] == list(res.beta1s)
+    # beta0 outer, beta1 inner: the inner index cycles fastest
+    assert rows == [
+        ",".join(["%.12g" % x for x in (
+            res.beta0s[i], res.beta1s[j], res.u11[i, j], res.u12[i, j],
+            res.u21[i, j], res.u22[i, j], res.gamma[i, j])] + [ZONES[res.zone[i, j]]])
+        for i in range(2) for j in range(3)
+    ]
 
 
 def test_scan_csv_deterministic():
