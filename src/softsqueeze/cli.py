@@ -290,7 +290,7 @@ def cmd_design(args) -> int:
         taus = np.linspace(pulse.interval[0], pulse.interval[1], args.samples)
         betas = pulse.profile.beta_array(taus)
         with _open_out(args.samples_out) as fh:
-            fh.write("tau,beta\n" + _csv_rows("%.12g,%.12g\n", taus, betas))
+            fh.write("tau,beta\n" + _csv_rows(taus, betas))
 
     if violations or not report.ok:
         return 4
@@ -366,11 +366,11 @@ def cmd_units(args) -> int:
         table = physical.scaling_table(ctx, base, args.t_ref, args.t_list)
         units_of = {"q": "cm", "p": "g cm/s", "v": "cm/s", "Phi": "V", "B": "G", "ratio": "1"}
         keys = [key for key in units_of if key in table]
-        n = len(table["T"])
         with _open_out(args.output) as fh:
-            fh.write(_csv_rows("quantity" + ",T=%.12g" * n + "\n", *zip(table["T"])))
-            fh.write(_csv_rows("%s [%s]" + ",%.12g" * n + "\n", keys,
-                               [units_of[key] for key in keys], *zip(*map(table.get, keys))))
+            # one row per quantity and one column per T, its header cell T=<T>
+            fh.write("quantity" + "".join(",T=" + t for t in _csv_rows(table["T"]).split()) + "\n")
+            fh.write(_csv_rows([f"{key} [{units_of[key]}]" for key in keys],
+                               *np.array([table[key] for key in keys]).T))
         return 0
     phi0, phi1 = physical.paul_voltages(ctx, args.beta0, args.beta1, args.omega)
     out = {

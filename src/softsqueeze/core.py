@@ -45,12 +45,14 @@ def _det_gate(u11, u12, u21, u22, tol: float):
     return drift - floor <= tol, drift, floor
 
 
-def _csv_rows(row: str, *columns) -> str:
-    """row % r for each row r of the equal-length columns, joined: every
-    command's CSV rows.  Numpy columns are read through tolist().  Private,
-    as _det_gate is, so bench/spans.py does not time each call."""
-    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-    return "".join(map(row.__mod__, zip(*columns)))
+def _csv_rows(*columns) -> str:
+    """One line per row of the equal-length columns, joined: every command's
+    CSV rows.  A float column is written %.12g, any other (an index, a
+    label) %s.  Private, as _det_gate is, so bench/spans.py does not time
+    each call."""
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("%.12g" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
+    return "".join(map(row.__mod__, zip(*[c.tolist() for c in columns], strict=True)))
 
 
 @dataclass(frozen=True)

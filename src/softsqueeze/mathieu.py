@@ -378,12 +378,11 @@ def write_scan_csv(result: ScanResult, fileobj):
     fileobj.write("beta0,beta1,u11,u12,u21,u22,Gamma,zone\n")
     for i, b0 in enumerate(result.beta0s):
         fileobj.write(_csv_rows(
-            "%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%s\n", [b0] * result.beta1s.size,
-            result.beta1s, result.u11[i], result.u12[i], result.u21[i], result.u22[i],
-            result.gamma[i], np.take(ZONES, result.zone[i]),
-        ))
+            np.full(result.beta1s.size, b0), result.beta1s, result.u11[i], result.u12[i],
+            result.u21[i], result.u22[i], result.gamma[i], np.take(ZONES, result.zone[i])))
 
 
 def write_locus_csv(points, fileobj):
     fileobj.write("beta0,beta1,entry,lambda\n" + _csv_rows(
-        "%.12g,%.12g,%s,%.12g\n", *zip(*((p.beta0, p.beta1, p.entry, p.lam) for p in points))))
+        [p.beta0 for p in points], [p.beta1 for p in points],
+        [p.entry for p in points], [p.lam for p in points]))

@@ -213,12 +213,11 @@ def shadow(
 
 def write_shadow_csv(result: ShadowResult, fileobj):
     fileobj.write("tau,q_mean,p_mean,delta_q,delta_p\n" + _csv_rows(
-        "%.12g,%.12g,%.12g,%.12g,%.12g\n",
         result.taus, result.q_mean, result.p_mean, result.dq, result.dp))
 
 
 def write_congruence_csv(result: CongruenceResult, fileobj):
     n_tau, n_init = result.qs.shape
     fileobj.write("tau,init_index,q,p\n" + _csv_rows(
-        "%.12g,%d,%.12g,%.12g\n", np.repeat(result.taus, n_init),
-        np.tile(np.arange(n_init), n_tau), result.qs.ravel(), result.ps.ravel()))
+        np.repeat(result.taus, n_init), np.tile(np.arange(n_init), n_tau),
+        result.qs.ravel(), result.ps.ravel()))

@@ -12,6 +12,7 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from softsqueeze.cli import main
 from softsqueeze.mathieu import LocusPoint, ScanRect, ScanResult, write_locus_csv, write_scan_csv
@@ -179,3 +180,16 @@ def test_scan_csv_memory_does_not_grow_with_lines():
     # the writer may hold one grid line of rows, never the whole grid
     small, large = _scan_write_peak(100, 200), _scan_write_peak(400, 200)
     assert large <= small * 1.05 + 1024, (small, large)
+
+
+def test_scan_csv_rejects_columns_of_unequal_length():
+    # a result whose arrays are shorter than its axes must not write a cut CSV
+    res = ScanResult(
+        rect=ScanRect(1.0, 2.0, 0.0, 1.0, n0=2, n1=3),
+        beta0s=np.array([1.0, 2.0]), beta1s=np.array([0.0, 0.5, 1.0]),
+        u11=np.ones((2, 2)), u12=np.ones((2, 3)), u21=np.ones((2, 3)), u22=np.ones((2, 3)),
+        gamma=np.ones((2, 3)), zone=np.ones((2, 3), dtype=np.int8),
+        failed=np.zeros((2, 3), dtype=bool),
+    )
+    with pytest.raises(ValueError):
+        write_scan_csv(res, io.StringIO())

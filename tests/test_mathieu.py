@@ -134,6 +134,8 @@ def test_scan_grid_row_major_order():
     write_scan_csv(res, buf)
     rows = buf.getvalue().splitlines()[1:]
     assert len(rows) == 6
+    b0_seq = [float(r.split(",")[0]) for r in rows]
+    assert b0_seq == sorted(b0_seq) and b0_seq[0] < b0_seq[-1]
     # beta0 outer, beta1 inner: the inner index cycles fastest
     assert rows == [
         ",".join(["%.12g" % x for x in (
