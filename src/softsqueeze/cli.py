@@ -54,7 +54,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import design, evolution, mathieu, packets, physical
-from .core import _csv_rows, profile_from_dict
+from .core import _csv_rows, profile_from_json
 from .design import SingularityError
 from .evolution import DEFAULT_CONFIG, IntegrationError, IntegratorConfig
 from .mathieu import ConvergenceError
@@ -117,15 +117,12 @@ def _pairs(text: str) -> tuple:
 
 
 def _load_profile(source: str):
+    """The profile of inline JSON, or of the JSON file named by source."""
     source = source.strip()
-    if source.startswith("{"):
-        return profile_from_dict(json.loads(source))
-    with open(source, "r") as fh:
-        return profile_from_dict(json.load(fh))
-
-
-def _integrator_config(args) -> IntegratorConfig:
-    return IntegratorConfig(steps=args.steps)
+    if not source.startswith("{"):
+        with open(source, "r") as fh:
+            source = fh.read()
+    return profile_from_json(source)
 
 
 def _add_integrator_flags(p: argparse.ArgumentParser):
@@ -164,7 +161,7 @@ def cmd_evolve(args) -> int:
     profile = _load_profile(args.profile)
     t0 = parse_angle(getattr(args, "from"))
     t1 = parse_angle(args.to)
-    cfg = _integrator_config(args)
+    cfg = IntegratorConfig(args.steps)
     u = evolution.integrate(profile, t0, t1, cfg)
     rep = evolution.classify(u)
     out = {
@@ -197,7 +194,7 @@ def _parse_rect(args) -> mathieu.ScanRect:
 
 
 def cmd_scan(args) -> int:
-    cfg = _integrator_config(args)
+    cfg = IntegratorConfig(args.steps)
     if args.double_zero:
         if not args.seed:
             raise ValueError("--double-zero needs --seed beta0,beta1")
@@ -249,7 +246,7 @@ def cmd_design(args) -> int:
     violations = [v for rep in lemma_reports for v in rep.violations]
     # a theta zero with slope off +-2 makes beta singular there, so
     # integrating the pulse would only fail on determinant drift
-    report = None if violations else design.verify_design(pulse, _integrator_config(args))
+    report = None if violations else design.verify_design(pulse, IntegratorConfig(args.steps))
 
     out = {
         "profile": pulse.profile.to_json_dict(),
@@ -309,7 +306,7 @@ def cmd_shadow(args) -> int:
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError("profile domain is unbounded; pass --from/--to")
     taus = np.linspace(t0, t1, args.points)
-    cfg = _integrator_config(args)
+    cfg = IntegratorConfig(args.steps)
     if args.inits:
         result = packets.congruence(profile, args.inits, taus, cfg)
         with _open_out(args.output) as fh:

@@ -40,9 +40,9 @@ and 5 tau terms follow by angle addition (2 tau = tau + tau, then 3 tau =
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -57,6 +57,7 @@ EPS_THETA = 1e-6
 # outside, the regular formula's cancellation costs a few 1e-12
 SERIES_TAU = 5e-3
 SLOPE_GUARD = 1e-3      # allowed |theta'| deviation from 2 at a theta zero
+VERIFY_TOL = 1e-6       # verify_design: allowed deviation of an entry from its target
 
 HALF_PI = math.pi / 2.0
 
@@ -385,10 +386,10 @@ class ConstantTail:
 class JoinReport:
     """Continuity of beta and its first two derivatives across a stage join."""
 
+    tol: ClassVar[float] = 1e-8  # most |jump| that is ok
     tau: float
     left: tuple    # (beta, beta', beta'') approaching from the left
     right: tuple
-    tol: float = 1e-8
 
     @property
     def jumps(self) -> tuple:
@@ -522,7 +523,6 @@ class DesignReport:
 def verify_design(
     pulse: DesignedPulse,
     cfg: IntegratorConfig = DEFAULT_CONFIG,
-    tol: float = 1e-6,
 ) -> DesignReport:
     """Integrate each stage and check it lands on its squeezed Fourier map.
 
@@ -532,7 +532,7 @@ def verify_design(
     tau = (t1 - t0) / 2, in ceil(cfg.steps / 2) steps: h stays
     (t1 - t0) / cfg.steps for even steps, and every stage comes out with
     u11 == u22 exactly.  Every theta stage should produce
-    [[0, b], [-1/b, 0]] up to tol; a quarter-period tail likewise with
+    [[0, b], [-1/b, 0]] up to VERIFY_TOL; a quarter-period tail likewise with
     magnitude 1/sqrt(beta0).  When the total is diagonal the squeeze factor
     lambda = u11 is reported.
     """
@@ -541,7 +541,7 @@ def verify_design(
     expected_b = []
     pieces = pulse.profile.pieces
     n_theta = len(pulse.ansatzes)
-    half = replace(cfg, steps=math.ceil(cfg.steps / 2))
+    half = IntegratorConfig(math.ceil(cfg.steps / 2))
     for k, (t0, t1, prof) in enumerate(pieces):
         centred = ThetaDerivedBeta(pulse.ansatzes[k]) if k < n_theta else prof
         m = evolution.integrate_symmetric(centred, (t1 - t0) / 2.0, half)
@@ -562,7 +562,7 @@ def verify_design(
             ("u22", m.u22, 0.0),
             ("u12", m.u12, b),
         ):
-            if abs(got - want) > tol:
+            if abs(got - want) > VERIFY_TOL:
                 failures.append(
                     f"stage {k}: {name} = {got:.3e}, expected {want:.3e} "
                     f"(off by {abs(got - want):.3e})"
@@ -571,7 +571,7 @@ def verify_design(
     for m in mats[1:]:
         total = m @ total
     lam = None
-    if abs(total.u12) <= tol and abs(total.u21) <= tol:
+    if abs(total.u12) <= VERIFY_TOL and abs(total.u21) <= VERIFY_TOL:
         lam = total.u11
     return DesignReport(
         stage_matrices=tuple(mats),

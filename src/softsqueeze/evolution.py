@@ -79,24 +79,22 @@ class IntegrationError(RuntimeError):
 class IntegratorConfig:
     """Numerical settings shared by all integrations.
 
-    There is one integrator, fixed-step RK4; `method` is the class constant
-    "rk4", not a setting.
-    steps:  fixes the RK4 step h = (tau1 - tau0) / steps of an interval;
-            a one-period Mathieu interval integrates half a period at that h.
-    max_steps: most RK4 steps one call may take; more raise IntegrationError.
-    det_tol: allowed |det - 1| drift of the result; must be positive.
+    steps fixes the RK4 step h = (tau1 - tau0) / steps of an interval; a
+    one-period Mathieu interval integrates half a period at that h.  The
+    rest are class constants, not settings: `method`, the one integrator,
+    fixed-step RK4; `max_steps`, the most RK4 steps one call may take, more
+    raising IntegrationError; `det_tol`, the allowed |det - 1| drift of a
+    result.
     """
 
     method: ClassVar[str] = "rk4"
+    max_steps: ClassVar[int] = 10_000_000
+    det_tol: ClassVar[float] = 1e-9
     steps: int = 20000
-    max_steps: int = 10_000_000
-    det_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.steps <= 0 or self.max_steps <= 0:
+        if self.steps <= 0:
             raise ValueError("step counts must be positive")
-        if not self.det_tol > 0:
-            raise ValueError(f"det_tol must be positive, got {self.det_tol}")
 
     def check_steps(self, steps: int):
         """Raise IntegrationError if a run of `steps` RK4 steps exceeds max_steps."""
@@ -111,14 +109,16 @@ DEFAULT_CONFIG = IntegratorConfig()
 
 # Zone names by code; code 0 marks a scan node that failed the determinant gate.
 ZONES = ("failed", "I", "II", "III")
-THRESHOLD_BAND = 1e-9
+THRESHOLD_BAND = 1e-9  # zone_codes: most ||Gamma| - 2| of zone II
+CLASSIFY_DET_TOL = 1e-6  # classify: allowed |det - 1| drift of its matrix
+PROFILE_TOL = 1e-9  # check_symmetry, monodromy: most residual of an even or periodic beta
 
 
-def zone_codes(gamma, threshold_band: float = THRESHOLD_BAND) -> np.ndarray:
-    """Zone code of each trace Gamma: 2 (II) if ||Gamma| - 2| <= threshold_band,
+def zone_codes(gamma) -> np.ndarray:
+    """Zone code of each trace Gamma: 2 (II) if ||Gamma| - 2| <= THRESHOLD_BAND,
     else 1 (I) if |Gamma| < 2, else 3 (III), NaN included."""
     g = np.abs(gamma)
-    return np.where(np.abs(g - 2.0) <= threshold_band, 2, np.where(g < 2.0, 1, 3)).astype(np.int8)
+    return np.where(np.abs(g - 2.0) <= THRESHOLD_BAND, 2, np.where(g < 2.0, 1, 3)).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -454,11 +454,12 @@ def integrate(
     return _check_det(u, cfg, f"integrate over [{tau0}, {tau1}]")
 
 
-def check_symmetry(profile: BetaProfile, tau: float, n: int = 33, tol: float = 1e-9) -> float:
-    """Max |beta(s) - beta(-s)| over a sample grid; raises if above tol."""
-    s = np.linspace(0.0, tau, n)
+def check_symmetry(profile: BetaProfile, tau: float) -> float:
+    """Max |beta(s) - beta(-s)| over 33 samples s in [0, tau]; raises if above
+    PROFILE_TOL."""
+    s = np.linspace(0.0, tau, 33)
     diff = float(np.max(np.abs(profile.beta_array(s) - profile.beta_array(-s))))
-    if diff > tol:
+    if diff > PROFILE_TOL:
         raise ValueError(
             f"profile is not symmetric about 0: max |beta(s) - beta(-s)| = {diff:.3e}"
         )
@@ -504,7 +505,7 @@ def monodromy(
     return integrate(profile, tau0, tau0 + period, cfg)
 
 
-def _verify_periodic(profile: BetaProfile, tau0: float, period: float, tol: float = 1e-9):
+def _verify_periodic(profile: BetaProfile, tau0: float, period: float):
     if isinstance(profile, ConstantBeta):
         return
     if isinstance(profile, MathieuBeta):
@@ -521,16 +522,13 @@ def _verify_periodic(profile: BetaProfile, tau0: float, period: float, tol: floa
         )
     s = np.linspace(tau0, tau0 + period, 17)
     diff = float(np.max(np.abs(profile.beta_array(s + period) - profile.beta_array(s))))
-    if diff > tol:
+    if diff > PROFILE_TOL:
         raise ValueError(f"profile not periodic with period {period}: residual {diff:.3e}")
 
 
-def classify(
-    u: SymplecticMatrix2,
-    threshold_band: float = THRESHOLD_BAND,
-    det_tol: float = 1e-6,
-) -> ZoneReport:
-    """Zone classification by the trace Gamma.
+def classify(u: SymplecticMatrix2) -> ZoneReport:
+    """Zone classification by the trace Gamma of u, which must pass the
+    determinant gate at CLASSIFY_DET_TOL.
 
     zone I   |Gamma| < 2          stable; eigenvalues on the unit circle
     zone II  |Gamma| = 2 (band)   threshold
@@ -540,8 +538,8 @@ def classify(
     a+ has unit Euclidean norm with its first nonzero component positive and
     a- is scaled to make the symplectic pairing a+ J a-^T equal 1.
     """
-    gamma = u.require_symplectic(det_tol).trace
-    zone = ZONES[zone_codes(gamma, threshold_band)]
+    gamma = u.require_symplectic(CLASSIFY_DET_TOL).trace
+    zone = ZONES[zone_codes(gamma)]
     if zone == "II":
         lam = 1.0 if gamma > 0 else -1.0
         return ZoneReport(gamma=gamma, zone="II", lam_plus=complex(lam), lam_minus=complex(lam))

@@ -106,6 +106,16 @@ def test_evolve_missing_profile_file_is_config_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_evolve_profile_file_matches_inline_json(tmp_path, capsys):
+    path = tmp_path / "profile.json"
+    path.write_text(MATHIEU_REF)
+    argv = ["--from", "pi/2", "--to", "5pi/2", "--steps", "400"]
+    assert main(["evolve", "--profile", MATHIEU_REF] + argv) == 0
+    inline = capsys.readouterr()
+    assert main(["evolve", "--profile", str(path)] + argv) == 0
+    assert capsys.readouterr() == inline
+
+
 def test_evolve_unknown_profile_kind_is_config_error():
     assert main(["evolve", "--profile", '{"kind": "quintic"}',
                  "--from", "0", "--to", "1"]) == 2
@@ -317,6 +327,9 @@ def test_design_zero_b_is_config_error(capsys):
     assert main(["design", "--b", "1.99", "--beta0", "0.28", "--tail",
                  "--tail-duration", "0"]) == 2
     assert "tail duration must be positive" in capsys.readouterr().err
+    # and a quarter-period tail of no stiffness
+    assert main(["design", "--b", "2", "--beta0", "0", "--tail"]) == 2
+    assert "--tail needs --beta0 > 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("b,beta0", [("0.3", "0"), ("-2", "0.1"), ("0.2", "5")])

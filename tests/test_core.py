@@ -252,7 +252,7 @@ def test_sampled_profile_interpolates():
     assert np.allclose(prof.beta_array(probe), np.sin(probe) + 2.0, atol=5e-6)
     with pytest.raises(ValueError):
         prof.beta(2.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least 4 samples for order 3"):
         SampledBeta([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
 
 
@@ -311,8 +311,21 @@ def test_composite_beta_array_matches_scalar_beta(start, specs, fractions):
         assert prof.beta_array(np.array([join]))[0] == earlier.beta(join)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: SampledBeta([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 1.0]),
+     "sampled profile needs matching 1-d tau and beta arrays"),
+    (lambda: SampledBeta([0.0, 1.0, 1.0, 2.0], [1.0] * 4), "tau samples must be strictly increasing"),
+    (lambda: CompositeBeta([]), "composite profile needs at least one piece"),
+    (lambda: CompositeBeta([(1.0, 0.0, ConstantBeta(1.0))]),
+     r"piece interval \[1.0, 0.0\] is not increasing"),
+])
+def test_profile_constructors_name_what_is_wrong(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_composite_requires_contiguity():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pieces are not contiguous: gap between 1.0 and 1.5"):
         CompositeBeta([(0.0, 1.0, ConstantBeta(1.0)),
                        (1.5, 2.0, ConstantBeta(2.0))])
 
@@ -385,6 +398,15 @@ def test_sampled_json_round_trip():
 def test_profile_from_dict_rejects_unknown_kind():
     with pytest.raises(ValueError):
         profile_from_dict({"kind": "quartic", "beta": 1.0})
+
+
+@pytest.mark.parametrize("data, message", [
+    ([1], "profile JSON must be an object with a 'kind' field"),
+    ({"kind": "constant"}, "profile JSON for kind 'constant' missing field 'beta'"),
+])
+def test_profile_from_dict_names_a_missing_kind_or_field(data, message):
+    with pytest.raises(ValueError, match=message):
+        profile_from_dict(data)
 
 
 def test_star_import_binds_exactly_all():

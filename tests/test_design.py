@@ -640,6 +640,11 @@ def test_build_chain_stage_mismatch_rejected():
                      ThetaAnsatz.from_targets(1.5, 0.3)])
 
 
+def test_build_chain_needs_a_stage():
+    with pytest.raises(ValueError, match="need at least one design stage"):
+        build_chain([])
+
+
 def test_quarter_period_values():
     assert quarter_period(0.28) == pytest.approx(5 * PI / (2 * math.sqrt(7)),
                                                  abs=1e-12)
@@ -747,6 +752,20 @@ def test_verify_flags_non_quarter_tail():
     # squeezed-Fourier stage check
     assert rep.ok
     assert len(rep.stage_matrices) == 2
+
+
+def test_verify_lists_every_entry_that_misses_its_map(monkeypatch):
+    # 8 steps per half stage miss the squeezed Fourier map by more than
+    # 1e-6; the opened gate lets the stage through to the check
+    monkeypatch.setattr(IntegratorConfig, "det_tol", math.inf)
+    rep = verify_design(build_chain([ThetaAnsatz.from_targets(2.0, 0.2)]),
+                        IntegratorConfig(steps=16))
+    assert not rep.ok and rep.lam is None
+    assert [f.split(" (")[0] for f in rep.failures] == [
+        "stage 0: u11 = 2.127e-06, expected 0.000e+00",
+        "stage 0: u22 = 2.127e-06, expected 0.000e+00",
+        "stage 0: u12 = 2.000e+00, expected 2.000e+00",
+    ]
 
 
 # verify_design builds each piece from half its span by reflection

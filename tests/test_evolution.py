@@ -1,5 +1,7 @@
 """Integrators, monodromy, zone classification."""
 
+import dataclasses
+import inspect
 import math
 import sys
 import tracemalloc
@@ -7,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from softsqueeze import evolution
+from softsqueeze import design, evolution
 from softsqueeze.cli import parse_angle
 from softsqueeze.core import (
     BetaProfile,
@@ -23,9 +25,11 @@ from softsqueeze.core import (
 )
 from softsqueeze.design import (
     ConstantTail,
+    JoinReport,
     ThetaAnsatz,
     build_chain,
     quarter_period,
+    verify_design,
 )
 from softsqueeze.evolution import (
     DEFAULT_CONFIG,
@@ -120,15 +124,16 @@ class _UnsampledBeta(BetaProfile):
         raise AssertionError("profile sampled")
 
 
-def test_max_steps_enforced_before_sampling():
-    cfg = IntegratorConfig(steps=5000, max_steps=4000)
+def test_max_steps_enforced_before_sampling(monkeypatch):
+    monkeypatch.setattr(IntegratorConfig, "max_steps", 4000)
+    cfg = IntegratorConfig(steps=5000)
     with pytest.raises(IntegrationError, match="max_steps"):
         integrate(_UnsampledBeta(), 0.0, 1.0, cfg)
     with pytest.raises(IntegrationError, match="max_steps"):
         integrate_path(_UnsampledBeta(), [0.0, 0.5, 1.0], cfg)
     with pytest.raises(IntegrationError, match="max_steps"):
         integrate_symmetric(ConstantBeta(1.0), 1.0, cfg)
-    at_limit = IntegratorConfig(steps=4000, max_steps=4000)
+    at_limit = IntegratorConfig(steps=4000)
     assert integrate(ConstantBeta(1.0), 0.0, 1.0, at_limit).det == pytest.approx(1.0)
 
 
@@ -163,12 +168,15 @@ def test_profile_with_beta_array_only():
     assert entrywise_err(u, rotation_matrix(1.0, PI / 2)) < 1e-9
 
 
-def test_integrate_path_max_steps_counts_all_segments():
+def test_integrate_path_max_steps_counts_all_segments(monkeypatch):
     # three segments of ceil(4000 / 3) = 1334 steps: each fits, the sum does not
     taus = np.linspace(0.0, 1.0, 4)
+    cfg = IntegratorConfig(steps=4000)
+    monkeypatch.setattr(IntegratorConfig, "max_steps", 4000)
     with pytest.raises(IntegrationError, match="4002"):
-        integrate_path(_UnsampledBeta(), taus, IntegratorConfig(steps=4000, max_steps=4000))
-    mats = integrate_path(ConstantBeta(1.0), taus, IntegratorConfig(steps=4000, max_steps=4002))
+        integrate_path(_UnsampledBeta(), taus, cfg)
+    monkeypatch.setattr(IntegratorConfig, "max_steps", 4002)
+    mats = integrate_path(ConstantBeta(1.0), taus, cfg)
     assert entrywise_err(mats[-1], rotation_matrix(1.0, 1.0)) < 1e-12
 
 
@@ -183,7 +191,7 @@ def test_integrate_path_names_the_first_segment_that_fails_the_gate():
 
 
 def test_det_failure_asks_for_a_finer_step_only_when_the_step_can_help():
-    cfg = IntegratorConfig(det_tol=1e-9)
+    cfg = DEFAULT_CONFIG
     with pytest.raises(IntegrationError, match="refine the step"):
         evolution._check_det([1.0, 0.0, 0.0, 1.0 + 1e-6], cfg, "small")
     # entries of 1e5: the rounding floor, 1.8e-5, dominates det_tol
@@ -200,12 +208,25 @@ def test_det_failure_asks_for_a_finer_step_only_when_the_step_can_help():
 def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(steps=0)
-    for det_tol in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError, match="det_tol"):
-            IntegratorConfig(det_tol=det_tol)
-    with pytest.raises(TypeError):
-        IntegratorConfig(method="adaptive")
+    for knob in ("method", "det_tol", "max_steps"):
+        with pytest.raises(TypeError):
+            IntegratorConfig(**{knob: 1})
     assert IntegratorConfig.method == DEFAULT_CONFIG.method == "rk4"
+
+
+def test_tolerances_are_constants_at_their_values():
+    # the step count is the one setting; no check takes a tolerance
+    assert [f.name for f in dataclasses.fields(IntegratorConfig)] == ["steps"]
+    assert [f.name for f in dataclasses.fields(JoinReport)] == ["tau", "left", "right"]
+    for fn, params in [(classify, ["u"]), (evolution.zone_codes, ["gamma"]),
+                       (evolution.check_symmetry, ["profile", "tau"]),
+                       (evolution._verify_periodic, ["profile", "tau0", "period"]),
+                       (verify_design, ["pulse", "cfg"])]:
+        assert list(inspect.signature(fn).parameters) == params, fn.__name__
+    assert (IntegratorConfig.det_tol, IntegratorConfig.max_steps) == (1e-9, 10_000_000)
+    assert (evolution.THRESHOLD_BAND, evolution.CLASSIFY_DET_TOL, evolution.PROFILE_TOL) == (
+        1e-9, 1e-6, 1e-9)
+    assert (design.VERIFY_TOL, JoinReport.tol) == (1e-6, 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +297,20 @@ def test_monodromy_rejects_non_period():
         monodromy(MathieuBeta(1.0, 0.5), 0.0, PI, FAST)
 
 
+def test_monodromy_of_a_sampled_periodic_profile():
+    # 33 samples on [0, 4pi] put each of the 17 periodicity probes on a
+    # sample, where the spline returns the data
+    taus = np.linspace(0.0, 4 * PI, 33)
+    prof = SampledBeta(taus, 1.0 + 0.5 * np.cos(taus))
+    assert monodromy(prof, 0.0, 2 * PI, FAST) == integrate(prof, 0.0, 2 * PI, FAST)
+    with pytest.raises(ValueError, match="profile not periodic with period 3.0: residual"):
+        monodromy(prof, 0.0, 3.0, FAST)
+    with pytest.raises(ValueError, match="cannot verify periodicity: domain does not cover"):
+        monodromy(prof, 1.0, 2 * PI, FAST)
+    with pytest.raises(ValueError, match="period must be positive, got 0.0"):
+        monodromy(prof, 0.0, 0.0, FAST)
+
+
 def test_gamma_independent_of_tau0():
     prof = MathieuBeta(1.217, 0.844)
     cfg = IntegratorConfig(steps=20000)
@@ -329,13 +364,14 @@ def test_classify_zone_iii_axes_pairing():
     assert np.allclose(am @ u.as_array(), rep.lam_minus.real * am, atol=1e-9)
 
 
-def test_classify_band_width():
+def test_classify_band_width(monkeypatch):
     # build diag(lam, 1/lam) whose trace sits 5e-10 above 2
     gamma = 2.0 + 5e-10
     lam = (gamma + math.sqrt(gamma * gamma - 4.0)) / 2.0
     almost = SymplecticMatrix2(lam, 0.0, 0.0, 1.0 / lam)
     assert classify(almost).zone == "II"
-    assert classify(almost, threshold_band=1e-12).zone == "III"
+    monkeypatch.setattr(evolution, "THRESHOLD_BAND", 1e-12)
+    assert classify(almost).zone == "III"
 
 
 def test_classify_rejects_non_symplectic():
@@ -343,12 +379,13 @@ def test_classify_rejects_non_symplectic():
         classify(SymplecticMatrix2(2.0, 0.0, 0.0, 1.0))
 
 
-def test_classify_det_tolerance_parameter():
+def test_classify_det_tolerance_parameter(monkeypatch):
+    # drift 5e-5 is beyond classify's det tolerance of 1e-6, and within 1e-3
     u = SymplecticMatrix2(3.0, 0.0, 0.0, (1.0 + 5e-5) / 3.0)
     with pytest.raises(ValueError):
         classify(u)
-    rep = classify(u, det_tol=1e-3)
-    assert rep.zone == "III"
+    monkeypatch.setattr(evolution, "CLASSIFY_DET_TOL", 1e-3)
+    assert classify(u).zone == "III"
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +405,15 @@ def test_apply_to_state_squeeze():
     out = apply_to_state(u, CanonicalState(2.0, 3.0))
     assert out.q == pytest.approx(lam * 2.0, abs=1e-12)
     assert out.p == pytest.approx(3.0 / lam, abs=1e-12)
+
+
+@pytest.mark.parametrize("taus, message", [
+    ([0.5], "need at least two grid points"),
+    ([0.0, 1.0, 1.0, 2.0], "tau grid must be strictly increasing"),
+])
+def test_integrate_path_rejects_a_grid_without_segments(taus, message):
+    with pytest.raises(ValueError, match=message):
+        integrate_path(ConstantBeta(1.0), taus, FAST)
 
 
 def test_integrate_path_consistency():
@@ -704,8 +750,8 @@ def test_integrate_matches_plain_python_tree(monkeypatch, poisoned_workspace, st
     # period, so the direct run takes it.
     monkeypatch.setattr(evolution, "_BLOCK_ELEMENTS", budget)
     profile = MathieuBeta(1.217, 0.844)
-    cfg = IntegratorConfig(steps=steps, det_tol=math.inf)
-    u = integrate(profile, 0.25, 6.0, cfg)
+    monkeypatch.setattr(IntegratorConfig, "det_tol", math.inf)
+    u = integrate(profile, 0.25, 6.0, IntegratorConfig(steps=steps))
     assert (u.u11, u.u12, u.u21, u.u22) == _reference_rk4(profile, 0.25, 6.0, steps)
     assert poisoned_workspace
 
@@ -749,7 +795,8 @@ def test_one_period_matches_plain_python_reflection(monkeypatch, poisoned_worksp
     monkeypatch.setattr(evolution, "_BLOCK_ELEMENTS", budget)
     profile = MathieuBeta(1.217, 0.844)
     want = _reference_one_period(profile, tau0, steps)
-    u = integrate(profile, tau0, tau1, IntegratorConfig(steps=steps, det_tol=math.inf))
+    monkeypatch.setattr(IntegratorConfig, "det_tol", math.inf)
+    u = integrate(profile, tau0, tau1, IntegratorConfig(steps=steps))
     assert (u.u11, u.u12, u.u21, u.u22) == want
     batch = mathieu_batch([1.9, 1.217, 0.5], [1.6, 0.844, 0.1], tau0, tau1, steps)
     assert tuple(float(e[1]) for e in batch) == want

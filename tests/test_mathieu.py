@@ -486,13 +486,20 @@ def test_find_double_zero_rejects_non_finite_seed(monkeypatch, seed):
         find_double_zero(seed, FAST)
 
 
+def test_find_double_zero_rejects_a_reversed_interval(monkeypatch):
+    monkeypatch.setattr(evolution, "mathieu_batch", None)
+    with pytest.raises(ValueError, match=r"need tau1 >= tau0, got \[1.0, 0.5\]"):
+        find_double_zero((1.217, 0.844), FAST, tau0=1.0, tau1=0.5)
+
+
 def test_find_double_zero_rejects_stable_seed():
     with pytest.raises(ConvergenceError):
         find_double_zero((0.9, 0.5), FAST)
 
 
-def test_max_steps_enforced_by_scan_locus_and_double_zero():
-    cfg = IntegratorConfig(steps=3000, max_steps=2000)
+def test_max_steps_enforced_by_scan_locus_and_double_zero(monkeypatch):
+    monkeypatch.setattr(IntegratorConfig, "max_steps", 2000)
+    cfg = IntegratorConfig(steps=3000)
     rect = ScanRect(1.0, 1.1, 1.1, 1.35, n0=2, n1=3)
     with pytest.raises(IntegrationError, match="max_steps"):
         scan_grid(rect, cfg)

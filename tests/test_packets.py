@@ -82,6 +82,12 @@ def test_moment_state_rejects_non_finite():
         MomentState(float("inf"), 0.0, 0.5, 0.0, 0.5)
 
 
+def test_moment_state_rejects_a_negative_variance():
+    # det Sigma = 1 passes the bound; the variance itself does not
+    with pytest.raises(ValueError, match="covariance diagonal must be nonnegative"):
+        MomentState(0.0, 0.0, -1.0, 0.0, -1.0)
+
+
 # ---------------------------------------------------------------------------
 # propagate
 
@@ -189,6 +195,11 @@ def test_congruence_origin_is_fixed():
     res = congruence(prof, [CanonicalState(0.0, 0.0)], taus, CFG)
     assert np.max(np.abs(res.qs)) == 0.0
     assert np.max(np.abs(res.ps)) == 0.0
+
+
+def test_congruence_needs_an_initial_state():
+    with pytest.raises(ValueError, match="need at least one initial state"):
+        congruence(ConstantBeta(1.0), [], np.linspace(0.0, PI, 9), CFG)
 
 
 def test_congruence_rigid_rotation():
