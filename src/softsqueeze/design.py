@@ -56,7 +56,11 @@ EPS_THETA = 1e-6
 # |tau| below which an ansatz's beta is its Taylor series about 0; just
 # outside, the regular formula's cancellation costs a few 1e-12
 SERIES_TAU = 5e-3
-SLOPE_GUARD = 1e-3      # allowed |theta'| deviation from 2 at a theta zero
+SLOPE_TOL = 1e-6  # most ||theta'| - 2| at the closed-form zeros of theta
+# most ||theta'| - 2| at a sample within EPS_THETA of a zero (beta_from_theta):
+# theta' there reads up to |theta''| EPS_THETA / 2 off the zero's slope, so
+# SLOPE_TOL would reject valid zeros
+SLOPE_GUARD = 1e-3
 VERIFY_TOL = 1e-6       # verify_design: allowed deviation of an entry from its target
 
 HALF_PI = math.pi / 2.0
@@ -178,10 +182,10 @@ def _mirrored(taus) -> list:
 
 def _check_slopes(zeros, offset: float = 0.0) -> None:
     """Raise SingularityError at the first (tau, theta'(tau)) zero of theta
-    in zeros, tau >= 0, whose slope is not +-2 within SLOPE_GUARD; theta is
+    in zeros, tau >= 0, whose slope is not +-2 within SLOPE_TOL; theta is
     odd, so it vanishes at offset - tau and offset + tau."""
     for z, slope in zeros:
-        if abs(abs(slope) - 2.0) > SLOPE_GUARD:
+        if abs(abs(slope) - 2.0) > SLOPE_TOL:
             where = f"{offset - z!r} and {offset + z!r}" if z else f"{offset + z!r}"
             raise SingularityError(
                 f"theta vanishes at tau = {where} with theta' = {slope:.6g}, "
@@ -225,8 +229,9 @@ def beta_from_theta(ansatz: ThetaAnsatz, tau):
     """Stiffness generated by an ansatz; switches to the series limit near
     zeros of theta, and to its Taylor series within series_tau of tau = 0.
 
-    Raises SingularityError if theta vanishes at a sample with slope away
-    from +-2, or if the Taylor series is used and theta'(0) is not +-2.
+    Raises SingularityError if theta vanishes at a sample with slope not
+    +-2 within SLOPE_GUARD, or if the Taylor series is used and theta'(0)
+    is not +-2 within SLOPE_TOL.
     """
     scalar = np.isscalar(tau) or getattr(tau, "ndim", 1) == 0
     t = np.atleast_1d(np.asarray(tau, dtype=float))
@@ -272,7 +277,7 @@ class ThetaDerivedBeta(BetaProfile):
 
     def beta_array(self, taus) -> np.ndarray:
         """beta at taus; raises SingularityError if theta has a zero in the
-        domain whose slope is not +-2 within SLOPE_GUARD, wherever the
+        domain whose slope is not +-2 within SLOPE_TOL, wherever the
         samples fall."""
         taus = np.asarray(taus, dtype=float)
         self._check_samples(taus)
@@ -325,22 +330,23 @@ class LemmaReport:
 def validate_lemma(ansatz: ThetaAnsatz) -> LemmaReport:
     """Check the zero-slope conditions of a designed stage on [-pi/2, pi/2].
 
-    At every zero of theta the slope must be +-2 (otherwise beta is
-    singular there); at every zero of theta' the evolution matrix is a
-    squeezed Fourier map with magnitude theta(tau), reported together with
-    beta and beta' there.  beta'(tau) = 0 exactly where theta''' vanishes.
+    At every zero of theta the slope must be +-2 within SLOPE_TOL, as
+    ThetaDerivedBeta requires (otherwise beta is singular there); at every
+    zero of theta' the evolution matrix is a squeezed Fourier map with
+    magnitude theta(tau), reported together with beta and beta' there.
+    beta'(tau) = 0 exactly where theta''' vanishes (flagged within 1e-6).
 
     The zeros of theta are 0 and +-side_zeros.  theta' = cos(tau) (A - B s^2
     + C s^4) with s = sin(tau), A = slope0, B = 12 a3 + 60 a5 and C = 80 a5,
     so the zeros of theta' are +-pi/2 and +-asin(sqrt x) for the roots x in
     (0, 1] of A - B x + C x^2, a root x = 1 being pi/2 again.
     """
-    tol = 1e-6
+    slopes = dict([(0.0, ansatz.slope0), *ansatz.side_zeros])  # theta' is even
     zero_checks = []
     violations = []
-    for z in _mirrored([0.0, *(t for t, _ in ansatz.side_zeros)]):
-        slope = theta_eval(ansatz, z, 1)
-        ok = abs(abs(slope) - 2.0) <= tol
+    for z in _mirrored(slopes):
+        slope = slopes[abs(z)]
+        ok = abs(abs(slope) - 2.0) <= SLOPE_TOL
         zero_checks.append(ZeroCheck(tau=z, theta_prime=slope, ok=ok))
         if not ok:
             violations.append(
@@ -361,7 +367,7 @@ def validate_lemma(ansatz: ThetaAnsatz) -> LemmaReport:
                 b=th_w,
                 beta=beta_w,
                 beta_prime=beta_prime,
-                beta_prime_zero=abs(th3_w) <= tol,
+                beta_prime_zero=abs(th3_w) <= 1e-6,
             )
         )
 

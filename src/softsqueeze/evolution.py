@@ -398,32 +398,31 @@ def _one_period(beta_at, t0, t1, steps: int, width: int, out=None) -> np.ndarray
     return _mul(_mul(v, _reflect(_mul(w, v))), w, out)
 
 
-def _check_det(entries, cfg: IntegratorConfig, what: str) -> SymplecticMatrix2:
-    """The matrix of entries if it passes _det_gate at cfg.det_tol.  A failure
-    asks for a finer step only where cfg.det_tol, not the rounding floor of
-    large entries, sets the bound; no step count lowers that floor."""
-    u = SymplecticMatrix2(*map(float, entries))
-    ok, drift, floor = _det_gate(u.u11, u.u12, u.u21, u.u22, cfg.det_tol)
-    if not ok:
-        hint = ("refine the step" if floor <= cfg.det_tol else
-                "the entries are not finite" if math.isnan(floor) else
-                "the entries are too large for double precision to check it")
-        raise IntegrationError(
-            f"{what}: determinant drift {drift:.3e} exceeds {cfg.det_tol:.1e} "
-            f"+ rounding floor {floor:.1e}; {hint}"
-        )
-    return u
+def _gate(cols, cfg: IntegratorConfig):
+    """_det_gate's (ok, drift, floor) of the entry arrays (u11, u12, u21,
+    u22) at cfg.det_tol; huge finite entries overflow its products and fail,
+    as NaN does."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _det_gate(*cols, cfg.det_tol)
 
 
 def _check_batch(cols, cfg: IntegratorConfig, what):
     """cols, the entry arrays (u11, u12, u21, u22) of a batch, if every
-    matrix passes _det_gate at cfg.det_tol; else _check_det raises for the
-    first failing column n, named what(n)."""
-    with np.errstate(over="ignore", invalid="ignore"):  # huge entries fail, as NaN does
-        ok = _det_gate(*cols, cfg.det_tol)[0]
+    matrix passes _det_gate at cfg.det_tol; else IntegrationError names the
+    first failing column n as what(n).  It asks for a finer step only where
+    cfg.det_tol, not the rounding floor of large entries, sets the bound; no
+    step count lowers that floor."""
+    ok, drift, floor = _gate(cols, cfg)
     if not np.all(ok):
         n = int(np.argmin(ok))
-        _check_det([c[n] for c in cols], cfg, what(n))
+        drift, floor = float(np.ravel(drift)[n]), float(np.ravel(floor)[n])
+        hint = ("refine the step" if floor <= cfg.det_tol else
+                "the entries are not finite" if math.isnan(floor) else
+                "the entries are too large for double precision to check it")
+        raise IntegrationError(
+            f"{what(n)}: determinant drift {drift:.3e} exceeds {cfg.det_tol:.1e} "
+            f"+ rounding floor {floor:.1e}; {hint}"
+        )
     return cols
 
 
@@ -451,7 +450,8 @@ def integrate(
         u = mathieu_batch(profile.beta0, profile.beta1, tau0, tau1, cfg.steps)
     else:
         u = _finite(_rk4(_sampler(profile), tau0, tau1, cfg.steps, 1), tau0, tau1).ravel()
-    return _check_det(u, cfg, f"integrate over [{tau0}, {tau1}]")
+    _check_batch(u, cfg, lambda n: f"integrate over [{tau0}, {tau1}]")
+    return SymplecticMatrix2(*map(float, u))
 
 
 def check_symmetry(profile: BetaProfile, tau: float) -> float:
@@ -484,7 +484,9 @@ def integrate_symmetric(
     if tau == 0.0:
         return SymplecticMatrix2.identity()
     u = integrate(profile, 0.0, tau, cfg).as_array()
-    return _check_det(_mul(u, _reflect(u)).ravel(), cfg, f"symmetric integrate to tau = {tau}")
+    u = _mul(u, _reflect(u)).ravel()
+    _check_batch(u, cfg, lambda n: f"symmetric integrate to tau = {tau}")
+    return SymplecticMatrix2(*map(float, u))
 
 
 def monodromy(
@@ -543,35 +545,27 @@ def classify(u: SymplecticMatrix2) -> ZoneReport:
     if zone == "II":
         lam = 1.0 if gamma > 0 else -1.0
         return ZoneReport(gamma=gamma, zone="II", lam_plus=complex(lam), lam_minus=complex(lam))
-    if zone == "I":
-        root = cmath.sqrt(complex(gamma * gamma - 4.0))
-        lam_p = (gamma + root) / 2.0
-        lam_m = (gamma - root) / 2.0
-        return ZoneReport(gamma=gamma, zone="I", lam_plus=lam_p, lam_minus=lam_m)
-    root = math.sqrt(gamma * gamma - 4.0)
+    root = cmath.sqrt(complex(gamma * gamma - 4.0))
     lam_p = (gamma + root) / 2.0
     lam_m = (gamma - root) / 2.0
-    a_p = _left_eigenvector(u, lam_p)
-    a_m = _left_eigenvector(u, lam_m)
+    if zone == "I":
+        return ZoneReport(gamma=gamma, zone="I", lam_plus=lam_p, lam_minus=lam_m)
+    a_p = _left_eigenvector(u, lam_p.real)
+    a_m = _left_eigenvector(u, lam_m.real)
     a_p, a_m = _normalize_axes(a_p, a_m)
     return ZoneReport(
-        gamma=gamma, zone="III",
-        lam_plus=complex(lam_p), lam_minus=complex(lam_m),
-        a_plus=a_p, a_minus=a_m,
+        gamma=gamma, zone="III", lam_plus=lam_p, lam_minus=lam_m, a_plus=a_p, a_minus=a_m,
     )
 
 
 def _left_eigenvector(u: SymplecticMatrix2, lam: float) -> tuple:
-    """Row vector a with a u = lam a."""
+    """Row vector a with a u = lam a, the longer candidate: both vanish only
+    if u = lam 1, but in zone III classify's lam is 3e-5 or more off Gamma/2."""
     cand1 = (u.u21, lam - u.u11)
     cand2 = (lam - u.u22, u.u12)
     n1 = math.hypot(*cand1)
     n2 = math.hypot(*cand2)
-    a = cand1 if n1 >= n2 else cand2
-    if max(n1, n2) == 0.0:
-        # u is lam * identity; any row vector works
-        a = (1.0, 0.0)
-    return a
+    return cand1 if n1 >= n2 else cand2
 
 
 def _normalize_axes(a_p: tuple, a_m: tuple) -> tuple:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SymplecticMatrix2, _csv_rows, _det_gate
+from .core import SymplecticMatrix2, _csv_rows
 from . import evolution
 from .evolution import DEFAULT_CONFIG, ZONES, IntegratorConfig
 
@@ -38,6 +38,7 @@ LOCUS_MIN_STENCIL = 6  # trace_locus: fewest; brackets of shorter lines get no s
 DZ_FD_STEP = 1e-6    # find_double_zero: central-difference step
 DZ_MAX_ITER = 40     # find_double_zero: most Newton iterations
 DZ_TARGET = 1e-10    # find_double_zero: max(|u12|, |u21|) that ends them
+DZ_ACCEPT = 1e-6     # find_double_zero: max(|u12|, |u21|) it may end on when they run out
 
 
 class ConvergenceError(RuntimeError):
@@ -115,19 +116,17 @@ class ScanResult:
 def scan_grid(rect: ScanRect, cfg: IntegratorConfig = DEFAULT_CONFIG) -> ScanResult:
     """Evolution matrix and zone at every grid node.
 
-    Nodes that fail _det_gate at cfg.det_tol, NaN included, are marked
-    failed (zone code 0) instead of aborting the scan: exactly the nodes a
-    single integration would reject.  Raises IntegrationError before any
-    work if cfg.steps exceeds cfg.max_steps.
+    Nodes that fail the determinant gate (evolution._gate), NaN included,
+    are marked failed (zone code 0) instead of aborting the scan: exactly
+    the nodes a single integration would reject.  Raises IntegrationError
+    before any work if cfg.steps exceeds cfg.max_steps.
     """
     cfg.check_steps(cfg.steps)
     b0_axis = rect.beta0_axis()
     b1_axis = rect.beta1_axis()
     bb0, bb1 = np.meshgrid(b0_axis, b1_axis, indexing="ij")
     u11, u12, u21, u22 = evolution.mathieu_batch(bb0, bb1, rect.tau0, rect.tau1, cfg.steps)
-    # huge finite entries overflow the gate's products; such a node fails
-    with np.errstate(over="ignore", invalid="ignore"):
-        failed = ~_det_gate(u11, u12, u21, u22, cfg.det_tol)[0]
+    failed = ~evolution._gate((u11, u12, u21, u22), cfg)[0]
     gamma = u11 + u22
     zone = evolution.zone_codes(gamma)
     zone[failed] = 0
@@ -308,8 +307,9 @@ def find_double_zero(
     two parameters; steps that do not decrease the residual are halved (up
     to 8 times) before being taken.  Stops once max(|u12|, |u21|) <=
     DZ_TARGET, after at most DZ_MAX_ITER iterations, each a residual check;
-    the seed's is the first.  Converges to machine-level zeros in a handful
-    of iterations for seeds inside the tongue.
+    the seed's is the first; one still above DZ_ACCEPT then raises
+    ConvergenceError.  Converges to machine-level zeros in a handful of
+    iterations for seeds inside the tongue.
 
     Each point, the seed and every trial, halved or not, is one gated
     mathieu_batch call with its four difference nodes, whose Jacobian the
@@ -361,9 +361,9 @@ def find_double_zero(
                 f"{resid(u):.3e}"
             )
         b0, b1, u, jac = x0, x1, cand, cand_jac
-    if resid(u) > 1e-6:
+    if resid(u) > DZ_ACCEPT:
         raise ConvergenceError(
-            f"did not reach |u12|,|u21| <= 1e-06 in {DZ_MAX_ITER} iterations; "
+            f"did not reach |u12|,|u21| <= {DZ_ACCEPT:g} in {DZ_MAX_ITER} iterations; "
             f"residual {resid(u):.3e} at ({b0}, {b1})"
         )
     return DoubleZeroResult(beta0=b0, beta1=b1, u=u, iterations=it)

@@ -14,14 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BetaProfile, CanonicalState, SymplecticMatrix2, _csv_rows
+from .core import DET_ROUNDING, BetaProfile, CanonicalState, SymplecticMatrix2, _csv_rows
 from . import evolution
 from .evolution import DEFAULT_CONFIG, IntegratorConfig
 
 # Construction-time slack on the uncertainty bound det Sigma >= 1/4.  The
 # bound itself holds to 1e-12 for closed-form transports; the looser gate
 # here only absorbs the allowed 1e-9 determinant drift of integrated
-# matrices, which enters det Sigma squared.
+# matrices, which enters det Sigma squared.  On top of it the gate allows
+# the rounding floor DET_ROUNDING (sqq spp + sqp^2), as _det_gate does for
+# det u: rounding alone moves det Sigma past any fixed slack once entries
+# reach about 1e7, a few periods of a zone III drive.
 UNCERTAINTY_SLACK = 1e-8
 
 
@@ -47,8 +50,8 @@ class MomentState:
             raise ValueError(f"moment state must be finite, got {vals}")
         if self.sqq < 0.0 or self.spp < 0.0:
             raise ValueError("covariance diagonal must be nonnegative")
-        det = self.sqq * self.spp - self.sqp**2
-        if det < 0.25 - self.bound_slack:
+        det = self.cov_det
+        if det < 0.25 - self.bound_slack - DET_ROUNDING * (self.sqq * self.spp + self.sqp**2):
             raise ValueError(
                 f"uncertainty bound violated: det Sigma = {det!r} < 1/4"
             )
@@ -64,10 +67,6 @@ class MomentState:
     @property
     def delta_p(self) -> float:
         return math.sqrt(self.spp)
-
-    @property
-    def mean(self) -> CanonicalState:
-        return CanonicalState(self.q, self.p)
 
 
 def gaussian_init(kappa: float, q0: float = 0.0, p0: float = 0.0) -> MomentState:
@@ -130,10 +129,6 @@ class CongruenceResult:
     taus: np.ndarray
     qs: np.ndarray   # shape (n_tau, n_init)
     ps: np.ndarray
-
-    @property
-    def endpoints(self) -> np.ndarray:
-        return self.qs[-1]
 
 
 def congruence(

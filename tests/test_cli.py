@@ -18,6 +18,7 @@ from softsqueeze.physical import C_LIGHT, ESU_PER_COULOMB
 
 MATHIEU_REF = '{"kind": "mathieu", "beta0": 1.217, "beta1": 0.844}'
 THETA_B2 = '{"kind": "theta", "b": 2.0, "beta0": 0.0}'
+THETA_OFF_BY_6E_6 = '{"kind": "theta", "b": -0.88, "beta0": 0.64}'
 
 
 def run_json(capsys, argv):
@@ -332,7 +333,8 @@ def test_design_zero_b_is_config_error(capsys):
     assert "--tail needs --beta0 > 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("b,beta0", [("0.3", "0"), ("-2", "0.1"), ("0.2", "5")])
+@pytest.mark.parametrize("b,beta0", [("0.3", "0"), ("-2", "0.1"), ("0.2", "5"),
+                                     ("-0.88", "0.64")])
 def test_design_singular_theta_zero_is_validation_failure(capsys, b, beta0):
     # theta zeros whose slope is not +-2 make beta singular: the report
     # carries the violations and no integration through them is tried
@@ -356,6 +358,30 @@ def test_profile_with_singular_theta_zeros_is_validation_failure(capsys, command
     assert captured.out == ""
     assert captured.err.startswith("validation error: theta vanishes at tau = -1.22596")
     assert "determinant drift" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--profile", THETA_OFF_BY_6E_6, "--from=-pi/2", "--to=pi/2"],
+    ["shadow", "--profile", THETA_OFF_BY_6E_6],
+    ["design", "--b", "-0.88", "--beta0", "0.64", "--samples-out", "beta.csv"],
+], ids=["evolve", "shadow", "design-samples"])
+def test_slope_just_off_two_is_a_validation_failure_of_every_command(capsys, tmp_path,
+                                                                      monkeypatch, argv):
+    # side zeros at +-0.841 with slope -2.000006: off by more than SLOPE_TOL,
+    # so the profile is singular for every command, as design reports it
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "validation error: theta vanishes at tau = -0.8410285171305698 and 0.8410285171305698 "
+        "with theta' = -2.00001, not +-2; beta is singular there\n")
+    if argv[0] == "design":
+        violations = json.loads(captured.out)["lemma"][0]["violations"]
+        assert violations == [f"theta zero at tau = {t} has slope -2.00001, not +-2"
+                              for t in ("-0.841029", "0.841029")]
+        assert not (tmp_path / "beta.csv").exists()
+    else:
+        assert captured.out == ""
 
 
 def test_design_two_stage_chain(capsys):
@@ -419,6 +445,18 @@ def test_shadow_defaults_to_profile_domain(capsys):
     assert last[0] == pytest.approx(math.pi / 2, rel=1e-9)
     # starts at the standard Gaussian width
     assert first[3] == pytest.approx(math.sqrt(0.5), rel=1e-9)
+
+
+@pytest.mark.parametrize("to", ["10pi", "40pi"])
+def test_shadow_of_a_growing_zone_iii_drive_keeps_its_rows(capsys, to):
+    # entries of u grow to about 1e4 (10pi) and 1e16 (40pi); the computed
+    # det Sigma, 0.2495 and -0.25 at the last rows, is 1/4 within its
+    # rounding floor, so shadow, like evolve, runs to the end
+    profile = '{"kind": "mathieu", "beta0": 1.5, "beta1": 1.2}'
+    assert main(["evolve", "--profile", profile, "--from", "0", "--to", to]) == 0
+    capsys.readouterr()
+    lines = run_lines(capsys, ["shadow", "--profile", profile, "--from", "0", "--to", to])
+    assert len(lines) == 202 and lines[0] == "tau,q_mean,p_mean,delta_q,delta_p"
 
 
 def test_shadow_unbounded_profile_needs_interval():

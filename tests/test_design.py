@@ -416,6 +416,36 @@ def test_profile_with_a_singular_side_zero_raises_wherever_it_is_sampled(offset)
         beta_from_theta(a, np.array([0.0, -tau]))
 
 
+def test_slope_rule_at_the_zeros_is_one_tolerance():
+    # from_targets(-0.88, 0.64) has side zeros of slope -2.000006: off by
+    # more than SLOPE_TOL, far less than SLOPE_GUARD.  The lemma report and
+    # the profile reject them alike, wherever the samples fall
+    assert (design.SLOPE_TOL, design.SLOPE_GUARD) == (1e-6, 1e-3)
+    a = ThetaAnsatz.from_targets(-0.88, 0.64)
+    ((tau, slope),) = a.side_zeros
+    assert tau == 0.8410285171305698 and 5e-6 < -2.0 - slope < 7e-6
+    rep = validate_lemma(a)
+    assert [(z.tau, z.theta_prime, z.ok) for z in rep.theta_zeros] == [
+        (-tau, slope, False), (0.0, a.slope0, True), (tau, slope, False)]
+    with pytest.raises(SingularityError, match=f"^theta vanishes at tau = {-tau!r} and {tau!r} "
+                                               "with theta' = -2.00001, not"):
+        ThetaDerivedBeta(a).beta_array(np.array([0.3]))
+    # b = -0.879994 moves the slope within SLOPE_TOL of -2: both accept it
+    a = ThetaAnsatz.from_targets(-0.879994, 0.64)
+    assert abs(a.side_zeros[0][1] + 2.0) < 1e-7 and validate_lemma(a).ok
+    assert np.all(np.isfinite(ThetaDerivedBeta(a).beta_array(np.linspace(-HALF_PI, HALF_PI, 9))))
+
+
+@pytest.mark.parametrize("b,beta0", [(0.3, 0.0), (-0.88, 0.64), (-2.0, 0.1), (0.2, 5.0)])
+def test_lemma_reads_the_slopes_that_theta_eval_gives(b, beta0):
+    # the report's slopes are side_zeros' and slope0, bit for bit theta'
+    # evaluated at each zero and its mirror
+    a = ThetaAnsatz.from_targets(b, beta0)
+    zeros = validate_lemma(a).theta_zeros
+    assert len(zeros) == 1 + 2 * len(a.side_zeros) > 1
+    assert [z.theta_prime for z in zeros] == [theta_eval(a, z.tau, 1) for z in zeros]
+
+
 def test_bench_range_ansatzes_have_no_side_zeros():
     # the designs of the benchmark's range sample exactly as before
     for b in np.linspace(0.6, 3.0, 25):

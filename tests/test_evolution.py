@@ -193,16 +193,16 @@ def test_integrate_path_names_the_first_segment_that_fails_the_gate():
 def test_det_failure_asks_for_a_finer_step_only_when_the_step_can_help():
     cfg = DEFAULT_CONFIG
     with pytest.raises(IntegrationError, match="refine the step"):
-        evolution._check_det([1.0, 0.0, 0.0, 1.0 + 1e-6], cfg, "small")
+        evolution._check_batch([1.0, 0.0, 0.0, 1.0 + 1e-6], cfg, lambda n: "small")
     # entries of 1e5: the rounding floor, 1.8e-5, dominates det_tol
     with pytest.raises(IntegrationError, match="too large for double precision") as exc:
-        evolution._check_det([1e5, 1e5, 1e5, 1e5 + 1.0], cfg, "large")
+        evolution._check_batch([1e5, 1e5, 1e5, 1e5 + 1.0], cfg, lambda n: "large")
     assert "refine the step" not in str(exc.value)
     # a non-finite drift: no step count helps either
     with pytest.raises(IntegrationError, match="too large for double precision"):
-        evolution._check_det([1e200, 0.0, 0.0, 1e200], cfg, "overflowing")
+        evolution._check_batch([1e200, 0.0, 0.0, 1e200], cfg, lambda n: "overflowing")
     with pytest.raises(IntegrationError, match="drift nan .* the entries are not finite"):
-        evolution._check_det([math.nan, 0.0, 0.0, 1.0], cfg, "nan")
+        evolution._check_batch([math.nan, 0.0, 0.0, 1.0], cfg, lambda n: "nan")
 
 
 def test_config_validation():

@@ -449,6 +449,31 @@ def test_find_double_zero_that_stops_short_is_a_convergence_error(monkeypatch, c
     assert re.search(f"numerical failure: {message}", capsys.readouterr().err)
 
 
+def _constant_entries(beta0, beta1, tau0, tau1, steps):
+    # a zone III matrix of unit determinant that no parameter moves
+    return tuple(np.full(np.shape(beta0), v) for v in (3.0, 1.0, 1.0, 2.0 / 3.0))
+
+
+def _stuck_centre(beta0, beta1, tau0, tau1, steps):
+    # the difference nodes give the identity Jacobian, but every call's
+    # centre node reads u12 = u21 = 0.1, so no Newton trial lowers the residual
+    u12, u21 = 0.1 + (beta0 - beta0[0]), 0.1 + (beta1 - beta1[0])
+    return np.full_like(beta0, 2.0), u12, u21, (1.0 + u12 * u21) / 2.0
+
+
+@pytest.mark.parametrize("batch,message", [
+    (_constant_entries, r"singular Jacobian at \(1\.2, 0\.85\)"),
+    (_stuck_centre, r"no residual decrease at \(1\.2, 0\.85\); last residual 1\.000e-01"),
+], ids=["singular-jacobian", "no-decrease"])
+def test_find_double_zero_newton_failures_are_convergence_errors(monkeypatch, capsys,
+                                                                 batch, message):
+    monkeypatch.setattr(evolution, "mathieu_batch", batch)
+    with pytest.raises(ConvergenceError, match=f"^{message}$"):
+        find_double_zero((1.2, 0.85), REFINE_CFG)
+    assert main(["scan", "--double-zero", "--seed", "1.2,0.85", "--steps", "2000"]) == 3
+    assert re.fullmatch(f"numerical failure: {message}\n", capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("seed,nan_at", [
     # the seed's stencil, which the first Jacobian uses
     pytest.param(DZ_SEED, 0, id="seed"),

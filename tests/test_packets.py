@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from softsqueeze.core import (
+    DET_ROUNDING,
     CanonicalState,
     ConstantBeta,
     SymplecticMatrix2,
@@ -75,6 +76,20 @@ def test_moment_state_uncertainty_bound():
     with pytest.raises(ValueError):
         MomentState(0.0, 0.0, 0.1, 0.0, 0.1)   # det 0.01 < 1/4
     MomentState(0.0, 0.0, 0.5, 0.0, 0.5)       # boundary passes
+
+
+def test_moment_state_bound_allows_the_rounding_floor_of_det_sigma():
+    # u = R diag(lam, 1/lam) keeps det Sigma = 1/4, but with entries of
+    # about lam^2 / 2 the computed det Sigma reads 0.2499924 (lam = 1e3) and
+    # 0 (1e5): below 1/4 - bound_slack, within DET_ROUNDING (sqq spp + sqp^2)
+    for lam, det in ((1e3, 0.24999237060546875), (1e5, 0.0)):
+        u = rotation_matrix(1.0, 0.3) @ SymplecticMatrix2(lam, 0.0, 0.0, 1.0 / lam)
+        s = propagate(u, gaussian_init(1.0))
+        assert s.cov_det == det < 0.25 - s.bound_slack
+        assert 0.25 - det <= DET_ROUNDING * (s.sqq * s.spp + s.sqp**2)
+    # the floor of small entries is far below the bound's own slack
+    with pytest.raises(ValueError, match=r"^uncertainty bound violated: det Sigma = 0\.0100"):
+        MomentState(0.0, 0.0, 0.1, 0.0, 0.1)
 
 
 def test_moment_state_rejects_non_finite():

@@ -16,15 +16,21 @@ def _blocks(lang: str) -> list:
     return re.findall(rf"^```{lang}\n(.*?)^```", README, re.M | re.S)
 
 
+def readme_commands() -> list:
+    """The argv, without the program name, of every `softsqueeze` line of the
+    README's sh blocks, continuation lines joined."""
+    return [shlex.split(line)[1:]
+            for block in _blocks("sh")
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("softsqueeze ")]
+
+
 def test_readme_examples_match_the_package():
     (sketch,) = _blocks("python")
     exec(compile(sketch, "README.md", "exec"), {})
 
     # the command lines are parsed, not run
-    commands = [shlex.split(line)[1:]
-                for block in _blocks("sh")
-                for line in block.replace("\\\n", " ").splitlines()
-                if line.startswith("softsqueeze ")]
+    commands = readme_commands()
     assert len(commands) == 13
     parser = build_parser()
     for argv in commands:
