@@ -472,7 +472,7 @@ def build_parser(defaults: dict = None) -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_evolve)
 
     p = add_command("scan", help="scan the (beta0, beta1) plane; trace loci; refine double zeros")
-    p.add_argument("--rect", type=_numbers(float, 4), default="0.9,1.9,0.5,1.6",
+    p.add_argument("--rect", type=_numbers(float, 4), default=mathieu.TONGUE_BOX,
                    help="beta0_lo,beta0_hi,beta1_lo,beta1_hi (default second tongue box)")
     p.add_argument("--grid", type=_numbers(int, 2), default="200,200", help="n0,n1 grid counts")
     p.add_argument("--from", default="pi/2", help="interval start (default pi/2)")

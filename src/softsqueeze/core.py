@@ -301,7 +301,11 @@ class CompositeBeta(BetaProfile):
     """Piecewise profile over contiguous, non-overlapping intervals.
 
     pieces: ordered list of (t0, t1, BetaProfile).  A boundary point belongs
-    to the earlier piece.
+    to the earlier piece in beta_array.  The integrators do not sample
+    across a join: a run restarts at every join inside it, each part
+    sampling its own piece, so a part that starts on a join takes its
+    sample there from the later piece (evolution._split).  The pieces of a
+    designed pulse agree at their joins to rounding.
     """
 
     kind = "composite"

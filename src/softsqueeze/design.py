@@ -313,7 +313,6 @@ class FourierPoint:
     b: float
     beta: float
     beta_prime: float
-    beta_prime_zero: bool
 
 
 @dataclass(frozen=True)
@@ -334,7 +333,7 @@ def validate_lemma(ansatz: ThetaAnsatz) -> LemmaReport:
     ThetaDerivedBeta requires (otherwise beta is singular there); at every
     zero of theta' the evolution matrix is a squeezed Fourier map with
     magnitude theta(tau), reported together with beta and beta' there.
-    beta'(tau) = 0 exactly where theta''' vanishes (flagged within 1e-6).
+    beta'(tau) = 0 exactly where theta''' vanishes.
 
     The zeros of theta are 0 and +-side_zeros.  theta' = cos(tau) (A - B s^2
     + C s^4) with s = sin(tau), A = slope0, B = 12 a3 + 60 a5 and C = 80 a5,
@@ -367,7 +366,6 @@ def validate_lemma(ansatz: ThetaAnsatz) -> LemmaReport:
                 b=th_w,
                 beta=beta_w,
                 beta_prime=beta_prime,
-                beta_prime_zero=abs(th3_w) <= 1e-6,
             )
         )
 
@@ -535,7 +533,8 @@ def verify_design(
     Every piece is even about its centre: a theta stage about its offset,
     the constant tail everywhere.  So each map is u(tau, -tau) of the piece
     moved to centre 0, built by integrate_symmetric from half the span,
-    tau = (t1 - t0) / 2, in ceil(cfg.steps / 2) steps: h stays
+    tau = (t1 - t0) / 2, in that half's evolution._step_counts of
+    cfg.steps, which is ceil(cfg.steps / 2): h stays
     (t1 - t0) / cfg.steps for even steps, and every stage comes out with
     u11 == u22 exactly.  Every theta stage should produce
     [[0, b], [-1/b, 0]] up to VERIFY_TOL; a quarter-period tail likewise with
@@ -547,10 +546,11 @@ def verify_design(
     expected_b = []
     pieces = pulse.profile.pieces
     n_theta = len(pulse.ansatzes)
-    half = IntegratorConfig(math.ceil(cfg.steps / 2))
     for k, (t0, t1, prof) in enumerate(pieces):
         centred = ThetaDerivedBeta(pulse.ansatzes[k]) if k < n_theta else prof
-        m = evolution.integrate_symmetric(centred, (t1 - t0) / 2.0, half)
+        half = (t1 - t0) / 2.0
+        steps = int(evolution._step_counts(half, t1 - t0, cfg.steps))
+        m = evolution.integrate_symmetric(centred, half, IntegratorConfig(steps))
         mats.append(m)
         if k < n_theta:
             expected_b.append(pulse.ansatzes[k].b)

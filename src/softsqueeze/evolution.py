@@ -47,7 +47,16 @@ batch, and run to run.  Determinant drift is checked after every run and
 never silently corrected.  A run over a finite interval whose entries
 overflow a float raises OverflowError without a numpy warning.
 
-A run's step is h = (tau1 - tau0) / steps.  The Mathieu drive is even
+A run's step is h = (tau1 - tau0) / steps.  A run of integrate or of an
+integrate_path segment over a CompositeBeta restarts at every join
+strictly inside it (_split): a designed pulse's beta and beta' are
+continuous at its joins but beta'' is not, and an RK4 step across such a
+join loses order.  Each part takes ceil(steps * length / (tau1 - tau0))
+steps, at least 1 (_step_counts), and samples its own piece's profile
+directly, so a part that starts on a join takes its sample there from the
+later piece, where CompositeBeta.beta_array gives a join to the earlier
+piece; designed joins agree there to rounding.  Parts of one step count
+run as one engine run.  The Mathieu drive is even
 about every multiple of pi, so mathieu_batch, which every Mathieu
 integration goes through, builds a one-period map from half a period at
 that step (_one_period).  The reflection D u^-1 D, D = diag(1, -1), is
@@ -67,7 +76,8 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from .core import (
-    BetaProfile, CanonicalState, ConstantBeta, MathieuBeta, SymplecticMatrix2, _det_gate,
+    BetaProfile, CanonicalState, CompositeBeta, ConstantBeta, MathieuBeta, SymplecticMatrix2,
+    _det_gate,
 )
 
 
@@ -335,19 +345,26 @@ def _rk4(beta_at, t0, t1, steps: int, width: int) -> np.ndarray:
     return u
 
 
-def _sampler(profile: BetaProfile):
-    """beta_at for _rk4 that copies in the samples of profile.beta_array.
-    It asks for them in pieces contiguous in memory, whole rows of taus or,
-    laid out steps last, whole intervals, of about _BLOCK_ELEMENTS samples,
-    so that the temporaries of a costly profile stay small whatever the
-    block."""
+def _sampler(pieces: list, which: np.ndarray):
+    """beta_at for _rk4, one column per interval, that copies in the
+    samples of interval i from pieces[which[i]].beta_array, neighbouring
+    intervals of one piece together.  It asks for them in pieces contiguous
+    in memory, whole rows of taus or, laid out steps last, whole intervals,
+    of about _BLOCK_ELEMENTS samples, so that the temporaries of a costly
+    profile stay small whatever the block."""
+    edges = [0, *(np.flatnonzero(np.diff(which)) + 1).tolist(), len(which)]
+
     def beta_at(taus, rows):
         rows = rows[..., 0]
-        if not taus.flags.c_contiguous:
+        steps_last = not taus.flags.c_contiguous
+        if steps_last:
             taus, rows = taus.T, rows.T
-        step = _BLOCK_ELEMENTS // taus.shape[1] + 1
-        for r in range(0, len(taus), step):
-            rows[r:r + step] = profile.beta_array(taus[r:r + step])
+        for s, e in zip(edges, edges[1:]):
+            t, r = (taus[s:e], rows[s:e]) if steps_last else (taus[:, s:e], rows[:, s:e])
+            profile = pieces[which[s]]
+            step = _BLOCK_ELEMENTS // t.shape[1] + 1
+            for i in range(0, len(t), step):
+                r[i:i + step] = profile.beta_array(t[i:i + step])
     return beta_at
 
 
@@ -374,22 +391,31 @@ def _reflect(u):
     return u[::-1, ::-1].swapaxes(0, 1)
 
 
+def _step_counts(lengths, span, steps, least: int = 1) -> np.ndarray:
+    """RK4 steps of pieces of the given lengths cut from a run of steps
+    steps over span: ceil(steps * length / span) each, at least least, so
+    that no piece's h exceeds span / steps.  The one count rule for a run
+    cut into pieces: the parts of _split, the halves of _one_period, the
+    segments of integrate_path (at least 8 steps each) and the half stages
+    of design.verify_design.  steps and span may be arrays."""
+    return np.maximum(np.ceil(steps * (np.asarray(lengths) / span)), least).astype(int)
+
+
 def _one_period(beta_at, t0, t1, steps: int, width: int, out=None) -> np.ndarray:
     """u(t1, t0) over one period t1 = t0 + 2pi of a drive even about every
     multiple of pi, as a (2, 2, width) array, from half a period.
 
     With c = pi floor(t0/pi), V = u(t0, c), W = u(c + pi, t0) and U = W V,
     periodicity and the reflection about c + pi give
-    u(t1, t0) = (V (D U^-1 D)) W.  Each piece takes
-    ceil(steps * length / (t1 - t0)) steps, at least 1, so h never exceeds
-    (t1 - t0) / steps; a zero-length V is one step of h = 0, the identity.
-    Pieces of equal step count run as one engine run, 2 width columns,
-    when those fit the element budget; else each runs width columns alone.
-    beta_at is as for _rk4.
+    u(t1, t0) = (V (D U^-1 D)) W.  Each piece takes its _step_counts of
+    steps over t1 - t0, at least 1, so h never exceeds (t1 - t0) / steps; a
+    zero-length V is one step of h = 0, the identity.  Pieces of equal step
+    count run as one engine run, 2 width columns, when those fit the element
+    budget; else each runs width columns alone.  beta_at is as for _rk4.
     """
     c = math.pi * math.floor(t0 / math.pi)
     ends = np.array([c, t0, c + math.pi])
-    counts = [max(math.ceil(steps * ((b - a) / (t1 - t0))), 1) for a, b in zip(ends, ends[1:])]
+    counts = _step_counts(np.diff(ends), t1 - t0, steps).tolist()
     if counts[0] == counts[1] and 2 * width <= _BLOCK_ELEMENTS:
         vw = _rk4(beta_at, ends[:2], ends[1:], counts[0], width)
         v, w = vw[..., :width], vw[..., width:]
@@ -426,6 +452,57 @@ def _check_batch(cols, cfg: IntegratorConfig, what):
     return cols
 
 
+def _split(profile: BetaProfile, edges, counts):
+    """The parts of the runs between neighbouring edges, run i of counts[i]
+    steps: the splitting rule of every run of integrate and integrate_path.
+
+    A finite span of runs is cut at the joins of a CompositeBeta strictly
+    inside its runs, and each part takes its _step_counts of its run's
+    count over its run, so a run without such a join keeps its count.  A
+    part samples the profile of the piece it starts in, so a part that
+    starts on a join takes its sample there from the later piece; any other
+    profile is one piece.  Returns the arrays (run, piece, a, b, steps) of
+    the parts [a, b] in tau order, and the pieces' profiles.
+    """
+    if isinstance(profile, CompositeBeta):
+        starts, pieces = profile._starts, [prof for _, _, prof in profile.pieces]
+    else:
+        starts, pieces = np.array([-math.inf]), [profile]
+    edges = np.asarray(edges, dtype=float)
+    run, a, b, steps = np.arange(edges.size - 1), edges[:-1], edges[1:], np.asarray(counts)
+    joins = starts[1:]
+    cuts = joins[(edges[0] < joins) & (joins < edges[-1])]
+    if cuts.size and np.isfinite(edges[-1] - edges[0]):
+        a = np.union1d(a, cuts)
+        b = np.append(a[1:], edges[-1])
+        run = np.searchsorted(edges, a, side="right") - 1
+        steps = _step_counts(b - a, np.diff(edges)[run], steps[run])
+    piece = np.maximum(np.searchsorted(starts, a, side="right") - 1, 0)
+    return run, piece, a, b, steps, pieces
+
+
+def _runs(profile: BetaProfile, edges, counts, cfg: IntegratorConfig) -> np.ndarray:
+    """RK4 evolution matrices of the runs between neighbouring edges, run i
+    of counts[i] steps, as a (2, 2, runs) array: each the product of its
+    parts (_split), later parts on the left.  Parts of one step count run
+    as one engine run, each sampling its own piece; in tau order a piece's
+    parts are neighbours.  cfg.check_steps sees the parts' total steps
+    before beta is sampled; non-finite entries over a finite part raise
+    OverflowError (_finite)."""
+    run, piece, a, b, steps, pieces = _split(profile, edges, counts)
+    cfg.check_steps(int(steps.sum()))
+    parts = np.empty((2, 2, run.size))
+    for n in np.unique(steps).tolist():
+        idx = np.flatnonzero(steps == n)
+        parts[..., idx] = _rk4(_sampler(pieces, piece[idx]), a[idx], b[idx], n, 1)
+    _finite(parts, a, b)
+    first = np.append(True, run[1:] != run[:-1])
+    out = parts[..., first]
+    for i in np.flatnonzero(~first):
+        out[..., run[i]] = _mul(parts[..., i], out[..., run[i]])
+    return out
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def integrate(
     profile: BetaProfile,
@@ -437,19 +514,23 @@ def integrate(
 
     RK4 with step h = (tau1 - tau0) / cfg.steps; a Mathieu profile runs
     through mathieu_batch, which integrates a one-period interval from half
-    a period.  Raises IntegrationError before sampling beta if cfg.steps
-    exceeds cfg.max_steps.
+    a period.  Over a CompositeBeta the run restarts at every join strictly
+    inside [tau0, tau1]: each part takes ceil(cfg.steps * length /
+    (tau1 - tau0)) steps, at least 1, and samples its own piece, a part
+    that starts on a join taking that sample from the later piece (_split).
+    Raises IntegrationError before sampling beta if the steps of all parts
+    exceed cfg.max_steps.
     """
     if tau1 < tau0:
         raise ValueError(f"need tau1 >= tau0, got [{tau0}, {tau1}]")
     profile.check_interval(tau0, tau1)
     if tau1 == tau0:
         return SymplecticMatrix2.identity()
-    cfg.check_steps(cfg.steps)
     if isinstance(profile, MathieuBeta):
+        cfg.check_steps(cfg.steps)
         u = mathieu_batch(profile.beta0, profile.beta1, tau0, tau1, cfg.steps)
     else:
-        u = _finite(_rk4(_sampler(profile), tau0, tau1, cfg.steps, 1), tau0, tau1).ravel()
+        u = _runs(profile, [tau0, tau1], [cfg.steps], cfg).ravel()
     _check_batch(u, cfg, lambda n: f"integrate over [{tau0}, {tau1}]")
     return SymplecticMatrix2(*map(float, u))
 
@@ -591,6 +672,7 @@ def apply_to_state(u: SymplecticMatrix2, s: CanonicalState) -> CanonicalState:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def integrate_path(
     profile: BetaProfile,
     taus,
@@ -599,12 +681,15 @@ def integrate_path(
     """Cumulative matrices u(tau_i, taus[0]) along an increasing grid.
 
     Each segment gets max(ceil(length / span * cfg.steps), 8) RK4 steps, so
-    the whole span uses about cfg.steps.  Segments with the same step count
-    run as one batch of the step-map engine, which gives each the matrix of
-    a direct run over it alone, bit for bit: integrate()'s, except for a
-    one-period Mathieu segment, which integrate() builds from half a period.
-    The first segment that fails the determinant gate raises
-    IntegrationError; the segments are composed left to right.
+    the whole span uses about cfg.steps, and is cut at the joins of a
+    CompositeBeta strictly inside it, as integrate cuts a run of that many
+    steps (_split).  Parts with the same step count run as one batch of the
+    step-map engine, which gives each the matrix of a direct run over it
+    alone, bit for bit, so a segment's matrix is integrate()'s over it,
+    except for a one-period Mathieu segment, which integrate() builds from
+    half a period.  max_steps bounds the steps of all parts together.  The
+    first segment that fails the determinant gate raises IntegrationError;
+    the segments are composed left to right.
     """
     taus = [float(t) for t in taus]
     if len(taus) < 2:
@@ -612,27 +697,13 @@ def integrate_path(
     if any(b <= a for a, b in zip(taus, taus[1:])):
         raise ValueError("tau grid must be strictly increasing")
     profile.check_interval(taus[0], taus[-1])
+    counts = _step_counts(np.diff(taus), taus[-1] - taus[0], cfg.steps, 8)
+    entries = _runs(profile, taus, counts, cfg).reshape(4, -1)
+    _check_batch(entries, cfg, lambda n: f"integrate over [{taus[n]}, {taus[n + 1]}]")
     out = [SymplecticMatrix2.identity()]
-    for seg in _rk4_segments(profile, taus, cfg):
-        out.append(seg @ out[-1])
+    for e in entries.T.tolist():
+        out.append(SymplecticMatrix2(*e) @ out[-1])
     return out
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _rk4_segments(profile: BetaProfile, taus: list, cfg: IntegratorConfig) -> list:
-    """Checked RK4 matrices of the segments of taus, batched by step count."""
-    span = taus[-1] - taus[0]
-    lo = np.array(taus[:-1])
-    hi = np.array(taus[1:])
-    counts = np.maximum(np.ceil((hi - lo) / span * cfg.steps).astype(int), 8)
-    cfg.check_steps(int(counts.sum()))
-    entries = np.empty((4, lo.size))
-    for n in np.unique(counts):
-        idx = np.flatnonzero(counts == n)
-        entries[:, idx] = _rk4(_sampler(profile), lo[idx], hi[idx], int(n), 1).reshape(4, -1)
-    _check_batch(_finite(entries, lo, hi), cfg,
-                 lambda n: f"integrate over [{taus[n]}, {taus[n + 1]}]")
-    return [SymplecticMatrix2(*e) for e in entries.T.tolist()]
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -78,10 +78,15 @@ class ScanRect:
         return np.linspace(self.beta1_lo, self.beta1_hi, self.n1)
 
 
+# (beta0_lo, beta0_hi, beta1_lo, beta1_hi) of the second squeezing tongue's
+# bounding box: default_rect's and the scan command's default --rect
+TONGUE_BOX = (0.9, 1.9, 0.5, 1.6)
+
+
 def default_rect(n0: int = 200, n1: int = 200) -> ScanRect:
-    """Bounding box of the second squeezing tongue used throughout:
-    beta0 in [0.9, 1.9], beta1 in [0.5, 1.6]."""
-    return ScanRect(0.9, 1.9, 0.5, 1.6, n0=n0, n1=n1)
+    """Bounding box of the second squeezing tongue used throughout,
+    TONGUE_BOX: beta0 in [0.9, 1.9], beta1 in [0.5, 1.6]."""
+    return ScanRect(*TONGUE_BOX, n0=n0, n1=n1)
 
 
 @dataclass(frozen=True)

@@ -474,7 +474,6 @@ def test_lemma_reports_edge_fourier_points():
     edge = [f for f in rep.fourier_points if f.tau > 0][0]
     assert edge.b == pytest.approx(1.99, abs=1e-12)
     assert edge.beta == pytest.approx(0.28, abs=1e-12)
-    assert edge.beta_prime_zero
 
 
 def test_lemma_flags_bad_slope():

@@ -447,6 +447,168 @@ def test_integrate_path_equals_composed_segments(points):
 
 
 # ---------------------------------------------------------------------------
+# composite runs restart at every join
+
+
+def _pulse(bs, beta0, tail):
+    """build_chain of stages (b, beta0), with a quarter-period tail if tail."""
+    return build_chain([ThetaAnsatz.from_targets(b, beta0) for b in bs],
+                       ConstantTail(beta0, quarter_period(beta0)) if tail else None)
+
+
+def _closed_form(bs, beta0, tail):
+    """The product of a pulse's squeezed Fourier stage and tail maps."""
+    total = SymplecticMatrix2.identity()
+    for b in [*bs, *([1.0 / math.sqrt(beta0)] if tail else [])]:
+        total = squeezed_fourier(b) @ total
+    return total
+
+
+def _rel_err(u, want):
+    """Largest entry error of u relative to max(1, largest entry of want)."""
+    return entrywise_err(u, want) / max(1.0, np.max(np.abs(want.as_array())))
+
+
+# Bench-shaped pulses (b's, beta0, tail), steps, and the bound on integrate's
+# error against the closed form.  Measured after the splitting at joins:
+# 4.4e-14, 1.7e-14, 4.3e-13, 3.9e-13 and 3.8e-9; each bound is about 2.5x
+# that.  A single step grid over the whole pulse read 1.3e-12, 2.8e-11,
+# 1.1e-11, 2.6e-10 and 1.2e-7, 30x to 1600x more.
+CLOSED_FORM_PULSES = [
+    ((2.0, 1.5), 0.2, True, 20000, 1e-13),
+    ((2.7,), 0.05, True, 20000, 4e-14),
+    ((1.1, 2.9, 0.7), 0.3, False, 20000, 1e-12),
+    ((2.0, 1.5, 2.5), 0.03, True, 20000, 1e-12),
+    ((2.0, 1.5, 2.5), 0.03, True, 2000, 1e-8),
+]
+
+
+@pytest.mark.parametrize("bs,beta0,tail,steps,bound", CLOSED_FORM_PULSES)
+def test_designed_pulse_matches_closed_form_product(bs, beta0, tail, steps, bound):
+    pulse = _pulse(bs, beta0, tail)
+    u = integrate(pulse.profile, *pulse.interval, IntegratorConfig(steps))
+    assert _rel_err(u, _closed_form(bs, beta0, tail)) < bound
+
+
+# u(tau, 0) = [[C, S], [C', S']] of a designed stage about its centre, as
+# (tau, C, S, C', S'), from the design lemma at 30 digits: printed by
+# tests/make_path_references.py, which shares no code with the package.
+PATH_REFERENCES = {
+    (2.0, 0.2): (
+        (0.1, "0.999120731387765111155666634255", "0.0999705723249418647942872630735", "-0.0176702331036352070192467895813", "0.999111984491585616849305609943"),
+        (0.25, "0.99436965650859324940421779526", "0.249519659580748907772172097892", "-0.0462873435688589197978590257022", "0.994047225113871985258699053871"),
+        (0.4, "0.985000494237554387462027597238", "0.397891449725888203372729196787", "-0.0795229158089792086252992646502", "0.983104594776776527344933141153"),
+        (0.55, "0.9702450325974158395469940167", "0.544065178372588286221214848572", "-0.118043516153950583257056198686", "0.964474541882303604491324321681"),
+        (0.7, "0.94938748286200294899168662626", "0.686798368854216849309250609904", "-0.160511698582301282644028759586", "0.937194605251590261066402359096"),
+        (0.85, "0.922034407646037620519802959817", "0.824823352281760457881332611857", "-0.204106487398010522224048611992", "0.90197089820663377123469183861"),
+        (1.0, "0.8882643641428984563103548133", "0.95711125107084170988655810971", "-0.245548365196725893212586900989", "0.861210837526175995452391160264"),
+        (1.15, "0.848610613391722455390248506477", "1.08307450469377530465368549665", "-0.282228190323405998386036325729", "0.818191325441687099196012534164"),
+        (1.3, "0.803892876258314995386393543995", "1.20259668099755287941524050646", "-0.313028512633121792461167875725", "0.775666718869444036879573487199"),
+        (1.45, "0.754968554182715560636314198302", "1.31584722923355897601556782557", "-0.338542881811399847222831664097", "0.73450646907012701925123602788"),
+        (1.5707963267948966, "0.712973538826570010685446173039", "1.40257659722663121761361457601", "-0.356486769413284985697055937003", "0.701288298613315647454178445939"),
+    ),
+    (1.5, 0.2): (
+        (0.1, "0.99422366826199522617429781467", "0.0998081972419880733208924886284", "-0.114805827268436617818970470005", "0.994284755939811730277480026467"),
+        (0.25, "0.9650585560926622370623723217", "0.247160066633174933316034000763", "-0.268686218172352104007714076593", "0.967393626551573538681572117458"),
+        (0.4, "0.915772971786312993834513261751", "0.389510110035799304425744235282", "-0.379832769938307959952917316575", "0.930417605931424428453337366425"),
+        (0.55, "0.853921263206181405997296373571", "0.526743410629296127582947662148", "-0.43525144580160716107866672236", "0.902582242844365775287327250067"),
+        (0.7, "0.787902538333473659155001337652", "0.661672568894937071422333895313", "-0.437094752563763954283513089556", "0.902124764979247441436638019633"),
+        (0.85, "0.724634498915199842224377764088", "0.799141687030788429026323168517", "-0.402396577991764234881081338739", "0.936234916808229644348354573936"),
+        (1.0, "0.667747224570917557993706728417", "0.94375215080641841647462218767", "-0.356316875037241588699467744297", "0.993976700152485665909774618654"),
+        (1.15, "0.617176016474565860386275946361", "1.09722324313565254323749524647", "-0.321083755839690686115467870893", "1.04945659392143698882688420378"),
+        (1.3, "0.570326792155841174298461742074", "1.25711637815656008042151202753", "-0.307298590399422196652271777364", "1.07603205296512180004419710197"),
+        (1.45, "0.524017872354572554063251078344", "1.41798238724715206650169473789", "-0.312607978764084673830225226414", "1.06242061839999801422821210519"),
+        (1.5707963267948966, "0.485606902085977937199977580432", "1.5444591021632773092386400749", "-0.323737934723985272304194820044", "1.02963940144218493377141558379"),
+    ),
+}
+
+
+def _stage_row(b, beta0, s):
+    """u(s, -pi/2) of the stage (b, beta0) centred at 0, for s = 0 or +-a
+    tau of PATH_REFERENCES: U(s) (D U(pi/2) D)^-1, with U(-tau) = D U(tau) D
+    and (D U D)^-1 = [[u22, u12], [u21, u11]]."""
+    rows = {tau: tuple(map(float, entries)) for tau, *entries in PATH_REFERENCES[(b, beta0)]}
+    c, s_, c1, s1 = rows[abs(s)] if s else (1.0, 0.0, 0.0, 1.0)
+    sign = -1.0 if s < 0 else 1.0
+    e = rows[PI / 2]
+    return SymplecticMatrix2(c, sign * s_, sign * c1, s1) @ SymplecticMatrix2(e[3], e[1], e[2], e[0])
+
+
+def _reference_path(bs, beta0, tail):
+    """A grid through a pulse built from PATH_REFERENCES' taus, and the
+    reference u(tau, start) at each row.  A later stage leaves out its row at
+    -1.45, so each stage join falls at an uneven place inside a segment."""
+    pulse = _pulse(bs, beta0, tail)
+    taus, want = [pulse.interval[0]], [SymplecticMatrix2.identity()]
+    ref_taus = [p[0] for p in PATH_REFERENCES[(bs[0], beta0)][:-1]]
+    before = SymplecticMatrix2.identity()
+    for k, b in enumerate(bs):
+        offset = pulse.profile.pieces[k][2].offset
+        local = [-t for t in ref_taus[::-1]][(k > 0):] + [0.0] + ref_taus
+        if k == len(bs) - 1 and not tail:
+            local.append(PI / 2)
+        for s in local:
+            taus.append(offset + s)
+            want.append(_stage_row(b, beta0, s) @ before)
+        before = squeezed_fourier(b) @ before
+    if tail:
+        t0, t1, _ = pulse.profile.pieces[-1]
+        for t in (t1 - t0) * np.array([0.13, 0.31, 0.5, 0.77, 1.0]):
+            taus.append(t0 + t)
+            want.append(rotation_matrix(math.sqrt(beta0), t) @ before)
+    return pulse, taus, want
+
+
+# Every row of integrate_path at the default steps lies within 2e-13 of the
+# lemma's reference.  Measured after the splitting at joins: 7.1e-14 (with
+# tail) and 6.8e-14; a single step grid per segment read 4.9e-12 and 5.9e-12.
+@pytest.mark.parametrize("bs,tail", [((2.0, 1.5), True), ((1.5, 2.0, 1.5), False)])
+def test_path_rows_match_the_lemma_reference(bs, tail):
+    pulse, taus, want = _reference_path(bs, 0.2, tail)
+    mats = integrate_path(pulse.profile, taus)
+    assert max(_rel_err(u, w) for u, w in zip(mats, want)) < 2e-13
+
+
+def test_reference_stage_lands_on_its_fourier_map():
+    # the pasted references themselves: u(pi/2, -pi/2) = [[0, b], [-1/b, 0]]
+    for b, beta0 in PATH_REFERENCES:
+        assert entrywise_err(_stage_row(b, beta0, PI / 2), squeezed_fourier(b)) < 1e-15
+
+
+def test_path_segment_across_a_join_is_the_product_of_its_parts():
+    # the join at pi/2 falls strictly inside the segment [1.0, 2.5]: the
+    # segment is cut there, each part takes its share of the segment's
+    # steps and samples its own piece
+    pulse = _pulse((2.0, 1.5), 0.2, False)
+    (lo, join, first), (_, hi, second) = pulse.profile.pieces
+    taus = [lo, 1.0, 2.5, hi]
+    cfg = IntegratorConfig(steps=3000)
+    mats = integrate_path(pulse.profile, taus, cfg)
+    n = max(math.ceil(cfg.steps * ((2.5 - 1.0) / (hi - lo))), 8)
+    parts = [(first, 1.0, join), (second, join, 2.5)]
+    seg = SymplecticMatrix2.identity()
+    for prof, a, b in parts:
+        steps = math.ceil(n * ((b - a) / (2.5 - 1.0)))
+        seg = integrate(prof, a, b, IntegratorConfig(steps)) @ seg
+    assert mats[2] == seg @ mats[1]
+    assert mats[2] == integrate(pulse.profile, 1.0, 2.5, IntegratorConfig(n)) @ mats[1]
+
+
+def test_path_segment_starting_on_a_join_samples_the_later_piece():
+    pulse = _pulse((2.0, 1.5), 0.2, True)
+    (lo, join, first), (_, _, second), (_, hi, _) = pulse.profile.pieces
+    taus = [lo, join, join + 0.3, hi]
+    cfg = IntegratorConfig(steps=3000)
+    mats = integrate_path(pulse.profile, taus, cfg)
+    n = max(math.ceil(cfg.steps * (0.3 / (hi - lo))), 8)
+    assert mats[2] == integrate(second, join, join + 0.3, IntegratorConfig(n)) @ mats[1]
+    # CompositeBeta gives the join to the earlier piece; the two agree there
+    # to rounding
+    assert pulse.profile.beta(join) == first.beta(join)
+    assert abs(first.beta(join) - second.beta(join)) < 1e-14
+
+
+# ---------------------------------------------------------------------------
 # batched Mathieu kernel
 
 
