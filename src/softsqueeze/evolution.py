@@ -345,14 +345,14 @@ def _rk4(beta_at, t0, t1, steps: int, width: int) -> np.ndarray:
     return u
 
 
-def _sampler(pieces: list, which: np.ndarray):
+def _sampler(pieces: list, which: list):
     """beta_at for _rk4, one column per interval, that copies in the
     samples of interval i from pieces[which[i]].beta_array, neighbouring
     intervals of one piece together.  It asks for them in pieces contiguous
     in memory, whole rows of taus or, laid out steps last, whole intervals,
     of about _BLOCK_ELEMENTS samples, so that the temporaries of a costly
     profile stay small whatever the block."""
-    edges = [0, *(np.flatnonzero(np.diff(which)) + 1).tolist(), len(which)]
+    edges = [0, *(i for i in range(1, len(which)) if which[i] != which[i - 1]), len(which)]
 
     def beta_at(taus, rows):
         rows = rows[..., 0]
@@ -492,10 +492,12 @@ def _runs(profile: BetaProfile, edges, counts, cfg: IntegratorConfig) -> np.ndar
     run, piece, a, b, steps, pieces = _split(profile, edges, counts)
     cfg.check_steps(int(steps.sum()))
     parts = np.empty((2, 2, run.size))
-    for n in np.unique(steps).tolist():
+    for n in sorted(set(steps.tolist())):
         idx = np.flatnonzero(steps == n)
-        parts[..., idx] = _rk4(_sampler(pieces, piece[idx]), a[idx], b[idx], n, 1)
+        parts[..., idx] = _rk4(_sampler(pieces, piece[idx].tolist()), a[idx], b[idx], n, 1)
     _finite(parts, a, b)
+    if run.size == run[-1] + 1:  # no run was cut
+        return parts
     first = np.append(True, run[1:] != run[:-1])
     out = parts[..., first]
     for i in np.flatnonzero(~first):

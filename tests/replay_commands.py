@@ -2,10 +2,19 @@
 command: the sha256 of what it wrote, its exit code and its argv.
 
     python tests/replay_commands.py > replay.txt    # about 15 s
+    python tests/replay_commands.py --dump DIR      # the same, and keep stdout
+    python tests/replay_commands.py --compare OLD NEW
 
 Run it in two checkouts and diff the two outputs: a line that differs names
 a command whose output bytes or exit code changed, so an empty diff shows a
-change to be byte-identical on these commands.  The commands are the
+change to be byte-identical on these commands.  --dump DIR also writes
+each command's argv, exit code and stdout to DIR/NNN.json, NNN its place in
+the list.  --compare reads two such dumps and prints one line per command
+whose exit code or stdout differs: how many of its numeric CSV or JSON
+fields changed, the largest relative change |new - old| / max(|old|, |new|),
+the largest change |new - old| and the names of the changed fields (a CSV column, or a JSON key path with
+list indices left out), then a summary.  A change to anything but a number
+(a zone, a header, a row count) is reported as a text change.  The commands are the
 README's `softsqueeze` lines, the benchmark's warm-up commands, seeded
 sessions of its three workloads (plane_scan, refine and pulse_design, at
 seed 17) and failure cases.  Each runs in-process through cli.main, in a
@@ -15,6 +24,7 @@ the script sits in.  The file name does not match pytest's test_*.py
 pattern, so it is not collected.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -170,13 +180,93 @@ def run(argv: list) -> tuple:
     return rc, out.getvalue(), digest.hexdigest()
 
 
+def fields(stdout: str) -> list:
+    """(name, value) of every field of a command's stdout, in order: the
+    leaves of a JSON document, else the cells of CSV rows under a header.
+    A value is a float where it parses as one, else its text."""
+    def number(x):
+        try:
+            return float(x)
+        except (TypeError, ValueError):
+            return x
+
+    try:
+        doc = json.loads(stdout)
+    except ValueError:
+        lines = stdout.splitlines()
+        header = lines[0].split(",") if lines else []
+        return [("header", ",".join(header))] + [
+            (header[i] if i < len(header) else f"column {i}", number(cell))
+            for line in lines[1:] for i, cell in enumerate(line.split(","))]
+    out = []
+
+    def walk(node, path):
+        if isinstance(node, dict):
+            for key in node:
+                walk(node[key], f"{path}.{key}" if path else key)
+        elif isinstance(node, list):
+            for item in node:
+                walk(item, path + "[]")
+        else:
+            out.append((path, number(node) if not isinstance(node, bool) else node))
+
+    walk(doc, "")
+    return out
+
+
+def compare(old_dir: str, new_dir: str):
+    """Print the field-level differences of two --dump directories."""
+    old, new = (sorted(pathlib.Path(d).glob("*.json")) for d in (old_dir, new_dir))
+    if [p.name for p in old] != [p.name for p in new]:
+        sys.exit("the two dumps hold different command lists")
+    changed = 0
+    for a_path, b_path in zip(old, new):
+        a, b = (json.loads(p.read_text()) for p in (a_path, b_path))
+        if a["argv"] != b["argv"]:
+            sys.exit(f"{a_path.name}: the dumps ran different commands")
+        if (a["rc"], a["stdout"]) == (b["rc"], b["stdout"]):
+            continue
+        changed += 1
+        fa, fb = fields(a["stdout"]), fields(b["stdout"])
+        numeric = [(na, x, y) for (na, x), (nb, y) in zip(fa, fb)
+                   if isinstance(x, float) and isinstance(y, float) and na == nb]
+        moved = [(name, x, y) for name, x, y in numeric
+                 if x != y and not (math.isnan(x) and math.isnan(y))]
+        text = len(fa) != len(fb) or any(
+            na != nb or (x != y and not (isinstance(x, float) and isinstance(y, float)))
+            for (na, x), (nb, y) in zip(fa, fb))
+        rel = max((abs(y - x) / max(abs(x), abs(y)) for _, x, y in moved), default=0.0)
+        change = max((abs(y - x) for _, x, y in moved), default=0.0)
+        names = ",".join(dict.fromkeys(name for name, _, _ in moved))
+        line = (f"{a_path.stem} rc {a['rc']}->{b['rc']}: {len(moved)} of {len(numeric)} "
+                f"numeric fields changed, max rel change {rel:.2g}, max change {change:.2g}")
+        line += f" ({names})" if names else ""
+        line += "; text changed" if text else ""
+        argv = shlex.join(a["argv"])
+        print(line + ": " + (argv if len(argv) <= 100 else argv[:97] + "..."))
+    print(f"{changed} of {len(old)} commands differ")
+
+
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--dump", metavar="DIR", help="also write each command's output here")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two --dump directories and exit")
+    args = parser.parse_args()
+    if args.compare:
+        compare(*args.compare)
+        return
+    if args.dump:
+        os.makedirs(args.dump, exist_ok=True)
     stdout = ""
-    for argv in commands():
+    for index, argv in enumerate(commands()):
         if callable(argv):
             argv = argv(stdout)
         rc, stdout, digest = run(argv)
         print(digest, rc, shlex.join(argv), flush=True)
+        if args.dump:
+            record = {"argv": argv, "rc": rc, "stdout": stdout}
+            pathlib.Path(args.dump, f"{index:03d}.json").write_text(json.dumps(record))
 
 
 if __name__ == "__main__":
