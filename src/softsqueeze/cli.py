@@ -36,7 +36,9 @@ JSON boolean and any other untyped flag a JSON string.
 
 The one integrator is fixed-step RK4; --steps fixes its step,
 h = (to - from) / steps, and a one-period Mathieu interval integrates only
-half a period at that step.  `design` verifies each stage and its tail from
+half a period at that step.  Over a composite profile a run restarts at
+every join inside it, each part taking ceil(steps * part / interval)
+steps.  `design` verifies each stage and its tail from
 half the piece by reflection, in ceil(steps / 2) steps, so h is still
 piece / steps for an even count.
 """

@@ -595,16 +595,18 @@ def test_path_segment_across_a_join_is_the_product_of_its_parts():
 
 
 def test_path_segment_starting_on_a_join_samples_the_later_piece():
-    pulse = _pulse((2.0, 1.5), 0.2, True)
+    # a pulse whose stages' beta at the join differ in the last bits, by
+    # enough to change this segment's matrix
+    pulse = _pulse((2.9, 0.7), 0.05, True)
     (lo, join, first), (_, _, second), (_, hi, _) = pulse.profile.pieces
-    taus = [lo, join, join + 0.3, hi]
+    taus = [lo, join, join + 0.05, hi]
     cfg = IntegratorConfig(steps=3000)
     mats = integrate_path(pulse.profile, taus, cfg)
-    n = max(math.ceil(cfg.steps * (0.3 / (hi - lo))), 8)
-    assert mats[2] == integrate(second, join, join + 0.3, IntegratorConfig(n)) @ mats[1]
+    n = max(math.ceil(cfg.steps * (0.05 / (hi - lo))), 8)
+    assert mats[2] == integrate(second, join, join + 0.05, IntegratorConfig(n)) @ mats[1]
     # CompositeBeta gives the join to the earlier piece; the two agree there
     # to rounding
-    assert pulse.profile.beta(join) == first.beta(join)
+    assert pulse.profile.beta(join) == first.beta(join) != second.beta(join)
     assert abs(first.beta(join) - second.beta(join)) < 1e-14
 
 
@@ -628,6 +630,15 @@ def poisoned_workspace(monkeypatch):
 
     monkeypatch.setattr(evolution, "_workspace", poisoned)
     return sizes
+
+
+@pytest.mark.parametrize("size", [1, 7, 8, 1001, 422400])
+def test_workspace_starts_on_a_64_byte_boundary(size):
+    # held buffers keep malloc from handing the same address back each time
+    held = [evolution._workspace(size) for _ in range(8)]
+    for ws in held:
+        assert ws.shape == (size,) and ws.dtype == float and ws.flags.c_contiguous
+        assert ws.ctypes.data % 64 == 0
 
 
 def test_mathieu_batch_matches_scalar():
