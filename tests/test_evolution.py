@@ -473,7 +473,7 @@ def _rel_err(u, want):
 # error against the closed form.  Measured after the splitting at joins:
 # 4.4e-14, 1.7e-14, 4.3e-13, 3.9e-13 and 3.8e-9; each bound is about 2.5x
 # that.  A single step grid over the whole pulse read 1.3e-12, 2.8e-11,
-# 1.1e-11, 2.6e-10 and 1.2e-7, 30x to 1600x more.
+# 1.1e-11, 2.6e-10 and 1.2e-7, 26x to 1650x more.
 CLOSED_FORM_PULSES = [
     ((2.0, 1.5), 0.2, True, 20000, 1e-13),
     ((2.7,), 0.05, True, 20000, 4e-14),
