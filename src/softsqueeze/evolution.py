@@ -40,13 +40,20 @@ of at most bit_length(steps) levels.  A run of w columns takes one fresh
 workspace of at most (8 n + 4) w + 4 w bit_length(steps) doubles, 2 n + 1
 more if each of its intervals has one column, and 7 more to start it on
 a 64-byte boundary (_workspace); for w at most B that is under
-33 B + 4 w bit_length(steps).  So memory is bounded for any step
-count, and no block allocates anything.  The tree's shape depends only
-on the step count, never on the block size, the block's layout or the
-batch width, so a node's result is bit-identical alone or inside any
-batch, and run to run.  Determinant drift is checked after every run and
-never silently corrected.  A run over a finite interval whose entries
-overflow a float raises OverflowError without a numpy warning.
+33 B + 4 w bit_length(steps).  So memory is bounded for any step count,
+and no block allocates anything.  A run has at most three block shapes,
+the first block, the full blocks and a shorter last one, whose layouts
+may differ, and takes the views of each once (_block), into the
+workspace and a grid index of n + 1 doubles; a block then does
+arithmetic into them, and slices only for the stack's merges.  On 2-step
+blocks of a few columns, where the numpy work is near zero, that cut a
+block's fixed cost from 36-39 us, carving every view afresh, to 22-25 us
+(2-vCPU Xeon).  The tree's shape depends only on the step count, never
+on the block size, the block's layout or the batch width, so a node's
+result is bit-identical alone or inside any batch, and run to run.
+Determinant drift is checked after every run and never silently
+corrected.  A run over a finite interval whose entries overflow a float
+raises OverflowError without a numpy warning.
 
 A run's step is h = (tau1 - tau0) / steps.  A run of integrate or of an
 integrate_path segment over a CompositeBeta restarts at every join
@@ -177,27 +184,24 @@ def _workspace(size: int) -> np.ndarray:
     return raw[start:start + size]
 
 
-def _step_deltas(b, k, e):
+def _step_deltas(k, b1, b2, b3, d11, d12, d21, d22):
     """S - 1 for the RK4 step maps of a block of m steps, written into the
-    (2, 2, m, w) view e.  b holds beta at the block's m + 1 nodes, rows
-    0..m, and its m midpoints, rows m+1..2m, in w columns; k holds the
-    step's h-only factors (h, h^4/24, h^2/6, h^2/3, h^3/6, h^3/12, h/6,
-    2h/3), computed once per run:
+    (m, w) views d11, d12, d21 and d22.  b1, b2 and b3 hold beta at each
+    step's node, midpoint and end, (m, w) views of the block's beta rows; k
+    holds the step's h-only factors (h, h^4/24, h^2/6, h^2/3, h^3/6,
+    h^3/12, h/6, 2h/3), computed once per run:
 
       d11 = b1 b2 h^4/24 - h^2 (b1/6 + b2/3)
       d12 = h - b2 h^3/6
       d21 = h ((b1 + b3) b2 h^2/12 - (b1 + 4 b2 + b3)/6)
       d22 = b2 b3 h^4/24 - h^2 (b2/3 + b3/6)
 
-    with b1, b2 and b3 at a step's node, midpoint and end, evaluated as
-    d11 = b1 r - q and d22 = b3 r - q with r = b2 h^4/24 - h^2/6 and
-    q = b2 h^2/3, which first take the places of d12 and d21, and
-    d21 = (b1 + b3)(b2 h^3/12 - h/6) - b2 2h/3.
+    evaluated as d11 = b1 r - q and d22 = b3 r - q with
+    r = b2 h^4/24 - h^2/6 and q = b2 h^2/3, which first take the places of
+    d12 and d21, and d21 = (b1 + b3)(b2 h^3/12 - h/6) - b2 2h/3.
     """
     h, h4_24, h2_6, h2_3, h3_6, h3_12, h_6, h_23 = k
-    m = e.shape[2]
-    b1, b2, b3 = b[:m], b[m + 1:], b[1:m + 1]
-    (d11, r), (q, d22) = e
+    r, q = d12, d21
     np.multiply(b2, h4_24, out=r)
     r -= h2_6
     np.multiply(b2, h2_3, out=q)
@@ -205,7 +209,6 @@ def _step_deltas(b, k, e):
     d11 -= q
     np.multiply(b3, r, out=d22)
     d22 -= q
-    d12, d21 = r, q
     np.multiply(b2, h3_12, out=d12)
     d12 -= h_6
     np.add(b1, b3, out=d21)
@@ -224,15 +227,21 @@ def _mul(a, b, out=None, t=None):
     return out
 
 
-def _merge(a, b, out=None, p=None, t=None):
-    """Delta form of (1 + a)(1 + b), a + b + ab, with a the later map: each
-    entry is (a_ij + b_ij) + (a_i0 b_0j + a_i1 b_1j).  out may be b, or t
-    when out is neither a nor b; p and t are optional scratch arrays of
-    b's shape."""
-    p = _mul(a, b, p, t)
-    out = np.add(a, b, out=out)
+def _merge_views(a, b, out, p, t):
+    """The operands of _merge for the delta form of (1 + a)(1 + b) into out,
+    a the later map: a's columns and b's rows as slices, then a, b, out and
+    the scratch arrays p and t of b's shape.  out may be b, or t when out is
+    neither a nor b."""
+    return a[:, :1], b[:1], a[:, 1:], b[1:], a, b, out, p, t
+
+
+def _merge(a0, b0, a1, b1, a, b, out, p, t):
+    """a + b + ab into out, each entry (a_ij + b_ij) + (a_i0 b_0j + a_i1 b_1j),
+    from the operands of _merge_views."""
+    np.multiply(a0, b0, out=p)
+    p += np.multiply(a1, b1, out=t)
+    np.add(a, b, out=out)
     out += p
-    return out
 
 
 def _carve(buf, shape, steps_last=False):
@@ -245,12 +254,14 @@ def _carve(buf, shape, steps_last=False):
 
 
 def _tree(d, axis, levels, p):
-    """Level-wise pairwise product of the maps along axis 2 or 3 of d, and
-    the one of the two flat buffers of levels that does not hold it.  The
-    levels are written into those buffers in turn, d's own buffer being the
-    second, with scratch from the flat buffer p; an odd last map is copied
-    up."""
+    """The level-wise pairwise product of the maps along axis 2 or 3 of d:
+    the _merge_views of each level with the copy, as (to, from), of its odd
+    last map, or None; the view that ends up holding the product; and the
+    one of the two flat buffers of levels that does not hold it.  The
+    levels are written into those buffers in turn, d's own buffer being
+    the second, with scratch from the flat buffer p."""
     at = (slice(None),) * axis
+    merges = []
     while d.shape[axis] > 1:
         m = d.shape[axis]
         half = m // 2
@@ -259,12 +270,41 @@ def _tree(d, axis, levels, p):
         out = _carve(levels[0], tuple(shape))
         levels = levels[::-1]
         top = out[at + (slice(0, half),)]
-        _merge(d[at + (slice(1, 2 * half, 2),)], d[at + (slice(0, 2 * half, 2),)],
-               top, _carve(p, top.shape), top)
-        if m % 2:
-            out[at + (-1,)] = d[at + (-1,)]
+        merges.append((
+            _merge_views(d[at + (slice(1, 2 * half, 2),)], d[at + (slice(0, 2 * half, 2),)],
+                         top, _carve(p, top.shape), top),
+            (out[at + (-1,)], d[at + (-1,)]) if m % 2 else None))
         d = out
-    return d[at + (0,)], levels[0]
+    return merges, d[at + (0,)], levels[0]
+
+
+def _block(spaces, index, m: int, first: int, g: int, width: int):
+    """The views of a block of m steps of _rk4 into its workspace spaces
+    (beta rows, maps, scratch), laid out along the block's longer axis;
+    first is 1 if the block takes its first node from the previous block.
+    In order: the doubled grid indices of its nodes at s0 = 0, and of its
+    midpoints less 1, as views of index = 0, 2, ..., 2 n; the scratch that
+    takes them at s0, and a column view of all of it; the (rows, g) taus
+    and the row of the last node; the (rows, g, width) beta rows it
+    samples; beta at its first and last node; the operands of
+    _step_deltas; the merges and product of _tree; and the stack merges'
+    scratch map p."""
+    beta_space, map_space, scratch = spaces
+    w = g * width
+    steps_last = 2 * m + 1 > w
+    b = _carve(beta_space, (2 * m + 1, w), steps_last)
+    e = _carve(map_space, (2, 2, m, w), steps_last)
+    # grid rows 2 (s0 + j): the nodes, then 2 (s0 + j) + 1: the midpoints
+    nodes, rows = m + 1 - first, 2 * m + 1 - first
+    j = scratch[:rows]
+    taus = _carve(scratch[rows:], (rows, g), steps_last)
+    (d11, d12), (d21, d22) = e
+    merges, d, free = _tree(e.swapaxes(2, 3) if steps_last else e, 2 + steps_last,
+                            (beta_space, map_space), scratch)
+    return ((index[first:m + 1], index[:m]), (j[:nodes], j[nodes:]), j[:, None],
+            taus, taus[nodes - 1], b[first:].reshape(rows, g, width), b[0], b[m],
+            (b[:m], b[m + 1:], b[1:m + 1], d11, d12, d21, d22), merges, d,
+            _carve(free, (2, 2, w)))
 
 
 def _rk4(beta_at, t0, t1, steps: int, width: int) -> np.ndarray:
@@ -286,7 +326,10 @@ def _rk4(beta_at, t0, t1, steps: int, width: int) -> np.ndarray:
     reuse, a scratch space for the grid and the merge products, and the
     stack.  The stack's merges take their two scratch maps from the scratch
     space and from the level space that does not hold the block's product.
-    h stays a scalar when the g intervals share it.
+    A run has at most three block shapes, the first block, the full blocks
+    and a shorter last one, and takes the views of each once, when it first
+    meets it (_block); only the stack's merges slice their operands in the
+    loop.  h stays a scalar when the g intervals share it.
     """
     g = np.size(t0)
     w = g * width
@@ -302,48 +345,51 @@ def _rk4(beta_at, t0, t1, steps: int, width: int) -> np.ndarray:
     ends = list(itertools.accumulate(
         ((rows + 1) * w, 4 * n * w, max(2 * n * w, 4 * w, rows * (g + 1)), depth * 4 * w)))
     ws = _workspace(ends[-1])
-    beta_space, map_space, scratch = (ws[a:b] for a, b in zip([0] + ends, ends[:-1]))
+    spaces = [ws[a:b] for a, b in zip([0] + ends, ends[:-1])]
     stack = _carve(ws[ends[2]:], (depth, 2, 2, w))
-    t = _carve(scratch, (2, 2, w))  # scratch of the stack's merges, with p
+    t = _carve(spaces[2], (2, 2, w))  # scratch of the stack's merges, with p
     counts = []  # steps covered by each stack entry; entry i is stack[i]
-    index = np.arange(n + 1.0)
+    index = np.arange(0.0, rows, 2.0)  # the doubled nodes 0, 2, ..., 2 n
     last = np.empty(w)  # beta at the previous block's last node
+    blocks = {}  # the views of each block shape, by (m, first)
     for s0 in range(0, steps, n):
         m = min(n, steps - s0)
         first = 1 if s0 else 0
-        steps_last = 2 * m + 1 > w
-        b = _carve(beta_space, (2 * m + 1, w), steps_last)
-        e = _carve(map_space, (2, 2, m, w), steps_last)
-        # grid rows 2 (s0 + j): the nodes, then 2 (s0 + j) + 1: the midpoints
-        nodes = m + 1 - first
-        j = scratch[:2 * m + 1 - first]
-        np.add(index[first:m + 1], s0, out=j[:nodes])
-        np.add(index[:m], s0 + 0.5, out=j[nodes:])
-        j *= 2.0
-        taus = _carve(scratch[j.size:], (j.size, g), steps_last)
-        np.multiply(j[:, None], dt, out=taus)
+        if (m, first) not in blocks:
+            blocks[m, first] = _block(spaces, index, m, first, g, width)
+        ((node0, mid0), (node, mid), column, taus, end, sampled, b0, bm, deltas, merges, d,
+         p) = blocks[m, first]
+        np.add(node0, 2.0 * s0, out=node)
+        np.add(mid0, 2.0 * s0 + 1.0, out=mid)
+        np.multiply(column, dt, out=taus)
         taus += t0
-        if s0 + m == steps:
-            taus[nodes - 1] = t1
-        beta_at(taus, b[first:].reshape(j.size, g, width))
+        more = s0 + m < steps
+        if not more:
+            end[...] = t1
+        beta_at(taus, sampled)
         if first:
-            b[0] = last
-        last[...] = b[m]
-        _step_deltas(b, k, e)
-        d, free = _tree(e.swapaxes(2, 3) if steps_last else e, 2 + steps_last,
-                        (beta_space, map_space), scratch)
-        p = _carve(free, (2, 2, w))
+            b0[...] = last
+        if more:
+            last[...] = bm
+        _step_deltas(k, *deltas)
+        for operands, carry in merges:
+            _merge(*operands)
+            if carry:
+                carry[0][...] = carry[1]
         size = m
         while counts and counts[-1] == size:
             size *= 2
             counts.pop()
-            d = _merge(d, stack[len(counts)], stack[len(counts)], p, t)
-        if size == m:
+            below = stack[len(counts)]
+            _merge(*_merge_views(d, below, below, p, t))
+            d = below
+        if size == m and more:  # the last block's product stays put
             stack[len(counts)] = d
         counts.append(size)
-    d = stack[len(counts) - 1]
     for i in range(len(counts) - 2, -1, -1):
-        d = _merge(d, stack[i], stack[i], p, t)
+        below = stack[i]
+        _merge(*_merge_views(d, below, below, p, t))
+        d = below
     u = d.copy()
     u[0, 0] += 1.0
     u[1, 1] += 1.0
@@ -729,12 +775,12 @@ def mathieu_batch(beta0, beta1, tau0: float, tau1: float, steps: int = DEFAULT_C
     of w columns at s steps takes blocks of n steps, n w <= 4 B - 3 w, and
     a workspace of at most (8 n + 4) w + 4 w bit_length(s) doubles, 2 n + 1
     more for a single pair; besides it a call holds at most 9 doubles per
-    column of its widest run, 18 if that run's two pieces differ in h, and
-    7 per pair of the batch.  Over the default [pi/2, 5pi/2] at 20000 steps
-    each piece takes 5000 steps.  A call of B pairs runs B columns in
-    blocks of one step and peaks under (12 + 52 + 9 + 7) B = 80 B doubles,
-    5.2 MB at B = 8192; since (8 n + 4) w <= 32 B - 20 w, a call of fewer
-    pairs stays under that too.
+    column of its widest run, 18 if that run's two pieces differ in h,
+    n + 1 for the run's grid index and 7 per pair of the batch.  Over the
+    default [pi/2, 5pi/2] at 20000 steps each piece takes 5000 steps.  A
+    call of B pairs runs B columns in blocks of one step and peaks under
+    (12 + 52 + 9 + 7) B = 80 B doubles, 5.2 MB at B = 8192; since
+    (8 n + 4) w <= 32 B - 20 w, a call of fewer pairs stays under that too.
 
     Returns four arrays (u11, u12, u21, u22) of the broadcast input shape.
     """

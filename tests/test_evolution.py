@@ -765,16 +765,16 @@ def test_block_steps_follow_the_run_width(monkeypatch, poisoned_workspace, width
     assert evolution._block_steps(width, steps) == n
     assert (n + 3) * width <= 4 * budget and n <= budget // 2
     blocks = []
-    real = evolution._tree
+    real = evolution._step_deltas
 
-    def recorded(d, axis, *args):
-        blocks.append(d.shape[axis])
-        return real(d, axis, *args)
+    def recorded(k, b1, *args):
+        blocks.append(b1.shape[0])
+        return real(k, b1, *args)
 
     def beta_at(taus, rows):
         rows[...] = 1.0
 
-    monkeypatch.setattr(evolution, "_tree", recorded)
+    monkeypatch.setattr(evolution, "_step_deltas", recorded)
     evolution._rk4(beta_at, 0.0, 1.0, steps, width)
     assert blocks[0] == n and sum(blocks) == steps
     bound = (8 * n + 4) * width + 4 * width * steps.bit_length() + (2 * n + 1) * (width == 1)
@@ -912,6 +912,31 @@ def _reference_rk4(profile, tau0, tau1, steps):
         maps = merged + maps[len(merged) * 2:]
     d11, d12, d21, d22 = maps[0]
     return (d11 + 1.0, d12, d21, d22 + 1.0)
+
+
+def test_run_of_three_block_shapes_matches_plain_python_tree(monkeypatch, poisoned_workspace):
+    # 200 columns at 2 * 128 + 99 steps: a first and a full block of 128
+    # steps laid out steps last (2 * 128 + 1 > 200), then a last block of 99
+    # laid out steps first (2 * 99 + 1 < 200), each shape with views of its
+    # own; every column is the plain tree over its samples, bit for bit
+    assert evolution._BLOCK_ELEMENTS == 8192
+    blocks = []
+    real = evolution._step_deltas
+
+    def recorded(k, b1, *args):
+        blocks.append((b1.shape, b1.strides[0] == b1.itemsize))
+        return real(k, b1, *args)
+
+    monkeypatch.setattr(evolution, "_step_deltas", recorded)
+    rng = np.random.default_rng(355)
+    b0 = rng.uniform(0.9, 1.9, size=200)
+    b1 = rng.uniform(0.5, 1.6, size=200)
+    batch = mathieu_batch(b0, b1, 0.25, 6.0, steps=355)
+    assert blocks == [((128, 200), True)] * 2 + [((99, 200), False)]
+    for k in range(200):
+        want = _reference_rk4(MathieuBeta(b0[k], b1[k]), 0.25, 6.0, 355)
+        assert tuple(float(e[k]) for e in batch) == want
+    assert poisoned_workspace
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
