@@ -735,11 +735,16 @@ def integrate_path(
     except for a one-period Mathieu segment, which integrate() builds from
     half a period.  max_steps bounds the steps of all parts together.  The
     first segment that fails the determinant gate raises IntegrationError;
-    the segments are composed left to right.
+    the segments are composed left to right.  A grid point that is not
+    finite raises ValueError before any work: over an infinite span every
+    segment would take the minimum 8 steps.
     """
     taus = [float(t) for t in taus]
     if len(taus) < 2:
         raise ValueError("need at least two grid points")
+    bad = next((i for i, t in enumerate(taus) if not math.isfinite(t)), None)
+    if bad is not None:
+        raise ValueError(f"tau grid point {bad} is not finite: {taus[bad]}")
     if any(b <= a for a, b in zip(taus, taus[1:])):
         raise ValueError("tau grid must be strictly increasing")
     profile.check_interval(taus[0], taus[-1])

@@ -320,10 +320,11 @@ def find_double_zero(
     mathieu_batch call with its four difference nodes, whose Jacobian the
     next step uses if the trial is taken: a double zero whose steps are all
     full takes one call per iteration.  Any of the five nodes that fails
-    the determinant gate raises IntegrationError.
+    the determinant gate raises IntegrationError.  An interval with
+    tau1 <= tau0 raises ValueError before any integration, as ScanRect does.
     """
-    if tau1 < tau0:
-        raise ValueError(f"need tau1 >= tau0, got [{tau0}, {tau1}]")
+    if not tau1 > tau0:
+        raise ValueError("tau interval must be increasing")
     b0, b1 = float(seed[0]), float(seed[1])
     if not (math.isfinite(b0) and math.isfinite(b1)):
         raise ValueError(f"double-zero seed must be finite, got ({b0}, {b1})")

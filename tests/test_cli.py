@@ -272,6 +272,16 @@ def test_scan_double_zero_needs_seed():
     assert main(["scan", "--double-zero"]) == 2
 
 
+@pytest.mark.parametrize("interval", [["--from", "0", "--to", "0"], ["--from", "pi", "--to", "0"]])
+def test_scan_double_zero_over_an_interval_that_does_not_increase_is_usage_error(capsys,
+                                                                                interval):
+    # as the grid scan: an empty interval would read the identity as zone II
+    for mode in (["--double-zero", "--seed", "1.2,0.85"], ["--grid", "2,2"]):
+        assert main(["scan", *mode, *interval]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: tau interval must be increasing\n")
+
+
 def test_scan_double_zero_stable_seed_is_numerical_failure(capsys):
     code = main(["scan", "--double-zero", "--seed", "0.3,0.05",
                  "--steps", "2000"])

@@ -410,8 +410,15 @@ def test_apply_to_state_squeeze():
 @pytest.mark.parametrize("taus, message", [
     ([0.5], "need at least two grid points"),
     ([0.0, 1.0, 1.0, 2.0], "tau grid must be strictly increasing"),
+    # NaN compares false, so it would pass the order check; an infinite
+    # span gave every finite segment 8 steps and a determinant failure
+    ([0.0, 1.0, math.inf], r"tau grid point 2 is not finite: inf"),
+    ([0.0, 1.0, math.nan], r"tau grid point 2 is not finite: nan"),
+    ([-math.inf, 0.0, math.nan], r"tau grid point 0 is not finite: -inf"),
 ])
-def test_integrate_path_rejects_a_grid_without_segments(taus, message):
+def test_integrate_path_rejects_a_grid_without_segments(monkeypatch, taus, message):
+    # before any work: the engine is never reached
+    monkeypatch.setattr(evolution, "_runs", None)
     with pytest.raises(ValueError, match=message):
         integrate_path(ConstantBeta(1.0), taus, FAST)
 

@@ -513,8 +513,19 @@ def test_find_double_zero_rejects_non_finite_seed(monkeypatch, seed):
 
 def test_find_double_zero_rejects_a_reversed_interval(monkeypatch):
     monkeypatch.setattr(evolution, "mathieu_batch", None)
-    with pytest.raises(ValueError, match=r"need tau1 >= tau0, got \[1.0, 0.5\]"):
+    with pytest.raises(ValueError, match="^tau interval must be increasing$"):
         find_double_zero((1.217, 0.844), FAST, tau0=1.0, tau1=0.5)
+
+
+@pytest.mark.parametrize("tau", [0.0, PI / 2])
+def test_find_double_zero_rejects_an_empty_interval(monkeypatch, tau):
+    # ScanRect's condition and message: an empty interval would integrate
+    # nothing and read the identity as zone II
+    monkeypatch.setattr(evolution, "mathieu_batch", None)
+    with pytest.raises(ValueError, match="^tau interval must be increasing$"):
+        find_double_zero((1.217, 0.844), FAST, tau0=tau, tau1=tau)
+    with pytest.raises(ValueError, match="^tau interval must be increasing$"):
+        ScanRect(0.9, 1.9, 0.5, 1.6, tau0=tau, tau1=tau)
 
 
 def test_find_double_zero_rejects_stable_seed():
