@@ -94,13 +94,6 @@ class SymplecticMatrix2:
         return np.array([[self.u11, self.u12], [self.u21, self.u22]], dtype=float)
 
     @classmethod
-    def from_array(cls, a) -> "SymplecticMatrix2":
-        a = np.asarray(a, dtype=float)
-        if a.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 array, got shape {a.shape}")
-        return cls(float(a[0, 0]), float(a[0, 1]), float(a[1, 0]), float(a[1, 1]))
-
-    @classmethod
     def identity(cls) -> "SymplecticMatrix2":
         return cls(1.0, 0.0, 0.0, 1.0)
 

@@ -111,12 +111,6 @@ class ScanResult:
     zone: np.ndarray   # int8 codes, see evolution.ZONES
     failed: np.ndarray
 
-    def matrix_at(self, i: int, j: int) -> SymplecticMatrix2:
-        return SymplecticMatrix2(
-            float(self.u11[i, j]), float(self.u12[i, j]),
-            float(self.u21[i, j]), float(self.u22[i, j]),
-        )
-
 
 def scan_grid(rect: ScanRect, cfg: IntegratorConfig = DEFAULT_CONFIG) -> ScanResult:
     """Evolution matrix and zone at every grid node.

@@ -95,14 +95,6 @@ def test_compose_is_matrix_product():
     assert np.array_equal((u @ v).as_array(), u.as_array() @ v.as_array())
 
 
-def test_from_array_round_trip():
-    u = random_symplectic(RNG)
-    again = SymplecticMatrix2.from_array(u.as_array())
-    assert again == u
-    with pytest.raises(ValueError):
-        SymplecticMatrix2.from_array(np.zeros((3, 3)))
-
-
 def test_rotation_matrix_oracle():
     # constant beta = kappa^2 has the explicit sin/cos solution
     kappa, dt = 1.7, 0.9

@@ -10,7 +10,7 @@ import pytest
 from softsqueeze import evolution, mathieu
 from softsqueeze.cli import main
 from softsqueeze.evolution import ZONES, IntegrationError, IntegratorConfig, classify, integrate
-from softsqueeze.core import MathieuBeta, rotation_matrix
+from softsqueeze.core import MathieuBeta, SymplecticMatrix2, rotation_matrix
 from softsqueeze.mathieu import (
     LOCUS_XTOL,
     ConvergenceError,
@@ -70,7 +70,8 @@ def test_scan_grid_matches_direct_integration():
         for j in (0, 2):
             ref = integrate(MathieuBeta(res.beta0s[i], res.beta1s[j]),
                             rect.tau0, rect.tau1, FAST)
-            assert res.matrix_at(i, j) == ref
+            assert SymplecticMatrix2(res.u11[i, j], res.u12[i, j],
+                                     res.u21[i, j], res.u22[i, j]) == ref
 
 
 def test_scan_grid_zone_structure():
@@ -82,7 +83,8 @@ def test_scan_grid_zone_structure():
     assert not res.failed.any()
     # the scan's vectorised zones are classify's, node by node
     for i, j in np.ndindex(res.zone.shape):
-        assert ZONES[res.zone[i, j]] == classify(res.matrix_at(i, j)).zone
+        u = SymplecticMatrix2(res.u11[i, j], res.u12[i, j], res.u21[i, j], res.u22[i, j])
+        assert ZONES[res.zone[i, j]] == classify(u).zone
 
 
 def test_scan_grid_marks_nan_nodes_failed():
