@@ -12,9 +12,11 @@ each command's argv, exit code and stdout to DIR/NNN.json, NNN its place in
 the list.  --compare reads two such dumps and prints one line per command
 whose exit code or stdout differs: how many of its numeric CSV or JSON
 fields changed, the largest relative change |new - old| / max(|old|, |new|),
-the largest change |new - old| and the names of the changed fields (a CSV column, or a JSON key path with
-list indices left out), then a summary.  A change to anything but a number
-(a zone, a header, a row count) is reported as a text change.  The commands are the
+the largest change |new - old| and the names of the changed fields (a CSV
+column, or a JSON key path with list indices left out), then a summary.  A
+change to anything but a number (a zone, a header, a row count) is reported
+as a text change.  It exits 1 if any command differs and 0 if none does,
+so byte identity on these commands is its exit status.  The commands are the
 README's `softsqueeze` lines, the benchmark's warm-up commands, seeded
 sessions of its three workloads (plane_scan, refine and pulse_design, at
 seed 17) and failure cases.  Each runs in-process through cli.main, in a
@@ -214,8 +216,9 @@ def fields(stdout: str) -> list:
     return out
 
 
-def compare(old_dir: str, new_dir: str):
-    """Print the field-level differences of two --dump directories."""
+def compare(old_dir: str, new_dir: str) -> int:
+    """Print the field-level differences of two --dump directories and
+    return the number of commands that differ."""
     old, new = (sorted(pathlib.Path(d).glob("*.json")) for d in (old_dir, new_dir))
     if [p.name for p in old] != [p.name for p in new]:
         sys.exit("the two dumps hold different command lists")
@@ -245,17 +248,17 @@ def compare(old_dir: str, new_dir: str):
         argv = shlex.join(a["argv"])
         print(line + ": " + (argv if len(argv) <= 100 else argv[:97] + "..."))
     print(f"{changed} of {len(old)} commands differ")
+    return changed
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dump", metavar="DIR", help="also write each command's output here")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
-                        help="compare two --dump directories and exit")
+                        help="compare two --dump directories; exit 1 if any command differs")
     args = parser.parse_args()
     if args.compare:
-        compare(*args.compare)
-        return
+        sys.exit(1 if compare(*args.compare) else 0)
     if args.dump:
         os.makedirs(args.dump, exist_ok=True)
     stdout = ""
