@@ -18,23 +18,31 @@ yields a soft stiffness pulse
 on [-pi/2, pi/2] whose evolution matrix is the squeezed Fourier map
 [[0, b], [-1/b, 0]].  At zeros of theta the formula is 0/0; provided
 theta' = +-2 there (the nonsingularity condition), the limit is
--theta' theta'''/16.  Near a zero the regular formula cancels: a rounding
-error of about 1e-16 in theta' becomes about 1e-16/theta^2 in beta.  So an
-ansatz's beta is its even Taylor series about its zero at tau = 0, through
-tau^6, for |tau| < SERIES_TAU (|theta| below about 1e-2; narrower for the
-large coefficients of extreme targets, see ThetaAnsatz.series_tau), with
-the coefficients computed once per ansatz and theta'(0) = 2 taken as exact.
-Elsewhere the evaluator switches to the limit below |theta| = EPS_THETA and
-raises SingularityError where theta' is not +-2 there.
+-theta' theta'''/16.
+
+beta is sampled from one sine per sample.  With s = sin(tau), x = s^2 and
+z = 1 - 2 x = cos(2 tau), sin(k tau)/s = U_{k-1}(cos tau) = 1 + 2 sum_j
+T_j(z) (DLMF 18.5.1-18.5.2) makes P = theta/s, R = -theta''/s and, with
+theta'(0) = +-2 taken as exact, Q = theta'/cos(tau) = 2 - x k short
+Chebyshev sums in z (ThetaAnsatz.sums).  Then (theta'/2)^2 - 1 =
+-x (k (Q + 2) + Q^2)/4, and beta = R/(2 P) - (k (Q + 2) + Q^2)/(4 P^2)
+exactly, with no division by x: nothing cancels at the zero at tau = 0,
+where P = 2.  Against 40-digit mpmath (tests/make_beta_references.py) it
+errs by at most 1.4e-15 relative about tau = 0 and in the interior, and
+3.3e-15 near +-pi/2, at four targets about the benchmark's range.  The
+other zeros of theta, its side zeros, are zeros of P: a sample with
+|theta| < EPS_THETA there takes the limit, and SingularityError is raised
+where theta' is not +-2 at a sample that close to any zero.
 
 With s = sin(tau) the multiple-angle formulas (DLMF 4.21(iv)) factor theta =
 s (A - B s^2 + C s^4) and theta' = cos(tau) (A - B' s^2 + C' s^4), A = a1 +
 3 a3 + 5 a5, so the zeros of both on [-pi/2, pi/2] come in closed form from
 two quadratics in s^2 (_unit_roots); no root search is needed.
 
-An ansatz is sampled with one sin and one cos of tau per sample; the 3 tau
-and 5 tau terms follow by angle addition (2 tau = tau + tau, then 3 tau =
-2 tau + tau and 5 tau = 3 tau + 2 tau), within a few ulps of direct sines.
+theta and its derivatives (theta_eval, the lemma, the limit at side zeros)
+take one sin and one cos of tau per sample; the 3 tau and 5 tau terms follow
+by angle addition (2 tau = tau + tau, then 3 tau = 2 tau + tau and 5 tau =
+3 tau + 2 tau), within a few ulps of direct sines.
 """
 
 from __future__ import annotations
@@ -50,16 +58,13 @@ from .core import BetaProfile, CompositeBeta, ConstantBeta, SymplecticMatrix2
 from . import evolution
 from .evolution import DEFAULT_CONFIG, IntegratorConfig
 
-# |theta| below which the analytic limit is used, at the zeros of theta
-# outside the series window about tau = 0
+# |theta| below which a sample's slope is checked (SLOPE_GUARD), and below
+# which a sample at a side zero of theta takes the analytic limit
 EPS_THETA = 1e-6
-# |tau| below which an ansatz's beta is its Taylor series about 0; just
-# outside, the regular formula's cancellation costs a few 1e-12
-SERIES_TAU = 5e-3
 SLOPE_TOL = 1e-6  # most ||theta'| - 2| at the closed-form zeros of theta
-# most ||theta'| - 2| at a sample within EPS_THETA of a zero (beta_from_theta):
-# theta' there reads up to |theta''| EPS_THETA / 2 off the zero's slope, so
-# SLOPE_TOL would reject valid zeros
+# most ||theta'| - 2| at a sample within EPS_THETA of any zero, tau = 0
+# included (beta_from_theta): theta' there reads up to |theta''| EPS_THETA / 2
+# off the zero's slope, so SLOPE_TOL would reject valid zeros
 SLOPE_GUARD = 1e-3
 VERIFY_TOL = 1e-6       # verify_design: allowed deviation of an entry from its target
 
@@ -103,50 +108,21 @@ class ThetaAnsatz:
         return self.a1 + 3.0 * self.a3 + 5.0 * self.a5
 
     @cached_property
-    def beta_series(self) -> tuple:
-        """(B0, B2, B4, B6) with beta = B0 + B2 tau^2 + B4 tau^4 + B6 tau^6
-        + O(tau^8) about the zero of theta at tau = 0.
-
-        With x = tau^2, theta = tau P(x), theta' = Q(x) and theta'' =
-        tau R(x), where theta = sum T_n tau^n over odd n has T_n =
-        (-1)^((n-1)/2) sum_k k^n a_k / n!.  Then beta = (N - R P/2) / P^2
-        with N = (Q^2/4 - 1)/x.  T_1 = theta'(0) = 2 is taken as exact, so
-        the constant term of Q^2/4 - 1 is exactly 0 rather than the rounding
-        of a1 + 3 a3 + 5 a5 - 2, which the regular formula divides by
-        theta^2.
+    def sums(self) -> tuple:
+        """(P0, P1, P2, R0, R1, R2, K0, K1) with theta/sin(tau) = P0 + P1 z
+        + P2 T2, -theta''/sin(tau) = R0 + R1 z + R2 T2 and k = K0 + K1 z, for
+        z = cos(2 tau) and T2 = 2 z^2 - 1, from sin(3 tau)/sin(tau) = 1 + 2 z
+        and sin(5 tau)/sin(tau) = 1 + 2 z + 2 T2.  a1 is taken as 2 - 3 a3 -
+        5 a5 (theta'(0) = 2), which makes theta'/cos(tau) = 2 - sin(tau)^2 k.
+        beta does not change with the sign of theta, so an ansatz with
+        theta'(0) = -2 is summed as its negative.
         """
-        terms = ((1, self.a1), (3, self.a3), (5, self.a5))
-        tn = [2.0] + [  # T_1, T_3, ..., T_9: the coefficients of P
-            (-1.0) ** j * sum(k ** (2 * j + 1) * a for k, a in terms)
-            / math.factorial(2 * j + 1)
-            for j in range(1, 5)
-        ]
-
-        def mul(p, q):  # product of series in x, through x^3
-            return [sum(p[i] * q[n - i] for i in range(n + 1)) for n in range(4)]
-
-        q = [(2 * j + 1) * tn[j] for j in range(5)]
-        r = [(2 * j + 3) * (2 * j + 2) * tn[j + 1] for j in range(4)]
-        nq = [sum(q[i] * q[n + 1 - i] for i in range(n + 2)) / 4.0 for n in range(4)]
-        num = [a - 0.5 * b for a, b in zip(nq, mul(r, tn))]
-        den = mul(tn, tn)
-        out = []
-        for n in range(4):
-            out.append((num[n] - sum(out[i] * den[n - i] for i in range(n))) / den[0])
-        return tuple(out)
-
-    @cached_property
-    def series_tau(self) -> float:
-        """Half-width of the window about tau = 0 where beta is beta_series.
-
-        On the complex disc |tau| < R = sqrt(6 / (|a1| + 27 |a3| + 125 |a5|))
-        theta/tau stays within about 1 of 2, so beta has no pole there and
-        the series through tau^6 errs by about (tau/R)^8 relative.  The
-        window is SERIES_TAU, narrowed to R/16 (an error of about 1e-11)
-        for the large coefficients of extreme targets.
-        """
-        s = abs(self.a1) + 27.0 * abs(self.a3) + 125.0 * abs(self.a5)
-        return min(SERIES_TAU, math.sqrt(6.0 / s) / 16.0)
+        sign = math.copysign(1.0, self.slope0)
+        a3, a5 = sign * self.a3, sign * self.a5
+        a1 = 2.0 - 3.0 * a3 - 5.0 * a5
+        return (a1 + a3 + a5, 2.0 * (a3 + a5), 2.0 * a5,
+                a1 + 9.0 * a3 + 25.0 * a5, 2.0 * (9.0 * a3 + 25.0 * a5), 50.0 * a5,
+                12.0 * a3 + 20.0 * a5, 40.0 * a5)
 
     @cached_property
     def side_zeros(self) -> tuple:
@@ -226,38 +202,41 @@ def theta_eval(ansatz: ThetaAnsatz, tau, order: int = 0):
 
 
 def beta_from_theta(ansatz: ThetaAnsatz, tau):
-    """Stiffness generated by an ansatz; switches to the series limit near
-    zeros of theta, and to its Taylor series within series_tau of tau = 0.
+    """Stiffness generated by an ansatz, from one sine per sample (module
+    docstring); a sample within EPS_THETA of a side zero (|P| < 1, where P
+    is 2 at tau = 0) takes the limit -theta' theta'''/16 instead.
 
     Raises SingularityError if theta vanishes at a sample with slope not
-    +-2 within SLOPE_GUARD, or if the Taylor series is used and theta'(0)
+    +-2 within SLOPE_GUARD, or if theta'(0), which the sums take as exact,
     is not +-2 within SLOPE_TOL.
     """
     scalar = np.isscalar(tau) or getattr(tau, "ndim", 1) == 0
     t = np.atleast_1d(np.asarray(tau, dtype=float))
-    th, th1, th2, th3 = (np.atleast_1d(np.asarray(x, dtype=float))
-                         for x in _ansatz_derivs(ansatz, tau))
+    p0, p1, p2, r0, r1, r2, k0, k1 = ansatz.sums
+    s = np.sin(t)
+    x = s * s
+    z = 1.0 - 2.0 * x
+    t2 = 2.0 * z * z - 1.0
+    p = p0 + p1 * z + p2 * t2
 
-    small = np.abs(th) < EPS_THETA
+    small = np.abs(s * p) < EPS_THETA
     any_small = small.any()
     if any_small:
-        if np.any(small & (np.abs(np.abs(th1) - 2.0) > SLOPE_GUARD)):
-            bad = float(t[small][0])
+        ts = t[small]
+        _, th1, _, th3 = _ansatz_derivs(ansatz, ts)
+        if np.any(np.abs(np.abs(th1) - 2.0) > SLOPE_GUARD):
             raise SingularityError(
-                f"theta vanishes near tau = {bad!r} with theta' != +-2; "
+                f"theta vanishes near tau = {float(ts[0])!r} with theta' != +-2; "
                 "beta is singular there"
             )
-        th = np.where(small, 1.0, th)
-    out = -th2 / (2.0 * th) + ((th1 / 2.0) ** 2 - 1.0) / th**2
+    _check_slopes([(0.0, ansatz.slope0)])
+    r = r0 + r1 * z + r2 * t2
+    k = k0 + k1 * z
+    q = 2.0 - x * k
+    with np.errstate(divide="ignore", invalid="ignore"):  # p = 0 on a side zero
+        out = r / (2.0 * p) - (k * (q + 2.0) + q * q) / (4.0 * (p * p))
     if any_small:
-        out = np.where(small, -th1 * th3 / 16.0, out)
-    near = np.abs(t) < ansatz.series_tau
-    if near.any():
-        # the series takes theta'(0) = 2 as exact
-        _check_slopes([(0.0, ansatz.slope0)])
-        b0, b2, b4, b6 = ansatz.beta_series
-        x = t[near] ** 2
-        out[near] = b0 + x * (b2 + x * (b4 + x * b6))
+        out[small] = np.where(np.abs(p[small]) < 1.0, -th1 * th3 / 16.0, out[small])
     if scalar:
         return float(out[0])
     return out

@@ -1,5 +1,5 @@
-"""Print the designed-pulse references of test_design: BETA_REFERENCES and
-LEMMA_ZERO_REFERENCES.
+"""Print the designed-pulse references of test_design: BETA_REFERENCES,
+BETA_WIDE_REFERENCES and LEMMA_ZERO_REFERENCES.
 
 For each target pair (b, beta0) the three-frequency ansatz
 
@@ -9,9 +9,12 @@ is re-solved in mpmath at 40 significant digits from the exact binary values
 the program receives, so theta'(0) = 2 holds to 40 digits rather than to the
 rounding of a float solve, and beta = -theta''/(2 theta) + ((theta'/2)^2 -
 1)/theta^2 is evaluated at fixed tau on both sides of the zero of theta at
-0, at and around the edge of the series window.  Near tau = 0 the regular
-formula cancels: at tau = 1e-7 it loses about 14 of the 40 digits, which
-still leaves every value good well beyond the 17 digits printed.
+0, from 1e-7 to 1.0 (BETA_REFERENCES).  BETA_WIDE_REFERENCES adds interior
+taus and taus near +-pi/2, printed as the binary values of pi/2 - d that
+the test passes, and two targets of large coefficients at all these taus.
+Near tau = 0 the regular formula cancels: at tau = 1e-7 it loses about 14
+of the 40 digits, which still leaves every value good well beyond the 17
+digits printed.
 
 For the lemma targets the same re-solved ansatz gives the zeros of theta and
 of theta' on [-pi/2, pi/2] at 30 digits: a sign scan brackets each one
@@ -24,8 +27,10 @@ that shares no code with the package; the test itself does not need mpmath.
 The file name does not match pytest's test_*.py pattern, so it is not
 collected.
 
-    python tests/make_beta_references.py      # about five seconds
+    python tests/make_beta_references.py      # about three seconds
 """
+
+import math
 
 import mpmath as mp
 
@@ -36,6 +41,11 @@ PRINT_DIGITS = 17
 TARGETS = [("1.7", "0.2"), ("0.8", "0.05"), ("2.9", "0.37"), ("-1.99", "0.28")]
 TAUS = ["1e-7", "1e-6", "3e-6", "1e-5", "1e-4", "1e-3", "4.9e-3", "5.1e-3",
         "0.1", "1.0"]
+# BETA_WIDE_REFERENCES: TARGETS at interior taus and at pi/2 - d, and
+# targets of large coefficients at those and TAUS
+INTERIOR_TAUS = ["0.02", "0.3", "0.7"]
+EDGE_OFFSETS = [1e-8, 1e-6, 1e-4, 1e-2, 0.3]
+LARGE_TARGETS = [("100", "0"), ("-1e3", "5")]
 
 # (b, beta0) of the lemma zero references: side zeros of bad slope (0.3, 0;
 # 0.01, 0.2; 2, 100; -2, 0.1), interior Fourier points (those and 0.8,
@@ -98,19 +108,30 @@ def print_lemma_zeros():
     print("]")
 
 
-def main():
-    mp.mp.dps = DIGITS
-    print("BETA_REFERENCES = [")
-    for b, beta0 in TARGETS:
+def print_betas(targets, taus):
+    """One (b, beta0, ((tau, beta), ...)) entry per target, at taus and -taus."""
+    for b, beta0 in targets:
         a = ansatz(b, beta0)
         print(f"    ({b}, {beta0}, (")
-        for tau in TAUS:
+        for tau in taus:
             for sign in (1, -1):
                 t = sign * mp.mpf(float(tau))
                 value = mp.nstr(beta(a, t), PRINT_DIGITS, min_fixed=-mp.inf,
                                 max_fixed=mp.inf)
                 print(f"        ({'-' if sign < 0 else ''}{tau}, {value}),")
         print("    )),")
+
+
+def main():
+    mp.mp.dps = DIGITS
+    print("BETA_REFERENCES = [")
+    print_betas(TARGETS, TAUS)
+    print("]")
+    print()
+    edge = [repr(math.pi / 2 - d) for d in EDGE_OFFSETS]
+    print("BETA_WIDE_REFERENCES = [")
+    print_betas(TARGETS, INTERIOR_TAUS + edge)
+    print_betas(LARGE_TARGETS, TAUS + INTERIOR_TAUS + edge)
     print("]")
     print()
     print_lemma_zeros()

@@ -186,10 +186,12 @@ def test_beta_singularity_detected():
 
 @pytest.mark.parametrize("tau", [1e-3, 4e-3])
 def test_bad_slope_at_the_origin_is_singular_inside_the_series_window(tau):
-    # beta_series takes theta'(0) = 2 as exact; for theta = sin(tau) it gave
-    # beta(1e-3) = 0.125, where beta is about -7.5e5, so it must not be used
+    # the one-sine sums take theta'(0) = 2 as exact, as the Taylor series
+    # about 0 once did within 5e-3 of it (for theta = sin(tau) that series
+    # gave beta(1e-3) = 0.125, where beta is about -7.5e5), so they must
+    # not be used
     a = _direct_ansatz(1.0, 0.0, 0.0)
-    assert tau < a.series_tau and abs(theta_eval(a, tau)) > design.EPS_THETA
+    assert abs(theta_eval(a, tau)) > design.EPS_THETA
     message = r"^theta vanishes at tau = 0\.0 with theta' = 1, not \+-2; beta is singular there$"
     for x in (tau, -tau, np.array([tau, 0.3])):
         with pytest.raises(SingularityError, match=message):
@@ -199,6 +201,30 @@ def test_bad_slope_at_the_origin_is_singular_inside_the_series_window(tau):
         ThetaDerivedBeta(a).beta_array(np.array([0.3]))
     with pytest.raises(SingularityError, match=f"^theta vanishes at tau = {PI!r} with"):
         ThetaDerivedBeta(a, offset=PI).beta_array(np.array([PI + 0.3]))
+
+
+@pytest.mark.parametrize("b,beta0", [(1.7, 0.2), (-0.879994, 0.64)])
+def test_negated_ansatz_has_the_same_beta(b, beta0):
+    # beta does not change with the sign of theta, and -theta has theta'(0)
+    # = -2, which the slope check accepts; the Taylor series about 0 took
+    # +2 for it too and gave beta(1e-3) = -0.7587 for -theta at (1.7, 0.2),
+    # where beta is 0.7587
+    a = ThetaAnsatz.from_targets(b, beta0)
+    neg = ThetaAnsatz(-a.a1, -a.a3, -a.a5, -a.b, a.beta0)
+    taus = np.array([0.0, 1e-3, -0.3, 1.0, HALF_PI, *(z for z, _ in a.side_zeros)])
+    assert np.array_equal(beta_from_theta(neg, taus), beta_from_theta(a, taus))
+
+
+def test_beta_on_a_side_zero_takes_the_limit():
+    # from_targets(-0.879994, 0.64) has side zeros of slope -2 within
+    # SLOPE_TOL; a sample on one, where theta/sin(tau) is about 0, takes
+    # -theta' theta'''/16 without a division warning
+    a = ThetaAnsatz.from_targets(-0.879994, 0.64)
+    ((tau, _),) = a.side_zeros
+    assert abs(theta_eval(a, tau)) < design.EPS_THETA
+    limit = -theta_eval(a, tau, 1) * theta_eval(a, tau, 3) / 16.0
+    assert np.array_equal(beta_from_theta(a, np.array([tau, -tau])), [limit, limit])
+    assert beta_from_theta(a, tau) == limit
 
 
 def test_beta_array_matches_scalar():
@@ -228,11 +254,14 @@ def test_beta_scalar_and_one_element_array_agree(b, beta0, tau):
 
 
 # ---------------------------------------------------------------------------
-# beta near the zero of theta at tau = 0: series window and mpmath oracle
+# beta near the zero of theta at tau = 0 and across the stage: mpmath oracle
 
 # 40-digit mpmath values of beta, printed by tests/make_beta_references.py,
 # which re-solves the ansatz in mpmath (so theta'(0) = 2 to 40 digits) and
-# shares no code with softsqueeze: (b, beta0, ((tau, beta), ...))
+# shares no code with softsqueeze: (b, beta0, ((tau, beta), ...)).
+# BETA_REFERENCES lies about the zero at 0; BETA_WIDE_REFERENCES holds
+# interior taus and taus near +-pi/2, and two targets of large coefficients
+# at all of these taus
 BETA_REFERENCES = [
     (1.7, 0.2, (
         (1e-7, 0.75867647058821363),
@@ -324,14 +353,196 @@ BETA_REFERENCES = [
     )),
 ]
 
+BETA_WIDE_REFERENCES = [
+    (1.7, 0.2, (
+        (0.02, 0.75780591273968178),
+        (-0.02, 0.75780591273968178),
+        (0.3, 0.57488110605771235),
+        (-0.3, 0.57488110605771235),
+        (0.7, 0.053403641657979235),
+        (-0.7, 0.053403641657979235),
+        (1.5707963167948966, 0.19999999999999985),
+        (-1.5707963167948966, 0.19999999999999985),
+        (1.5707953267948966, 0.19999999999840337),
+        (-1.5707953267948966, 0.19999999999840337),
+        (1.5706963267948966, 0.19999998403356429),
+        (-1.5706963267948966, 0.19999998403356429),
+        (1.5607963267948965, 0.19984036224158432),
+        (-1.5607963267948965, 0.19984036224158432),
+        (1.2707963267948965, 0.077224198865194349),
+        (-1.2707963267948965, 0.077224198865194349),
+    )),
+    (0.8, 0.05, (
+        (0.02, 2.7148254176433455),
+        (-0.02, 2.7148254176433455),
+        (0.3, 2.0641772833379411),
+        (-0.3, 2.0641772833379411),
+        (0.7, -1.8500413482157011),
+        (-0.7, -1.8500413482157011),
+        (1.5707963167948966, 0.04999999999999787),
+        (-1.5707963167948966, 0.04999999999999787),
+        (1.5707953267948966, 0.049999999978673753),
+        (-1.5707953267948966, 0.049999999978673753),
+        (1.5706963267948966, 0.049999786737499804),
+        (-1.5706963267948966, 0.049999786737499804),
+        (1.5607963267948965, 0.047867355248241121),
+        (-1.5607963267948965, 0.047867355248241121),
+        (1.2707963267948965, -1.8241864731235983),
+        (-1.2707963267948965, -1.8241864731235983),
+    )),
+    (2.9, 0.37, (
+        (0.02, -1.1208793930492748),
+        (-0.02, -1.1208793930492748),
+        (0.3, -0.51951139152140024),
+        (-0.3, -0.51951139152140024),
+        (0.7, 0.57697499550669211),
+        (-0.7, 0.57697499550669211),
+        (1.5707963167948966, 0.37000000000000021),
+        (-1.5707963167948966, 0.37000000000000021),
+        (1.5707953267948966, 0.37000000000209589),
+        (-1.5707953267948966, 0.37000000000209589),
+        (1.5706963267948966, 0.37000002095892707),
+        (-1.5706963267948966, 0.37000002095892707),
+        (1.5607963267948965, 0.37020955032310234),
+        (-1.5607963267948965, 0.37020955032310234),
+        (1.2707963267948965, 0.52934324777537097),
+        (-1.2707963267948965, 0.52934324777537097),
+    )),
+    (-1.99, 0.28, (
+        (0.02, 6.1899320088577194),
+        (-0.02, 6.1899320088577194),
+        (0.3, 7.4991990103906344),
+        (-0.3, 7.4991990103906344),
+        (0.7, 9.0421839750779273),
+        (-0.7, 9.0421839750779273),
+        (1.5707963167948966, 0.2800000000000012),
+        (-1.5707963167948966, 0.2800000000000012),
+        (1.5707953267948966, 0.28000000001172068),
+        (-1.5707953267948966, 0.28000000001172068),
+        (1.5706963267948966, 0.28000011720653454),
+        (-1.5706963267948966, 0.28000011720653454),
+        (1.5607963267948965, 0.28117182595540281),
+        (-1.5607963267948965, 0.28117182595540281),
+        (1.2707963267948965, 1.1724755674120984),
+        (-1.2707963267948965, 1.1724755674120984),
+    )),
+    (100, 0, (
+        (1e-7, -184.24249999965039),
+        (-1e-7, -184.24249999965039),
+        (1e-6, -184.24249996503857),
+        (-1e-6, -184.24249996503857),
+        (3e-6, -184.24249968534713),
+        (-3e-6, -184.24249968534713),
+        (1e-5, -184.24249650385705),
+        (-1e-5, -184.24249650385705),
+        (1e-4, -184.2421503862763),
+        (-1e-4, -184.2421503862763),
+        (1e-3, -184.20754433763882),
+        (-1e-3, -184.20754433763882),
+        (4.9e-3, -183.40638922666292),
+        (-4.9e-3, -183.40638922666292),
+        (5.1e-3, -183.33704012011543),
+        (-5.1e-3, -183.33704012011543),
+        (0.1, -56.754182310088195),
+        (-0.1, -56.754182310088195),
+        (1.0, 1.8734830690652643),
+        (-1.0, 1.8734830690652643),
+        (0.02, -171.12697313088364),
+        (-0.02, -171.12697313088364),
+        (0.3, -4.1853820175793709),
+        (-0.3, -4.1853820175793709),
+        (0.7, 2.0935501725609714),
+        (-0.7, 2.0935501725609714),
+        (1.5707963167948966, 0.0000000000000011128900001018581),
+        (-1.5707963167948966, 0.0000000000000011128900001018581),
+        (1.5707953267948966, 0.000000000011128899999504052),
+        (-1.5707953267948966, 0.000000000011128899999504052),
+        (1.5706963267948966, 0.00000011128899722299169),
+        (-1.5706963267948966, 0.00000011128899722299169),
+        (1.5607963267948965, 0.001112612346767366),
+        (-1.5607963267948965, 0.001112612346767366),
+        (1.2707963267948965, 0.81262909331921031),
+        (-1.2707963267948965, 0.81262909331921031),
+    )),
+    (-1e3, 5, (
+        (1e-7, -1871.7507499647875),
+        (-1e-7, -1871.7507499647875),
+        (1e-6, -1871.7507464787517),
+        (-1e-6, -1871.7507464787517),
+        (3e-6, -1871.7507183087657),
+        (-3e-6, -1871.7507183087657),
+        (1e-5, -1871.7503978752273),
+        (-1e-5, -1871.7503978752273),
+        (1e-4, -1871.7155381034591),
+        (-1e-4, -1871.7155381034591),
+        (1e-3, -1868.2353585458399),
+        (-1e-3, -1868.2353585458399),
+        (4.9e-3, -1790.4648081457879),
+        (-4.9e-3, -1790.4648081457879),
+        (5.1e-3, -1783.9763893357097),
+        (-5.1e-3, -1783.9763893357097),
+        (0.1, -67.249594968681665),
+        (-0.1, -67.249594968681665),
+        (1.0, 5319.4475580945634),
+        (-1.0, 5319.4475580945634),
+        (0.02, -1036.9043495206074),
+        (-0.02, -1036.9043495206074),
+        (0.3, -0.48714332728573812),
+        (-0.3, -0.48714332728573812),
+        (0.7, 9.5735786768930297),
+        (-0.7, 9.5735786768930297),
+        (1.5707963167948966, 5.0000000000000006),
+        (-1.5707963167948966, 5.0000000000000006),
+        (1.5707953267948966, 5.000000000006262),
+        (-1.5707953267948966, 5.000000000006262),
+        (1.5706963267948966, 5.0000000626199952),
+        (-1.5706963267948966, 5.0000000626199952),
+        (1.5607963267948965, 5.0006267238306158),
+        (-1.5607963267948965, 5.0006267238306158),
+        (1.2707963267948965, 6.2953300988138615),
+        (-1.2707963267948965, 6.2953300988138615),
+    )),
+]
+
 @pytest.mark.parametrize("b,beta0,points", BETA_REFERENCES)
 def test_beta_matches_mpmath_near_and_away_from_the_theta_zero(b, beta0, points):
     a = ThetaAnsatz.from_targets(b, beta0)
     taus = np.array([tau for tau, _ in points])
     want = np.array([value for _, value in points])
-    assert np.max(np.abs(beta_from_theta(a, taus) - want)) <= 1e-10
+    assert np.max(np.abs(beta_from_theta(a, taus) - want)) <= 2e-14
     for tau, value in points:
-        assert abs(beta_from_theta(a, tau) - value) <= 1e-10
+        assert abs(beta_from_theta(a, tau) - value) <= 2e-14
+
+
+# about 3x the largest error of beta_from_theta at each BETA_WIDE_REFERENCES
+# target (2.7e-16, 3.3e-15, 4.4e-16, 3.6e-15, 5.7e-14 and 1.1e-10, the last
+# 2.1e-14 of |beta| = 5.3e3)
+WIDE_BOUNDS = [1e-15, 1e-14, 1.5e-15, 1e-14, 2e-13, 3e-10]
+
+
+@pytest.mark.parametrize("b,beta0,points,bound", [
+    (*entry, bound) for entry, bound in zip(BETA_WIDE_REFERENCES, WIDE_BOUNDS, strict=True)])
+def test_beta_matches_mpmath_across_the_stage(b, beta0, points, bound):
+    a = ThetaAnsatz.from_targets(b, beta0)
+    taus = np.array([tau for tau, _ in points])
+    want = np.array([value for _, value in points])
+    assert np.max(np.abs(beta_from_theta(a, taus) - want)) <= bound
+    for tau, value in points:
+        assert abs(beta_from_theta(a, tau) - value) <= bound
+
+
+def test_stage_joins_of_the_bench_range_are_continuous():
+    # 500 seeded stage pairs of the benchmark's range: beta at the shared
+    # edge from both sides, and its target beta0 there, within 1e-14
+    rng = np.random.default_rng(2718)
+    edges = np.array([HALF_PI, -HALF_PI])
+    for _ in range(500):
+        b_left, b_right = rng.uniform(0.6, 3.0, size=2)
+        beta0 = rng.uniform(0.0, 0.4)
+        left = beta_from_theta(ThetaAnsatz.from_targets(b_left, beta0), edges)
+        right = beta_from_theta(ThetaAnsatz.from_targets(b_right, beta0), edges)
+        assert abs(left[0] - right[1]) <= 1e-14
+        assert np.max(np.abs(np.concatenate([left, right]) - beta0)) <= 1e-14
 
 
 def _direct_theta_derivs(a, tau):
@@ -362,31 +573,33 @@ def test_shared_angle_sampler_matches_direct_sines(b, beta0, tau):
     (1.7, 0.2), (0.8, 0.05), (2.9, 0.37), (-1.99, 0.28), (0.6, 0.0), (3.0, 0.4),
 ])
 def test_beta_hands_over_to_its_series_without_a_jump(b, beta0):
+    # about tau = 0 beta was a Taylor series for |tau| < 5e-3; the one-sine
+    # sums need no window, and show no jump at its old edges
     a = ThetaAnsatz.from_targets(b, beta0)
-    edge = design.SERIES_TAU
-    assert a.series_tau == edge
+    edge = 5e-3
     for sign in (1.0, -1.0):
         inside = beta_from_theta(a, sign * np.nextafter(edge, 0.0))
         outside = beta_from_theta(a, sign * edge)
-        assert abs(inside - outside) <= 1e-11
+        assert abs(inside - outside) <= 1e-15
 
 
 @pytest.mark.parametrize("b,beta0", [(100.0, 0.0), (1e-3, 0.0), (-1e3, 5.0)])
 def test_series_window_narrows_for_large_coefficients(b, beta0):
-    # over the full window the series' truncation error (3e-10 to 3e-6
-    # relative for these targets) would show as a jump at its edge
+    # the Taylor series' window narrowed to sqrt(6 / (|a1| + 27 |a3| +
+    # 125 |a5|)) / 16 for these targets; the one-sine sums show no jump at
+    # those old edges (BETA_WIDE_REFERENCES checks two of them against mpmath)
     a = ThetaAnsatz.from_targets(b, beta0)
-    edge = a.series_tau
-    assert edge < design.SERIES_TAU
+    edge = math.sqrt(6.0 / (abs(a.a1) + 27.0 * abs(a.a3) + 125.0 * abs(a.a5))) / 16.0
+    assert edge < 5e-3
     for sign in (1.0, -1.0):
         inside = beta_from_theta(a, sign * np.nextafter(edge, 0.0))
         outside = beta_from_theta(a, sign * edge)
-        assert abs(inside - outside) <= 1e-10 * max(1.0, abs(outside))
+        assert abs(inside - outside) <= 1e-15 * max(1.0, abs(outside))
 
 
 def test_ansatz_sampled_at_an_off_origin_zero_is_singular():
     # from_targets(0.3, 0) has theta zeros away from 0 whose slopes are not
-    # +-2; the series about 0 covers only that zero, so these still raise
+    # +-2; the sums take only the slope at 0 as exact, so these still raise
     a = ThetaAnsatz.from_targets(0.3, 0.0)
     zero = validate_lemma(a).theta_zeros[0]
     assert zero.tau == pytest.approx(-1.22596, abs=1e-5)
