@@ -549,6 +549,13 @@ def _runs(profile: BetaProfile, edges, counts, cfg: IntegratorConfig) -> np.ndar
     return out
 
 
+def _require_finite(**values) -> None:
+    """Raise ValueError naming the first of values that is not finite."""
+    for name, x in values.items():
+        if not math.isfinite(x):
+            raise ValueError(f"{name} is not finite: {x}")
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def integrate(
     profile: BetaProfile,
@@ -565,8 +572,10 @@ def integrate(
     (tau1 - tau0)) steps, at least 1, and samples its own piece, a part
     that starts on a join taking that sample from the later piece (_split).
     Raises IntegrationError before sampling beta if the steps of all parts
-    exceed cfg.max_steps.
+    exceed cfg.max_steps, and ValueError before any work if tau0 or tau1
+    is not finite.
     """
+    _require_finite(tau0=tau0, tau1=tau1)
     if tau1 < tau0:
         raise ValueError(f"need tau1 >= tau0, got [{tau0}, {tau1}]")
     profile.check_interval(tau0, tau1)
@@ -602,8 +611,10 @@ def integrate_symmetric(
 
     U = u(tau, 0) and D = diag(1, -1), and D U^-1 D is _reflect(U), so the
     result is [[ad + bc, 2ab], [2cd, ad + bc]] for U = [[a, b], [c, d]]:
-    equidiagonal, u11 = u22 = theta'(tau)/2 with theta = u12.
+    equidiagonal, u11 = u22 = theta'(tau)/2 with theta = u12.  A tau that
+    is not finite raises ValueError before beta is sampled.
     """
+    _require_finite(tau=tau)
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     profile.check_interval(-tau, tau)
@@ -626,8 +637,10 @@ def monodromy(
 
     The profile must actually be periodic with the given period; this is
     verified structurally for constant/Mathieu profiles and by sampling
-    otherwise.
+    otherwise.  A tau0 or period that is not finite raises ValueError
+    before any work.
     """
+    _require_finite(tau0=tau0, period=period)
     if period <= 0:
         raise ValueError(f"period must be positive, got {period}")
     _verify_periodic(profile, tau0, period)

@@ -314,9 +314,11 @@ def find_double_zero(
     mathieu_batch call with its four difference nodes, whose Jacobian the
     next step uses if the trial is taken: a double zero whose steps are all
     full takes one call per iteration.  Any of the five nodes that fails
-    the determinant gate raises IntegrationError.  An interval with
-    tau1 <= tau0 raises ValueError before any integration, as ScanRect does.
+    the determinant gate raises IntegrationError.  An interval with an end
+    that is not finite, or with tau1 <= tau0, raises ValueError before any
+    integration, the latter as ScanRect does.
     """
+    evolution._require_finite(tau0=tau0, tau1=tau1)
     if not tau1 > tau0:
         raise ValueError("tau interval must be increasing")
     b0, b1 = float(seed[0]), float(seed[1])

@@ -423,6 +423,39 @@ def test_integrate_path_rejects_a_grid_without_segments(monkeypatch, taus, messa
         integrate_path(ConstantBeta(1.0), taus, FAST)
 
 
+@pytest.mark.parametrize("tau0, tau1, message", [
+    (math.nan, 1.0, "^tau0 is not finite: nan$"),
+    (0.0, math.inf, "^tau1 is not finite: inf$"),
+    (-math.inf, 0.0, "^tau0 is not finite: -inf$"),
+])
+def test_integrate_rejects_an_end_that_is_not_finite(monkeypatch, tau0, tau1, message):
+    # before any work; it used to run the engine, then fail the determinant
+    # gate with IntegrationError because the entries were not finite
+    monkeypatch.setattr(evolution, "_runs", None)
+    with pytest.raises(ValueError, match=message):
+        integrate(ConstantBeta(1.0), tau0, tau1, FAST)
+
+
+@pytest.mark.parametrize("tau", [math.inf, math.nan])
+def test_integrate_symmetric_rejects_a_tau_that_is_not_finite(monkeypatch, tau):
+    # before the symmetry check samples beta on linspace(0, tau), which
+    # warned for an infinite tau, and before the engine
+    monkeypatch.setattr(evolution, "_runs", None)
+    with pytest.raises(ValueError, match=f"^tau is not finite: {tau}$"):
+        integrate_symmetric(ConstantBeta(1.0), tau, FAST)
+
+
+@pytest.mark.parametrize("tau0, period, message", [
+    (0.0, math.nan, "^period is not finite: nan$"),
+    (0.0, math.inf, "^period is not finite: inf$"),
+    (math.nan, PI, "^tau0 is not finite: nan$"),
+])
+def test_monodromy_rejects_a_value_that_is_not_finite(monkeypatch, tau0, period, message):
+    monkeypatch.setattr(evolution, "_runs", None)
+    with pytest.raises(ValueError, match=message):
+        monodromy(ConstantBeta(1.0), tau0, period, FAST)
+
+
 def test_integrate_path_consistency():
     prof = MathieuBeta(1.1, 0.6)
     taus = np.linspace(0.0, 2 * PI, 9)

@@ -88,8 +88,8 @@ def test_scan_grid_zone_structure():
 
 
 def test_scan_grid_marks_nan_nodes_failed():
-    # an infinite interval gives NaN matrices, which a single integration
-    # rejects for determinant drift, so the scan marks them failed
+    # an infinite interval gives NaN matrices, which fail the determinant
+    # gate of the one batch (evolution._gate), so the scan marks them failed
     with np.errstate(invalid="ignore"):
         res = scan_grid(ScanRect(0.9, 1.9, 0.5, 1.6, n0=2, n1=2, tau1=math.inf), FAST)
     assert res.failed.all()
@@ -517,6 +517,19 @@ def test_find_double_zero_rejects_a_reversed_interval(monkeypatch):
     monkeypatch.setattr(evolution, "mathieu_batch", None)
     with pytest.raises(ValueError, match="^tau interval must be increasing$"):
         find_double_zero((1.217, 0.844), FAST, tau0=1.0, tau1=0.5)
+
+
+@pytest.mark.parametrize("tau0, tau1, message", [
+    (0.0, math.inf, "^tau1 is not finite: inf$"),
+    (math.nan, PI, "^tau0 is not finite: nan$"),
+    (0.0, math.nan, "^tau1 is not finite: nan$"),
+])
+def test_find_double_zero_rejects_an_end_that_is_not_finite(monkeypatch, tau0, tau1, message):
+    # before any integration; an infinite end used to fail the determinant
+    # gate with IntegrationError, and a NaN one read as a reversed interval
+    monkeypatch.setattr(evolution, "mathieu_batch", None)
+    with pytest.raises(ValueError, match=message):
+        find_double_zero((1.217, 0.844), FAST, tau0=tau0, tau1=tau1)
 
 
 @pytest.mark.parametrize("tau", [0.0, PI / 2])
