@@ -11,19 +11,21 @@ change to be byte-identical on these commands.  --dump DIR also writes
 each command's argv, exit code and stdout to DIR/NNN.json, NNN its place in
 the list.  --compare reads two such dumps and prints one line per command
 whose exit code or stdout differs: how many of its numeric CSV or JSON
-fields changed, the largest relative change |new - old| / max(|old|, |new|),
-the largest change |new - old| and the names of the changed fields (a CSV
-column, or a JSON key path with list indices left out), then a summary.  A
-change to anything but a number (a zone, a header, a row count) is reported
-as a text change.  It exits 1 if any command differs and 0 if none does,
-so byte identity on these commands is its exit status.  The commands are the
-README's `softsqueeze` lines, the benchmark's warm-up commands, seeded
-sessions of its three workloads (plane_scan, refine and pulse_design, at
-seed 17) and failure cases.  Each runs in-process through cli.main, in a
-fresh temporary directory, and its digest covers its stdout, its stderr
-and every file it wrote there.  The package is imported from the checkout
-the script sits in.  The file name does not match pytest's test_*.py
-pattern, so it is not collected.
+fields changed (-0 to 0 included), how many of those only changed sign
+(new == -old, a flipped orientation or a signed zero rather than rounding
+drift), the largest relative change |new - old| / max(|old|, |new|) and
+the largest change |new - old| of the others, and the names of the
+changed fields (a CSV column, or a JSON key path with list indices left
+out), then a summary.  A change to anything but a number (a zone, a
+header, a row count) is reported as a text change.  It exits 1 if any
+command differs and 0 if none does, so byte identity on these commands is
+its exit status.  The commands are the README's `softsqueeze` lines, the
+benchmark's warm-up commands, seeded sessions of its three workloads
+(plane_scan, refine and pulse_design, at seed 17) and failure cases.  Each
+runs in-process through cli.main, in a fresh temporary directory, and its
+digest covers its stdout, its stderr and every file it wrote there.  The
+package is imported from the checkout the script sits in.  The file name
+does not match pytest's test_*.py pattern, so it is not collected.
 """
 
 import argparse
@@ -233,16 +235,19 @@ def compare(old_dir: str, new_dir: str) -> int:
         fa, fb = fields(a["stdout"]), fields(b["stdout"])
         numeric = [(na, x, y) for (na, x), (nb, y) in zip(fa, fb)
                    if isinstance(x, float) and isinstance(y, float) and na == nb]
-        moved = [(name, x, y) for name, x, y in numeric
-                 if x != y and not (math.isnan(x) and math.isnan(y))]
+        moved = [(name, x, y) for name, x, y in numeric  # -0 and 0 differ too
+                 if (x != y or math.copysign(1.0, x) != math.copysign(1.0, y))
+                 and not (math.isnan(x) and math.isnan(y))]
         text = len(fa) != len(fb) or any(
             na != nb or (x != y and not (isinstance(x, float) and isinstance(y, float)))
             for (na, x), (nb, y) in zip(fa, fb))
-        rel = max((abs(y - x) / max(abs(x), abs(y)) for _, x, y in moved), default=0.0)
-        change = max((abs(y - x) for _, x, y in moved), default=0.0)
+        drift = [(x, y) for _, x, y in moved if x != -y]
+        rel = max((abs(y - x) / max(abs(x), abs(y)) for x, y in drift), default=0.0)
+        change = max((abs(y - x) for x, y in drift), default=0.0)
         names = ",".join(dict.fromkeys(name for name, _, _ in moved))
         line = (f"{a_path.stem} rc {a['rc']}->{b['rc']}: {len(moved)} of {len(numeric)} "
-                f"numeric fields changed, max rel change {rel:.2g}, max change {change:.2g}")
+                f"numeric fields changed, {len(moved) - len(drift)} sign flips, "
+                f"max rel change {rel:.2g}, max change {change:.2g}")
         line += f" ({names})" if names else ""
         line += "; text changed" if text else ""
         argv = shlex.join(a["argv"])
