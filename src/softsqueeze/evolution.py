@@ -36,21 +36,23 @@ narrower than B / 2 unless its batch is.  Every array of a block is a
 view into one flat workspace, filled with out= arithmetic in the order of
 the formulas: the beta rows, the maps, the tree's levels in two spaces
 taken in turn, scratch and the block stack, 4 doubles per column for each
-of at most bit_length(steps) levels.  A run of w columns takes one fresh
-workspace of at most (8 n + 4) w + 4 w bit_length(steps) doubles, 2 n + 1
-more if each of its intervals has one column, and 7 more to start it on
-a 64-byte boundary (_workspace); for w at most B that is under
+of at most bit_length(steps) levels.  A run is planned once (_rk4_plan),
+and may then run any number of times.  A plan of w columns takes one
+fresh workspace of at most (8 n + 4) w + 4 w bit_length(steps) doubles,
+2 n + 1 more if each of its intervals has one column, and 7 more to start
+it on a 64-byte boundary (_workspace); for w at most B that is under
 33 B + 4 w bit_length(steps).  So memory is bounded for any step count,
-and no block allocates anything.  A run has at most three block shapes,
-the first block, the full blocks and a shorter last one, whose layouts
-may differ, and takes the views of each once (_block), into the
-workspace and a grid index of n + 1 doubles; a block then does
-arithmetic into them, and slices only for the stack's merges.  On 2-step
-blocks of a few columns, where the numpy work is near zero, that cut a
-block's fixed cost from 36-39 us, carving every view afresh, to 22-25 us
-(2-vCPU Xeon).  The tree's shape depends only on the step count, never
-on the block size, the block's layout or the batch width, so a node's
-result is bit-identical alone or inside any batch, and run to run.
+and no block allocates anything.
+A run has at most three block shapes, the first block, the full blocks
+and a shorter last one, whose layouts may differ, and the plan takes the
+views of each once (_block), into the workspace and a grid index of
+n + 1 doubles; a run then does arithmetic into them, and slices only for
+the stack's merges.  On 2-step blocks of a few columns, where the numpy
+work is near zero, that cut a block's fixed cost from 36-39 us, carving
+every view afresh, to 22-25 us (2-vCPU Xeon).  The tree's shape depends
+only on the step count, never on the block size, the block's layout or
+the batch width, so a node's result is bit-identical alone or inside any
+batch, and run to run, however often its plan has run.
 Determinant drift is checked after every run and never silently
 corrected.  A run over a finite interval whose entries overflow a float
 raises OverflowError without a numpy warning.
@@ -67,7 +69,7 @@ piece; designed joins agree there to rounding.  Parts of one step count
 run as one engine run.  The Mathieu drive is even
 about every multiple of pi, so mathieu_batch, which every Mathieu
 integration goes through, builds a one-period map from half a period at
-that step (_one_period).  The reflection D u^-1 D, D = diag(1, -1), is
+that step (_MathieuRun).  The reflection D u^-1 D, D = diag(1, -1), is
 taken in adjugate form (_reflect), never divided by det u, so the
 determinant gate still sees the drift of every piece; integrate_symmetric
 builds u(tau, -tau) with it too.
@@ -129,6 +131,9 @@ DEFAULT_CONFIG = IntegratorConfig()
 ZONES = ("failed", "I", "II", "III")
 THRESHOLD_BAND = 1e-9  # zone_codes: most ||Gamma| - 2| of zone II
 CLASSIFY_DET_TOL = 1e-6  # classify: allowed |det - 1| drift of its matrix
+# classify: most |component| of the unit a+ read as rounding, not as its sign;
+# a near-diagonal map, as of a designed chain's, gives one of about 1e-15
+AXIS_SIGN_TOL = 1e-12
 PROFILE_TOL = 1e-9  # check_symmetry, monodromy: most residual of an even or periodic beta
 
 
@@ -307,10 +312,14 @@ def _block(spaces, index, m: int, first: int, g: int, width: int):
             _carve(free, (2, 2, w)))
 
 
-def _rk4(beta_at, t0, t1, steps: int, width: int) -> np.ndarray:
-    """RK4 evolution matrices over g intervals [t0, t1] (scalars, g = 1, or
-    arrays) for a batch of width columns each, as a (2, 2, g * width) array
-    with the columns of each interval together.
+def _rk4_plan(t0, t1, steps: int, width: int):
+    """The RK4 run over g intervals [t0, t1] (scalars, g = 1, or arrays)
+    for a batch of width columns each, planned: the workspace (_workspace), the
+    views of each block shape with its tree's merge operands (_block), the
+    grid index and the h-only factors are built once.  Returns
+    run(beta_at), which only does arithmetic into them and returns a fresh
+    (2, 2, g * width) array, the columns of each interval together, as
+    often as it is called.
 
     beta_at(taus, out) writes beta at the (rows, g) taus into the
     (rows, g, width) view out, and may overwrite taus.  The steps run in
@@ -320,16 +329,13 @@ def _rk4(beta_at, t0, t1, steps: int, width: int) -> np.ndarray:
     axis, builds the maps and multiplies them in a tree.  Full blocks are
     pushed on a stack whose equal-sized neighbours merge at once, and what
     is left is merged from right to left: together this is the level-wise
-    tree over all steps, whatever the block size.  Every array a block
-    touches is a view into one workspace (_workspace): the beta rows, whose
-    space the odd tree levels reuse, the maps, whose space the even levels
-    reuse, a scratch space for the grid and the merge products, and the
-    stack.  The stack's merges take their two scratch maps from the scratch
-    space and from the level space that does not hold the block's product.
-    A run has at most three block shapes, the first block, the full blocks
-    and a shorter last one, and takes the views of each once, when it first
-    meets it (_block); only the stack's merges slice their operands in the
-    loop.  h stays a scalar when the g intervals share it.
+    tree over all steps, whatever the block size.  The workspace's four
+    spaces are the beta rows, whose space the odd tree levels reuse, the
+    maps, whose space the even levels reuse, a scratch space for the grid
+    and the merge products, and the stack.  The stack's merges take their
+    two scratch maps from the scratch space and from the level space that
+    does not hold the block's product, and are all that slices in a run.
+    h stays a scalar when the g intervals share it.
     """
     g = np.size(t0)
     w = g * width
@@ -348,52 +354,62 @@ def _rk4(beta_at, t0, t1, steps: int, width: int) -> np.ndarray:
     spaces = [ws[a:b] for a, b in zip([0] + ends, ends[:-1])]
     stack = _carve(ws[ends[2]:], (depth, 2, 2, w))
     t = _carve(spaces[2], (2, 2, w))  # scratch of the stack's merges, with p
-    counts = []  # steps covered by each stack entry; entry i is stack[i]
     index = np.arange(0.0, rows, 2.0)  # the doubled nodes 0, 2, ..., 2 n
     last = np.empty(w)  # beta at the previous block's last node
     blocks = {}  # the views of each block shape, by (m, first)
-    for s0 in range(0, steps, n):
-        m = min(n, steps - s0)
-        first = 1 if s0 else 0
-        if (m, first) not in blocks:
-            blocks[m, first] = _block(spaces, index, m, first, g, width)
-        ((node0, mid0), (node, mid), column, taus, end, sampled, b0, bm, deltas, merges, d,
-         p) = blocks[m, first]
-        np.add(node0, 2.0 * s0, out=node)
-        np.add(mid0, 2.0 * s0 + 1.0, out=mid)
-        np.multiply(column, dt, out=taus)
-        taus += t0
-        more = s0 + m < steps
-        if not more:
-            end[...] = t1
-        beta_at(taus, sampled)
-        if first:
-            b0[...] = last
-        if more:
-            last[...] = bm
-        _step_deltas(k, *deltas)
-        for operands, carry in merges:
-            _merge(*operands)
-            if carry:
-                carry[0][...] = carry[1]
-        size = m
-        while counts and counts[-1] == size:
-            size *= 2
-            counts.pop()
-            below = stack[len(counts)]
+    for s0 in (0, n, (steps - 1) // n * n):  # the first, a full and the last block
+        key = min(n, steps - s0), int(s0 > 0)
+        if s0 < steps and key not in blocks:
+            blocks[key] = _block(spaces, index, *key, g, width)
+
+    def run(beta_at) -> np.ndarray:
+        counts = []  # steps covered by each stack entry; entry i is stack[i]
+        for s0 in range(0, steps, n):
+            m = min(n, steps - s0)
+            first = 1 if s0 else 0
+            ((node0, mid0), (node, mid), column, taus, end, sampled, b0, bm, deltas, merges, d,
+             p) = blocks[m, first]
+            np.add(node0, 2.0 * s0, out=node)
+            np.add(mid0, 2.0 * s0 + 1.0, out=mid)
+            np.multiply(column, dt, out=taus)
+            taus += t0
+            more = s0 + m < steps
+            if not more:
+                end[...] = t1
+            beta_at(taus, sampled)
+            if first:
+                b0[...] = last
+            if more:
+                last[...] = bm
+            _step_deltas(k, *deltas)
+            for operands, carry in merges:
+                _merge(*operands)
+                if carry:
+                    carry[0][...] = carry[1]
+            size = m
+            while counts and counts[-1] == size:
+                size *= 2
+                counts.pop()
+                below = stack[len(counts)]
+                _merge(*_merge_views(d, below, below, p, t))
+                d = below
+            if size == m and more:  # the last block's product stays put
+                stack[len(counts)] = d
+            counts.append(size)
+        for i in range(len(counts) - 2, -1, -1):
+            below = stack[i]
             _merge(*_merge_views(d, below, below, p, t))
             d = below
-        if size == m and more:  # the last block's product stays put
-            stack[len(counts)] = d
-        counts.append(size)
-    for i in range(len(counts) - 2, -1, -1):
-        below = stack[i]
-        _merge(*_merge_views(d, below, below, p, t))
-        d = below
-    u = d.copy()
-    u[0, 0] += 1.0
-    u[1, 1] += 1.0
-    return u
+        u = d.copy()
+        u[0, 0] += 1.0
+        u[1, 1] += 1.0
+        return u
+    return run
+
+
+def _rk4(beta_at, t0, t1, steps: int, width: int) -> np.ndarray:
+    """The run of _rk4_plan(t0, t1, steps, width) on beta_at, planned for it."""
+    return _rk4_plan(t0, t1, steps, width)(beta_at)
 
 
 def _sampler(pieces: list, which: list):
@@ -446,33 +462,10 @@ def _step_counts(lengths, span, steps, least: int = 1) -> np.ndarray:
     """RK4 steps of pieces of the given lengths cut from a run of steps
     steps over span: ceil(steps * length / span) each, at least least, so
     that no piece's h exceeds span / steps.  The one count rule for a run
-    cut into pieces: the parts of _split, the halves of _one_period, the
+    cut into pieces: the parts of _split, the halves of _MathieuRun, the
     segments of integrate_path (at least 8 steps each) and the half stages
     of design.verify_design.  steps and span may be arrays."""
     return np.maximum(np.ceil(steps * (np.asarray(lengths) / span)).astype(int), least)
-
-
-def _one_period(beta_at, t0, t1, steps: int, width: int, out=None) -> np.ndarray:
-    """u(t1, t0) over one period t1 = t0 + 2pi of a drive even about every
-    multiple of pi, as a (2, 2, width) array, from half a period.
-
-    With c = pi floor(t0/pi), V = u(t0, c), W = u(c + pi, t0) and U = W V,
-    periodicity and the reflection about c + pi give
-    u(t1, t0) = (V (D U^-1 D)) W.  Each piece takes its _step_counts of
-    steps over t1 - t0, at least 1, so h never exceeds (t1 - t0) / steps; a
-    zero-length V is one step of h = 0, the identity.  Pieces of equal step
-    count run as one engine run, 2 width columns, when those fit the element
-    budget; else each runs width columns alone.  beta_at is as for _rk4.
-    """
-    c = math.pi * math.floor(t0 / math.pi)
-    ends = np.array([c, t0, c + math.pi])
-    counts = _step_counts(np.diff(ends), t1 - t0, steps).tolist()
-    if counts[0] == counts[1] and 2 * width <= _BLOCK_ELEMENTS:
-        vw = _rk4(beta_at, ends[:2], ends[1:], counts[0], width)
-        v, w = vw[..., :width], vw[..., width:]
-    else:
-        v, w = (_rk4(beta_at, a, b, n, width) for a, b, n in zip(ends, ends[1:], counts))
-    return _mul(_mul(v, _reflect(_mul(w, v))), w, out)
 
 
 def _gate(cols, cfg: IntegratorConfig):
@@ -677,7 +670,8 @@ def classify(u: SymplecticMatrix2) -> ZoneReport:
     zone III |Gamma| > 2          real reciprocal pair, squeezing axes a+-
 
     In zone III the left row eigenvectors are returned normalized so that
-    a+ has unit Euclidean norm with its first nonzero component positive and
+    a+ has unit Euclidean norm with its first component larger than
+    AXIS_SIGN_TOL in magnitude positive, a smaller one being rounding, and
     a- is scaled to make the symplectic pairing a+ J a-^T equal 1.
     """
     gamma = u.require_symplectic(CLASSIFY_DET_TOL).trace
@@ -709,10 +703,10 @@ def _left_eigenvector(u: SymplecticMatrix2, lam: float) -> tuple:
 
 
 def _normalize_axes(a_p: tuple, a_m: tuple) -> tuple:
-    # a+ to unit norm, first nonzero component positive
+    # a+ to unit norm, first component above rounding positive
     norm = math.hypot(*a_p)
     a_p = (a_p[0] / norm, a_p[1] / norm)
-    lead = a_p[0] if a_p[0] != 0.0 else a_p[1]
+    lead = a_p[0] if abs(a_p[0]) > AXIS_SIGN_TOL else a_p[1]
     if lead < 0:
         a_p = (-a_p[0], -a_p[1])
     # a- scaled so that a+ J a-^T = 1 with J = [[0, 1], [-1, 0]]
@@ -770,7 +764,59 @@ def integrate_path(
     return out
 
 
-@np.errstate(over="ignore", invalid="ignore")
+class _MathieuRun:
+    """mathieu_batch's engine runs for a chunk of `nodes` (beta0, beta1)
+    pairs over [tau0, tau1] at `steps`, planned once (_rk4_plan): called
+    with the pairs, it returns their entries, a (4, nodes) array (u11, u12,
+    u21, u22) checked by _finite.  mathieu.find_double_zero runs all its
+    points on one.
+
+    A one-period interval, tau1 - tau0 = 2pi, is integrated from half a
+    period.  With c = pi floor(tau0/pi), V = u(tau0, c), W = u(c + pi, tau0)
+    and U = W V, periodicity and the reflection about c + pi give
+    u(tau1, tau0) = (V (D U^-1 D)) W.  Each piece takes its _step_counts of
+    steps over 2pi, at least 1, so h never exceeds (tau1 - tau0) / steps; a
+    zero-length V is one step of h = 0, the identity.  Pieces of equal step
+    count are one run of 2 nodes columns when those fit the element budget.
+    Else each piece is its own run, planned anew at each call, one at a
+    time, so that no two workspaces are alive at once.  Any other interval
+    is one direct run.  Only a single run's plan is held between calls.
+    """
+
+    def __init__(self, nodes: int, tau0: float, tau1: float, steps: int):
+        self.nodes, self.tau0, self.tau1 = nodes, tau0, tau1
+        self.reflect = tau1 - tau0 == 2.0 * math.pi
+        if not self.reflect:
+            self.pieces = [(tau0, tau1, steps)]
+        else:
+            c = math.pi * math.floor(tau0 / math.pi)
+            ends = np.array([c, tau0, c + math.pi])
+            counts = _step_counts(np.diff(ends), tau1 - tau0, steps).tolist()
+            if counts[0] == counts[1] and 2 * nodes <= _BLOCK_ELEMENTS:
+                self.pieces = [(ends[:2], ends[1:], counts[0])]  # V and W as one run
+            else:
+                self.pieces = list(zip(ends, ends[1:], counts))
+        self.plan = _rk4_plan(*self.pieces[0], nodes) if len(self.pieces) == 1 else None
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def __call__(self, beta0, beta1) -> np.ndarray:
+        two_beta1 = 2.0 * beta1
+
+        def beta_at(taus, rows):
+            np.cos(taus, out=taus)
+            np.multiply(two_beta1, taus[..., None], out=rows)
+            rows += beta0
+
+        if self.plan is None:
+            u = [_rk4_plan(*piece, self.nodes)(beta_at) for piece in self.pieces]
+        else:
+            u = [self.plan(beta_at)]
+        if self.reflect:
+            v, w = u if len(u) == 2 else (u[0][..., :self.nodes], u[0][..., self.nodes:])
+            u = [_mul(_mul(v, _reflect(_mul(w, v))), w)]
+        return _finite(u[0], self.tau0, self.tau1).reshape(4, -1)
+
+
 def mathieu_batch(beta0, beta1, tau0: float, tau1: float, steps: int = DEFAULT_CONFIG.steps):
     """RK4 evolution entries for many (beta0, beta1) pairs at once.
 
@@ -778,27 +824,30 @@ def mathieu_batch(beta0, beta1, tau0: float, tau1: float, steps: int = DEFAULT_C
     arithmetic: 2 beta1 cos(tau) is written into the engine's workspace and
     beta0 added, the same sum.  The pairs are the batch axis of the step-map
     engine; a pair's entries do not depend on the batch size, bit for bit.
-    This is where a one-period interval, tau1 - tau0 = 2pi, is integrated
-    from half a period by reflection (_one_period); any other interval is
-    the direct run at h = (tau1 - tau0) / steps.  integrate runs its
-    Mathieu profiles through here.  Entries that overflow over a finite
-    interval raise OverflowError (_finite).
+    A one-period interval, tau1 - tau0 = 2pi, is integrated from half a
+    period by reflection; any other interval is the direct run at
+    h = (tau1 - tau0) / steps (_MathieuRun).  integrate runs its Mathieu
+    profiles through here.  Entries that overflow over a finite interval
+    raise OverflowError (_finite).
 
     A batch of more than B = _BLOCK_ELEMENTS pairs runs in the fewest
     chunks of at most B pairs, balanced to within one pair, so each has at
-    least B / 2.  A one-period chunk of at most B / 2 pairs runs its two
-    half-period pieces as one run of twice its width, a wider one as two
-    runs.  So every engine run has at most B columns, and at least B / 2
+    least B / 2, each through its own _MathieuRun, one at a time.  A
+    one-period chunk of at most B / 2 pairs runs its two half-period pieces
+    as one run of twice its width, a wider one as two runs, one after the
+    other.  So every engine run has at most B columns, and at least B / 2
     unless the batch has fewer pairs.  One run is alive at a time.  A run
     of w columns at s steps takes blocks of n steps, n w <= 4 B - 3 w, and
     a workspace of at most (8 n + 4) w + 4 w bit_length(s) doubles, 2 n + 1
     more for a single pair; besides it a call holds at most 9 doubles per
-    column of its widest run, 18 if that run's two pieces differ in h,
-    n + 1 for the run's grid index and 7 per pair of the batch.  Over the
+    column of its widest run, 11 if that run is both pieces, 18 if its two
+    pieces differ in h, n + 1 for the run's grid index and 7 per pair of
+    the batch.  Over the
     default [pi/2, 5pi/2] at 20000 steps each piece takes 5000 steps.  A
     call of B pairs runs B columns in blocks of one step and peaks under
     (12 + 52 + 9 + 7) B = 80 B doubles, 5.2 MB at B = 8192; since
-    (8 n + 4) w <= 32 B - 20 w, a call of fewer pairs stays under that too.
+    (8 n + 4) w <= 32 B - 20 w, and a run of both pieces has w / 2 pairs, a
+    call of fewer pairs stays under that too.
 
     Returns four arrays (u11, u12, u21, u22) of the broadcast input shape.
     """
@@ -806,22 +855,10 @@ def mathieu_batch(beta0, beta1, tau0: float, tau1: float, steps: int = DEFAULT_C
     beta1 = np.asarray(beta1, dtype=float)
     shape = np.broadcast_shapes(beta0.shape, beta1.shape)
     beta0 = np.broadcast_to(beta0, shape).ravel()
-    two_beta1 = 2.0 * np.broadcast_to(beta1, shape).ravel()
-    reflect = tau1 - tau0 == 2.0 * math.pi
-    out = np.empty((2, 2, beta0.size))
+    beta1 = np.broadcast_to(beta1, shape).ravel()
+    out = np.empty((4, beta0.size))
     chunks = -(-beta0.size // _BLOCK_ELEMENTS)  # the fewest of at most B pairs
     edges = [beta0.size * i // max(chunks, 1) for i in range(chunks + 1)]
-    for c in itertools.starmap(slice, zip(edges, edges[1:])):
-        b0, tb1 = beta0[c], two_beta1[c]
-
-        def beta_at(taus, rows):
-            np.cos(taus, out=taus)
-            np.multiply(tb1, taus[..., None], out=rows)
-            rows += b0
-
-        if reflect:
-            _one_period(beta_at, tau0, tau1, steps, b0.size, out[..., c])
-        else:
-            out[..., c] = _rk4(beta_at, tau0, tau1, steps, b0.size)
-    _finite(out, tau0, tau1)
-    return tuple(e.reshape(shape) for e in out.reshape(4, -1))
+    for a, b in zip(edges, edges[1:]):
+        out[:, a:b] = _MathieuRun(b - a, tau0, tau1, steps)(beta0[a:b], beta1[a:b])
+    return tuple(e.reshape(shape) for e in out)

@@ -5,16 +5,16 @@ node of a (beta0, beta1) grid, classifies each node by its trace, traces the
 curves where u12 or u21 vanishes, and refines their intersection: the double
 zero where the matrix becomes diag(lambda, 1/lambda), a pure q-p squeeze.
 
-All node integrations go through evolution.mathieu_batch: a whole scan
-and each locus pass are one call (a locus starts from the scan's own
-interpolant, so a finely gridded one is its scan and one pass of three
-nodes per crossing), and each point of a double zero, halved or not, is
-one gated call with its four difference nodes.  Every node of a locus
-pass, a locus final batch or a double zero is gated in that call.
-mathieu_batch chunks its own batch to bound memory, and its result for a
-node does not depend on the batch it runs in, so output is bit-identical
-run to run regardless of how the work is chunked or scheduled.  Zones
-follow evolution.zone_codes.
+A whole scan and each locus pass are one evolution.mathieu_batch call (a
+locus starts from the scan's own interpolant, so a finely gridded one is
+its scan and one pass of three nodes per crossing); a double zero builds
+one five-node evolution._MathieuRun, which mathieu_batch runs its chunks
+on and which holds a single run's plan, and evaluates each point, halved
+or not, as one gated call of it.  Every node of a locus pass, a locus final batch or a double zero
+is gated in that call.  mathieu_batch chunks its own batch to bound
+memory, and a node's result does not depend on the batch it runs in, so
+output is bit-identical run to run regardless of how the work is chunked
+or scheduled.  Zones follow evolution.zone_codes.
 """
 
 from __future__ import annotations
@@ -192,6 +192,9 @@ def trace_locus(rect: ScanRect, entry: str,
     done = np.zeros(i.size, dtype=bool)  # point evaluated by its window
     resid, lam = np.empty(i.size), np.empty(i.size)
 
+    def batch(beta0, beta1):
+        return evolution.mathieu_batch(beta0, beta1, rect.tau0, rect.tau1, cfg.steps)
+
     def update(k, x, fx):
         zero = fx == 0.0
         lo_moves = ~zero & ((fx < 0.0) == (flo[k] < 0.0))
@@ -218,9 +221,8 @@ def trace_locus(rect: ScanRect, entry: str,
         # a window's nodes: its ends and their midpoint, as mid takes it
         xl, xh = start[w] - d, start[w] + d
         xw = np.stack([xl, 0.5 * (xl + xh), xh], axis=1)
-        cols = _gated_batch(np.concatenate([b0[k], np.repeat(b0[w], 3)]),
-                            np.concatenate([x, xw.ravel()]),
-                            rect.tau0, rect.tau1, cfg, "locus")
+        cols = _gated(batch, np.concatenate([b0[k], np.repeat(b0[w], 3)]),
+                      np.concatenate([x, xw.ravel()]), cfg, "locus")
         update(k, x, cols[col][:k.size])
         fl, fm, fh = cols[col][k.size:].reshape(-1, 3).T
         update(w, xl, fl)
@@ -240,7 +242,7 @@ def trace_locus(rect: ScanRect, entry: str,
     mid = 0.5 * (lo + hi)
     k = np.flatnonzero(~done)
     if k.size:
-        final = _gated_batch(b0[k], mid[k], rect.tau0, rect.tau1, cfg, "locus")
+        final = _gated(batch, b0[k], mid[k], cfg, "locus")
         resid[k], lam[k] = final[col], final[0]
     points = [
         LocusPoint(float(x0), float(x1), entry, float(r), float(u11))
@@ -279,10 +281,10 @@ def _stencil_roots(x, vals, failed, i, j):
     return np.where(failed[i[:, None], idx].any(axis=1), np.nan, r)
 
 
-def _gated_batch(beta0, beta1, tau0, tau1, cfg: IntegratorConfig, what: str):
-    """mathieu_batch's (u11, u12, u21, u22) at the nodes, gated by
+def _gated(run, beta0, beta1, cfg: IntegratorConfig, what: str):
+    """run(beta0, beta1), the (u11, u12, u21, u22) at the nodes, gated by
     evolution._check_batch."""
-    cols = evolution.mathieu_batch(beta0, beta1, tau0, tau1, cfg.steps)
+    cols = run(beta0, beta1)
     return evolution._check_batch(cols, cfg, lambda n: f"{what} node ({beta0[n]}, {beta1[n]})")
 
 
@@ -310,13 +312,15 @@ def find_double_zero(
     ConvergenceError.  Converges to machine-level zeros in a handful of
     iterations for seeds inside the tongue.
 
-    Each point, the seed and every trial, halved or not, is one gated
-    mathieu_batch call with its four difference nodes, whose Jacobian the
-    next step uses if the trial is taken: a double zero whose steps are all
-    full takes one call per iteration.  Any of the five nodes that fails
-    the determinant gate raises IntegrationError.  An interval with an end
-    that is not finite, or with tau1 <= tau0, raises ValueError before any
-    integration, the latter as ScanRect does.
+    After its input checks and cfg.check_steps it builds one
+    evolution._MathieuRun of five nodes.  Each point, the seed and every
+    trial, halved or not, is one gated call of it with its four difference
+    nodes, whose Jacobian the next step uses if the trial is taken: a
+    double zero whose steps are all full takes one call per iteration.  Any
+    of the five nodes that fails the determinant gate raises
+    IntegrationError.  An interval with an end that is not finite, or with
+    tau1 <= tau0, raises ValueError before any integration, the latter as
+    ScanRect does.
     """
     evolution._require_finite(tau0=tau0, tau1=tau1)
     if not tau1 > tau0:
@@ -327,9 +331,10 @@ def find_double_zero(
     cfg.check_steps(cfg.steps)
     h = DZ_FD_STEP
     d0, d1 = np.array([0.0, h, -h, 0.0, 0.0]), np.array([0.0, 0.0, 0.0, h, -h])
+    run = evolution._MathieuRun(d0.size, tau0, tau1, cfg.steps)
 
     def evaluate(x0, x1):
-        cols = _gated_batch(x0 + d0, x1 + d1, tau0, tau1, cfg, "double-zero")
+        cols = _gated(run, x0 + d0, x1 + d1, cfg, "double-zero")
         f = np.array(cols[1:3])  # u12 and u21 at the five nodes
         u = SymplecticMatrix2(*(float(c[0]) for c in cols))
         return u, (f[:, 1::2] - f[:, 2::2]) / (2.0 * h)

@@ -315,13 +315,15 @@ def test_trace_independent_of_start(random_monodromies, monkeypatch):
     rng = np.random.default_rng(SEED + 1)
     starts = np.ldexp(rng.choice(int(2.0 * math.pi * 2**20), N_CASES, replace=False), -20)
     reflected = []
-    one_period = evolution._one_period
+    mathieu_run = evolution._MathieuRun
 
-    def recording(beta_at, t0, *args):
-        reflected.append(t0)
-        return one_period(beta_at, t0, *args)
+    def recording(nodes, t0, *args):
+        run = mathieu_run(nodes, t0, *args)
+        if run.reflect:
+            reflected.append(t0)
+        return run
 
-    monkeypatch.setattr(evolution, "_one_period", recording)
+    monkeypatch.setattr(evolution, "_MathieuRun", recording)
     err = 0.0
     for k, t0 in enumerate(starts):
         t1 = t0 + 2.0 * math.pi

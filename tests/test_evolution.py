@@ -364,6 +364,18 @@ def test_classify_zone_iii_axes_pairing():
     assert np.allclose(am @ u.as_array(), rep.lam_minus.real * am, atol=1e-9)
 
 
+@pytest.mark.parametrize("delta", [1e-14, -1e-14])
+def test_classify_zone_iii_axes_ignore_rounding(delta):
+    # a near-diagonal map whose a+ is (0, 1) up to a component of delta /
+    # (lam - 1/lam): rounding of that size does not flip the axes
+    lam = 3.0
+    rep = classify(SymplecticMatrix2(1.0 / lam, 0.0, delta, lam))
+    assert rep.zone == "III"
+    assert rep.a_plus[1] == pytest.approx(1.0, abs=1e-12)
+    assert abs(rep.a_plus[0]) <= 1e-14
+    assert rep.a_minus == pytest.approx((-1.0, 0.0), abs=1e-14)
+
+
 def test_classify_band_width(monkeypatch):
     # build diag(lam, 1/lam) whose trace sits 5e-10 above 2
     gamma = 2.0 + 5e-10
@@ -731,16 +743,47 @@ def test_mathieu_batch_independent_of_batch_and_block_size(monkeypatch, poisoned
     assert poisoned_workspace
 
 
+@pytest.mark.parametrize("tau0,tau1,plans", [
+    (PI / 2, 5 * PI / 2, 1),  # V and W as one run
+    (0.0, 2 * PI, 0),         # V, of length 0, takes 1 step and W 1000: two runs,
+                              # each planned at its call
+    (0.0, 5.0, 1),            # the direct run
+], ids=["paired", "unpaired", "direct"])
+@pytest.mark.usefixtures("poisoned_workspace")
+def test_prepared_mathieu_run_matches_fresh_batches(monkeypatch, tau0, tau1, plans):
+    # one _MathieuRun called on three node sets, its held workspaces filled
+    # with NaN again before each call, as poisoned_workspace fills a new
+    # one: each node matches a fresh mathieu_batch of it alone, bit for bit
+    workspaces = []
+    real = evolution._workspace
+    monkeypatch.setattr(evolution, "_workspace",
+                        lambda size: workspaces.append(real(size)) or workspaces[-1])
+    run = evolution._MathieuRun(5, tau0, tau1, 2000)
+    monkeypatch.setattr(evolution, "_workspace", real)
+    assert len(workspaces) == plans
+    rng = np.random.default_rng(34)
+    for _ in range(3):
+        b0, b1 = rng.uniform(0.9, 1.9, 5), rng.uniform(0.5, 1.6, 5)
+        for ws in workspaces:
+            ws.fill(np.nan)
+        got = run(b0, b1)
+        assert got.shape == (4, 5)
+        for k in range(5):
+            alone = mathieu_batch(b0[k], b1[k], tau0, tau1, steps=2000)
+            assert [float(e) for e in got[:, k]] == [float(a) for a in alone]
+
+
 def _run_widths(monkeypatch, nodes, tau1, steps=8):
-    """The column counts of the _rk4 runs of a mathieu_batch of nodes."""
+    """The column counts of the engine runs (_rk4_plan) of a mathieu_batch
+    of nodes, each of which it plans and runs once."""
     widths = []
-    real = evolution._rk4
+    real = evolution._rk4_plan
 
-    def recorded(beta_at, t0, t1, steps, width):
+    def recorded(t0, t1, steps, width):
         widths.append(np.size(t0) * width)
-        return real(beta_at, t0, t1, steps, width)
+        return real(t0, t1, steps, width)
 
-    monkeypatch.setattr(evolution, "_rk4", recorded)
+    monkeypatch.setattr(evolution, "_rk4_plan", recorded)
     rng = np.random.default_rng(nodes)
     mathieu_batch(rng.uniform(0.9, 1.9, nodes), rng.uniform(0.5, 1.6, nodes), PI / 2, tau1, steps)
     return widths
@@ -785,6 +828,24 @@ def test_widest_chunk_stays_under_memory_bound():
         finally:
             tracemalloc.stop()
         assert peak < bound, nodes
+
+
+def test_one_period_with_unequal_pieces_stays_under_memory_bound():
+    # over [1, 1 + 2pi] at 20000 steps V takes 3184 steps and W 6817, so
+    # every chunk runs them apart, one workspace at a time, and stays under
+    # mathieu_batch's docstring bound of 80 B doubles
+    budget = evolution._BLOCK_ELEMENTS
+    for nodes in (4096, 2048, 160):
+        rng = np.random.default_rng(nodes)
+        b0 = rng.uniform(0.9, 1.9, nodes)
+        b1 = rng.uniform(0.5, 1.6, nodes)
+        tracemalloc.start()
+        try:
+            mathieu_batch(b0, b1, 1.0, 1.0 + 2 * PI, steps=20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 80 * budget, nodes
 
 
 @pytest.mark.parametrize("width,steps,n", [

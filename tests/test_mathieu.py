@@ -281,13 +281,10 @@ def _bisection_locus(rect, entry, cfg):
     return b0, mid, lam
 
 
-def _count_batches(monkeypatch, nan_at=None, node=0, factor=np.nan):
-    """Count evolution.mathieu_batch calls; call number nan_at (0 is the
-    first) returns all four entries at the given node times factor, NaN
-    by default."""
-    calls = []
-    real = evolution.mathieu_batch
-
+def _counter(calls, real, nan_at, node, factor):
+    """real, appending the node count of each call to calls; call number
+    nan_at (0 is the first) returns all four entries at the given node
+    times factor."""
     def counted(*args, **kwargs):
         cols = real(*args, **kwargs)
         if len(calls) == nan_at:
@@ -296,7 +293,25 @@ def _count_batches(monkeypatch, nan_at=None, node=0, factor=np.nan):
         calls.append(np.size(args[0]))
         return cols
 
-    monkeypatch.setattr(evolution, "mathieu_batch", counted)
+    return counted
+
+
+def _count_batches(monkeypatch, nan_at=None, node=0, factor=np.nan):
+    """Count evolution.mathieu_batch calls, through _counter (NaN by
+    default)."""
+    calls = []
+    monkeypatch.setattr(evolution, "mathieu_batch",
+                        _counter(calls, evolution.mathieu_batch, nan_at, node, factor))
+    return calls
+
+
+def _count_runs(monkeypatch, nan_at=None, node=0, factor=np.nan):
+    """Count the calls of every evolution._MathieuRun, through _counter
+    (NaN by default), each run's in turn."""
+    calls = []
+    real = evolution._MathieuRun
+    monkeypatch.setattr(evolution, "_MathieuRun",
+                        lambda *args: _counter(calls, real(*args), nan_at, node, factor))
     return calls
 
 
@@ -431,12 +446,18 @@ DZ_SEED = (1.2, 0.85)  # in the refine benchmark's box of Newton starts
 def test_find_double_zero_runs_each_point_with_its_stencil(monkeypatch):
     # the seed, then each Newton trial, full or halved, in one batch with
     # its four difference nodes: from (1.1, 0.65) the first full step is
-    # rejected and its half taken, six calls for five residual checks
+    # rejected and its half taken, six calls for five residual checks, all
+    # on one plan (V and W of the default interval together, 500 steps)
+    plans = []
+    real = evolution._rk4_plan
+    monkeypatch.setattr(evolution, "_rk4_plan", lambda *args: plans.append(args) or real(*args))
     for seed, iterations, calls_made in [(DZ_SEED, 4, 4), ((1.1, 0.65), 5, 6)]:
-        calls = _count_batches(monkeypatch)
+        plans.clear()
+        calls = _count_runs(monkeypatch)
         res = find_double_zero(seed, REFINE_CFG)
         assert res.iterations == iterations
         assert calls == [5] * calls_made
+        assert [(steps, width) for _, _, steps, width in plans] == [(500, 5)]
         # the same double zero; at 2000 steps RK4 puts it within 1.3e-11
         assert abs(res.beta0 - DOUBLE_ZERO_REFERENCE[0]) <= 3e-11
         assert abs(res.beta1 - DOUBLE_ZERO_REFERENCE[1]) <= 3e-11
@@ -469,7 +490,8 @@ def _stuck_centre(beta0, beta1, tau0, tau1, steps):
 ], ids=["singular-jacobian", "no-decrease"])
 def test_find_double_zero_newton_failures_are_convergence_errors(monkeypatch, capsys,
                                                                  batch, message):
-    monkeypatch.setattr(evolution, "mathieu_batch", batch)
+    monkeypatch.setattr(evolution, "_MathieuRun", lambda nodes, tau0, tau1, steps: (
+        lambda beta0, beta1: batch(beta0, beta1, tau0, tau1, steps)))
     with pytest.raises(ConvergenceError, match=f"^{message}$"):
         find_double_zero((1.2, 0.85), REFINE_CFG)
     assert main(["scan", "--double-zero", "--seed", "1.2,0.85", "--steps", "2000"]) == 3
@@ -489,18 +511,23 @@ def test_find_double_zero_gates_every_node_it_evaluates(monkeypatch, capsys, see
     # whether or not a Jacobian ever uses it
     argv = ["scan", "--double-zero", "--seed", "%r,%r" % seed, "--steps", "2000"]
     nodes = []
-    real = evolution.mathieu_batch
-    monkeypatch.setattr(evolution, "mathieu_batch", lambda *a: nodes.append(a[:2]) or real(*a))
+    real = evolution._MathieuRun
+
+    def recorded(*args):
+        run = real(*args)
+        return lambda *b: nodes.append(b) or run(*b)
+
+    monkeypatch.setattr(evolution, "_MathieuRun", recorded)
     find_double_zero(seed, REFINE_CFG)
     b0, b1 = nodes[nan_at]
     message = f"double-zero node ({b0[1]}, {b1[1]}): determinant drift nan"
     if nan_at == 0:
         assert message == f"double-zero node ({1.2 + 1e-6}, 0.85): determinant drift nan"
     nan_at %= len(nodes)
-    _count_batches(monkeypatch, nan_at, node=1)
+    _count_runs(monkeypatch, nan_at, node=1)
     with pytest.raises(IntegrationError, match=re.escape(message)):
         find_double_zero(seed, REFINE_CFG)
-    _count_batches(monkeypatch, nan_at, node=1)
+    _count_runs(monkeypatch, nan_at, node=1)
     assert main(argv) == 3
     assert f"numerical failure: {message}" in capsys.readouterr().err
 
@@ -509,12 +536,14 @@ def test_find_double_zero_gates_every_node_it_evaluates(monkeypatch, capsys, see
 def test_find_double_zero_rejects_non_finite_seed(monkeypatch, seed):
     # rejected before any integration
     monkeypatch.setattr(evolution, "mathieu_batch", None)
+    monkeypatch.setattr(evolution, "_MathieuRun", None)
     with pytest.raises(ValueError, match="double-zero seed must be finite"):
         find_double_zero(seed, FAST)
 
 
 def test_find_double_zero_rejects_a_reversed_interval(monkeypatch):
     monkeypatch.setattr(evolution, "mathieu_batch", None)
+    monkeypatch.setattr(evolution, "_MathieuRun", None)
     with pytest.raises(ValueError, match="^tau interval must be increasing$"):
         find_double_zero((1.217, 0.844), FAST, tau0=1.0, tau1=0.5)
 
@@ -528,6 +557,7 @@ def test_find_double_zero_rejects_an_end_that_is_not_finite(monkeypatch, tau0, t
     # before any integration; an infinite end used to fail the determinant
     # gate with IntegrationError, and a NaN one read as a reversed interval
     monkeypatch.setattr(evolution, "mathieu_batch", None)
+    monkeypatch.setattr(evolution, "_MathieuRun", None)
     with pytest.raises(ValueError, match=message):
         find_double_zero((1.217, 0.844), FAST, tau0=tau0, tau1=tau1)
 
@@ -537,6 +567,7 @@ def test_find_double_zero_rejects_an_empty_interval(monkeypatch, tau):
     # ScanRect's condition and message: an empty interval would integrate
     # nothing and read the identity as zone II
     monkeypatch.setattr(evolution, "mathieu_batch", None)
+    monkeypatch.setattr(evolution, "_MathieuRun", None)
     with pytest.raises(ValueError, match="^tau interval must be increasing$"):
         find_double_zero((1.217, 0.844), FAST, tau0=tau, tau1=tau)
     with pytest.raises(ValueError, match="^tau interval must be increasing$"):
