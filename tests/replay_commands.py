@@ -21,7 +21,8 @@ header, a row count) is reported as a text change.  It exits 1 if any
 command differs and 0 if none does, so byte identity on these commands is
 its exit status.  The commands are the README's `softsqueeze` lines, the
 benchmark's warm-up commands, seeded sessions of its three workloads
-(plane_scan, refine and pulse_design, at seed 17) and failure cases.  Each
+(plane_scan, refine and pulse_design, at seed 17), failure cases and, last,
+double zeros on each path of a prepared Mathieu run.  Each
 runs in-process through cli.main, in a fresh temporary directory, and its
 digest covers its stdout, its stderr and every file it wrote there.  The
 package is imported from the checkout the script sits in.  The file name
@@ -116,6 +117,17 @@ FAILURES = [
 ] + [[cmd, "--profile", ZONE_III, "--from", "0", "--to", to]
      for cmd in ("evolve", "shadow") for to in ("10pi", "40pi")]
 
+# after the rest, so that the earlier commands keep their numbers: a
+# halved Newton trial, then a one-period interval whose half-period pieces
+# differ in step count, and an interval that is not one period
+DOUBLE_ZEROS = [
+    ["scan", "--double-zero", "--seed", "1.1,0.65", "--steps", "2000"],
+    ["scan", "--double-zero", "--seed", "1.2,0.85", "--from", "0", "--to", "2pi",
+     "--steps", "2000"],
+    ["scan", "--double-zero", "--seed", "1.2,0.85", "--from", "0", "--to", "5",
+     "--steps", "2000"],
+]
+
 
 def pulse_profile(bs, beta0: float, tail: bool) -> str:
     """Composite profile JSON of stages laid end to end, each spanning pi,
@@ -162,7 +174,7 @@ def commands() -> list:
             ["evolve", "--profile", text, f"--from={span[0]['from']!r}",
              f"--to={span[-1]['to']!r}"],
         ]
-    return cmds + FAILURES
+    return cmds + FAILURES + DOUBLE_ZEROS
 
 
 def run(argv: list) -> tuple:
