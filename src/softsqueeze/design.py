@@ -37,7 +37,10 @@ where theta' is not +-2 at a sample that close to any zero.
 With s = sin(tau) the multiple-angle formulas (DLMF 4.21(iv)) factor theta =
 s (A - B s^2 + C s^4) and theta' = cos(tau) (A - B' s^2 + C' s^4), A = a1 +
 3 a3 + 5 a5, so the zeros of both on [-pi/2, pi/2] come in closed form from
-two quadratics in s^2 (_unit_roots); no root search is needed.
+two quadratics in s^2 (_unit_roots); no root search is needed.  The
+nonsingularity condition at the zeros of theta is decided once per ansatz,
+in ThetaAnsatz.zero_checks; ThetaDerivedBeta, beta_from_theta (its zero at
+tau = 0) and validate_lemma all read it there.
 
 theta and its derivatives (theta_eval, the lemma, the limit at side zeros)
 take one sin and one cos of tau per sample; the 3 tau and 5 tau terms follow
@@ -73,6 +76,13 @@ HALF_PI = math.pi / 2.0
 
 class SingularityError(ValueError):
     """beta requested at a theta zero that violates the slope condition."""
+
+
+@dataclass(frozen=True)
+class ZeroCheck:
+    tau: float
+    theta_prime: float
+    ok: bool
 
 
 @dataclass(frozen=True)
@@ -137,6 +147,18 @@ class ThetaAnsatz:
         taus = [math.asin(math.sqrt(x)) for x in xs]
         return tuple((t, theta_eval(self, t, 1)) for t in taus)
 
+    @cached_property
+    def zero_checks(self) -> tuple:
+        """One ZeroCheck per zero of theta on [-pi/2, pi/2], ascending: 0 and
+        +-tau of side_zeros, theta' being even.  ok is the nonsingularity
+        condition, theta' = +-2 within SLOPE_TOL (a NaN slope is not ok);
+        every check of it reads it from here."""
+        slopes = dict([(0.0, self.slope0), *self.side_zeros])
+        return tuple(
+            ZeroCheck(z, slopes[abs(z)], abs(abs(slopes[abs(z)]) - 2.0) <= SLOPE_TOL)
+            for z in _mirrored(slopes)
+        )
+
 
 def _unit_roots(a: float, b: float, c: float) -> list:
     """The roots x in (0, 1] of a - b x + c x^2, ascending and each once.
@@ -156,15 +178,15 @@ def _mirrored(taus) -> list:
     return sorted({u for t in taus for u in (t, -t)})
 
 
-def _check_slopes(zeros, offset: float = 0.0) -> None:
-    """Raise SingularityError at the first (tau, theta'(tau)) zero of theta
-    in zeros, tau >= 0, whose slope is not +-2 within SLOPE_TOL; theta is
-    odd, so it vanishes at offset - tau and offset + tau."""
-    for z, slope in zeros:
-        if abs(abs(slope) - 2.0) > SLOPE_TOL:
+def _check_slopes(checks, offset: float = 0.0) -> None:
+    """Raise SingularityError at the first of the ZeroChecks that is not ok;
+    theta is odd, so it vanishes at offset - |tau| and offset + |tau|."""
+    for c in checks:
+        if not c.ok:
+            z = abs(c.tau)
             where = f"{offset - z!r} and {offset + z!r}" if z else f"{offset + z!r}"
             raise SingularityError(
-                f"theta vanishes at tau = {where} with theta' = {slope:.6g}, "
+                f"theta vanishes at tau = {where} with theta' = {c.theta_prime:.6g}, "
                 "not +-2; beta is singular there"
             )
 
@@ -229,7 +251,7 @@ def beta_from_theta(ansatz: ThetaAnsatz, tau):
                 f"theta vanishes near tau = {float(ts[0])!r} with theta' != +-2; "
                 "beta is singular there"
             )
-    _check_slopes([(0.0, ansatz.slope0)])
+    _check_slopes([c for c in ansatz.zero_checks if c.tau == 0.0])
     r = r0 + r1 * z + r2 * t2
     k = k0 + k1 * z
     q = 2.0 - x * k
@@ -255,15 +277,12 @@ class ThetaDerivedBeta(BetaProfile):
     kind = "theta"
 
     def beta_array(self, taus) -> np.ndarray:
-        """beta at taus; raises SingularityError if theta has a zero in the
-        domain whose slope is not +-2 within SLOPE_TOL, wherever the
-        samples fall."""
+        """beta at taus; raises SingularityError at the first of the ansatz's
+        zero_checks that is not ok, wherever the samples fall."""
         taus = np.asarray(taus, dtype=float)
         self._check_samples(taus)
-        a = self.ansatz
-        # outermost zero first
-        _check_slopes([*a.side_zeros[::-1], (0.0, a.slope0)], self.offset)
-        return beta_from_theta(a, taus - self.offset)
+        _check_slopes(self.ansatz.zero_checks, self.offset)
+        return beta_from_theta(self.ansatz, taus - self.offset)
 
     def domain(self):
         return (-HALF_PI + self.offset, HALF_PI + self.offset)
@@ -277,13 +296,6 @@ class ThetaDerivedBeta(BetaProfile):
 
 # ---------------------------------------------------------------------------
 # Lemma-style validation of a designed stage
-
-
-@dataclass(frozen=True)
-class ZeroCheck:
-    tau: float
-    theta_prime: float
-    ok: bool
 
 
 @dataclass(frozen=True)
@@ -308,29 +320,17 @@ class LemmaReport:
 def validate_lemma(ansatz: ThetaAnsatz) -> LemmaReport:
     """Check the zero-slope conditions of a designed stage on [-pi/2, pi/2].
 
-    At every zero of theta the slope must be +-2 within SLOPE_TOL, as
-    ThetaDerivedBeta requires (otherwise beta is singular there); at every
-    zero of theta' the evolution matrix is a squeezed Fourier map with
-    magnitude theta(tau), reported together with beta and beta' there.
-    beta'(tau) = 0 exactly where theta''' vanishes.
+    theta_zeros is ansatz.zero_checks, the slope rule ThetaDerivedBeta
+    enforces, and violations names each check that is not ok (beta is
+    singular there).  At every zero of theta' the evolution matrix is a
+    squeezed Fourier map with magnitude theta(tau), reported together with
+    beta and beta' there.  beta'(tau) = 0 exactly where theta''' vanishes.
 
-    The zeros of theta are 0 and +-side_zeros.  theta' = cos(tau) (A - B s^2
-    + C s^4) with s = sin(tau), A = slope0, B = 12 a3 + 60 a5 and C = 80 a5,
-    so the zeros of theta' are +-pi/2 and +-asin(sqrt x) for the roots x in
-    (0, 1] of A - B x + C x^2, a root x = 1 being pi/2 again.
+    theta' = cos(tau) (A - B s^2 + C s^4) with s = sin(tau), A = slope0,
+    B = 12 a3 + 60 a5 and C = 80 a5, so the zeros of theta' are +-pi/2 and
+    +-asin(sqrt x) for the roots x in (0, 1] of A - B x + C x^2, a root
+    x = 1 being pi/2 again.
     """
-    slopes = dict([(0.0, ansatz.slope0), *ansatz.side_zeros])  # theta' is even
-    zero_checks = []
-    violations = []
-    for z in _mirrored(slopes):
-        slope = slopes[abs(z)]
-        ok = abs(abs(slope) - 2.0) <= SLOPE_TOL
-        zero_checks.append(ZeroCheck(tau=z, theta_prime=slope, ok=ok))
-        if not ok:
-            violations.append(
-                f"theta zero at tau = {z:.6g} has slope {slope:.6g}, not +-2"
-            )
-
     xs = _unit_roots(ansatz.slope0, 12.0 * ansatz.a3 + 60.0 * ansatz.a5, 80.0 * ansatz.a5)
     fourier = []
     for w in _mirrored([HALF_PI, *(math.asin(math.sqrt(x)) for x in xs)]):
@@ -349,9 +349,12 @@ def validate_lemma(ansatz: ThetaAnsatz) -> LemmaReport:
         )
 
     return LemmaReport(
-        theta_zeros=tuple(zero_checks),
+        theta_zeros=ansatz.zero_checks,
         fourier_points=tuple(fourier),
-        violations=tuple(violations),
+        violations=tuple(
+            f"theta zero at tau = {c.tau:.6g} has slope {c.theta_prime:.6g}, not +-2"
+            for c in ansatz.zero_checks if not c.ok
+        ),
     )
 
 
@@ -511,50 +514,33 @@ def verify_design(
 
     Every piece is even about its centre: a theta stage about its offset,
     the constant tail everywhere.  So each map is u(tau, -tau) of the piece
-    moved to centre 0, built by integrate_symmetric from half the span,
-    tau = (t1 - t0) / 2, in that half's evolution._step_counts of
-    cfg.steps, which is ceil(cfg.steps / 2): h stays
-    (t1 - t0) / cfg.steps for even steps, and every stage comes out with
-    u11 == u22 exactly.  Every theta stage should produce
-    [[0, b], [-1/b, 0]] up to VERIFY_TOL; a quarter-period tail likewise with
-    magnitude 1/sqrt(beta0).  When the total is diagonal the squeeze factor
-    lambda = u11 is reported.
+    moved to centre 0, built by integrate_symmetric with cfg from half the
+    span, tau = (t1 - t0) / 2, and every stage comes out with u11 == u22
+    exactly.  Each piece is checked as soon as it is built: every theta
+    stage should produce [[0, b], [-1/b, 0]] up to VERIFY_TOL; a
+    quarter-period tail likewise with magnitude 1/sqrt(beta0).  When the
+    total is diagonal the squeeze factor lambda = u11 is reported.
     """
     failures = []
     mats = []
-    expected_b = []
-    pieces = pulse.profile.pieces
     n_theta = len(pulse.ansatzes)
-    for k, (t0, t1, prof) in enumerate(pieces):
+    for k, (t0, t1, prof) in enumerate(pulse.profile.pieces):
         centred = ThetaDerivedBeta(pulse.ansatzes[k]) if k < n_theta else prof
-        half = (t1 - t0) / 2.0
-        steps = int(evolution._step_counts(half, t1 - t0, cfg.steps))
-        m = evolution.integrate_symmetric(centred, half, IntegratorConfig(steps))
+        m = evolution.integrate_symmetric(centred, (t1 - t0) / 2.0, cfg)
         mats.append(m)
+        total = m if k == 0 else m @ total
         if k < n_theta:
-            expected_b.append(pulse.ansatzes[k].b)
+            b = pulse.ansatzes[k].b
+        elif abs(pulse.tail.duration - quarter_period(pulse.tail.beta0)) <= 1e-9:
+            b = 1.0 / math.sqrt(pulse.tail.beta0)
         else:
-            kappa = math.sqrt(pulse.tail.beta0)
-            if abs(pulse.tail.duration - quarter_period(pulse.tail.beta0)) <= 1e-9:
-                expected_b.append(1.0 / kappa)
-            else:
-                expected_b.append(None)
-    for k, (m, b) in enumerate(zip(mats, expected_b)):
-        if b is None:
             continue
-        for name, got, want in (
-            ("u11", m.u11, 0.0),
-            ("u22", m.u22, 0.0),
-            ("u12", m.u12, b),
-        ):
+        for name, got, want in (("u11", m.u11, 0.0), ("u22", m.u22, 0.0), ("u12", m.u12, b)):
             if abs(got - want) > VERIFY_TOL:
                 failures.append(
                     f"stage {k}: {name} = {got:.3e}, expected {want:.3e} "
                     f"(off by {abs(got - want):.3e})"
                 )
-    total = mats[0]
-    for m in mats[1:]:
-        total = m @ total
     lam = None
     if abs(total.u12) <= VERIFY_TOL and abs(total.u21) <= VERIFY_TOL:
         lam = total.u11

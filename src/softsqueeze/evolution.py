@@ -72,7 +72,7 @@ integration goes through, builds a one-period map from half a period at
 that step (_MathieuRun).  The reflection D u^-1 D, D = diag(1, -1), is
 taken in adjugate form (_reflect), never divided by det u, so the
 determinant gate still sees the drift of every piece; integrate_symmetric
-builds u(tau, -tau) with it too.
+builds u(tau, -tau) with it too, from the half [0, tau] at that step.
 """
 
 from __future__ import annotations
@@ -99,12 +99,12 @@ class IntegrationError(RuntimeError):
 class IntegratorConfig:
     """Numerical settings shared by all integrations.
 
-    steps fixes the RK4 step h = (tau1 - tau0) / steps of an interval; a
-    one-period Mathieu interval integrates half a period at that h.  The
-    rest are class constants, not settings: `method`, the one integrator,
-    fixed-step RK4; `max_steps`, the most RK4 steps one call may take, more
-    raising IntegrationError; `det_tol`, the allowed |det - 1| drift of a
-    result.
+    steps fixes the RK4 step h = (tau1 - tau0) / steps of any interval; a
+    one-period Mathieu interval and integrate_symmetric run half of it at
+    that h.  The rest are class constants, not settings: `method`, the one
+    integrator, fixed-step RK4; `max_steps`, the most RK4 steps one call may
+    take, more raising IntegrationError; `det_tol`, the allowed |det - 1|
+    drift of a result.
     """
 
     method: ClassVar[str] = "rk4"
@@ -462,9 +462,9 @@ def _step_counts(lengths, span, steps, least: int = 1) -> np.ndarray:
     """RK4 steps of pieces of the given lengths cut from a run of steps
     steps over span: ceil(steps * length / span) each, at least least, so
     that no piece's h exceeds span / steps.  The one count rule for a run
-    cut into pieces: the parts of _split, the halves of _MathieuRun, the
-    segments of integrate_path (at least 8 steps each) and the half stages
-    of design.verify_design.  steps and span may be arrays."""
+    cut into pieces, all in this module: the parts of _split, the halves of
+    _MathieuRun and integrate_symmetric and the segments of integrate_path
+    (at least 8 steps each).  steps and span may be arrays."""
     return np.maximum(np.ceil(steps * (np.asarray(lengths) / span)).astype(int), least)
 
 
@@ -604,17 +604,21 @@ def integrate_symmetric(
 
     U = u(tau, 0) and D = diag(1, -1), and D U^-1 D is _reflect(U), so the
     result is [[ad + bc, 2ab], [2cd, ad + bc]] for U = [[a, b], [c, d]]:
-    equidiagonal, u11 = u22 = theta'(tau)/2 with theta = u12.  A tau that
-    is not finite raises ValueError before beta is sampled.
+    equidiagonal, u11 = u22 = theta'(tau)/2 with theta = u12.  cfg.steps
+    counts all of [-tau, tau], as in integrate: U takes ceil(cfg.steps / 2)
+    (_step_counts).  A tau that is not finite raises ValueError, and
+    cfg.steps above max_steps IntegrationError, before beta is sampled.
     """
     _require_finite(tau=tau)
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
+    cfg.check_steps(cfg.steps)
     profile.check_interval(-tau, tau)
     check_symmetry(profile, tau)
     if tau == 0.0:
         return SymplecticMatrix2.identity()
-    u = integrate(profile, 0.0, tau, cfg).as_array()
+    half = IntegratorConfig(int(_step_counts(tau, 2.0 * tau, cfg.steps)))
+    u = integrate(profile, 0.0, tau, half).as_array()
     u = _mul(u, _reflect(u)).ravel()
     _check_batch(u, cfg, lambda n: f"symmetric integrate to tau = {tau}")
     return SymplecticMatrix2(*map(float, u))

@@ -296,6 +296,14 @@ class DoubleZeroResult:
     iterations: int
 
 
+def _require_zone_iii(what: str, b0: float, b1: float, u: SymplecticMatrix2) -> None:
+    """Raise ConvergenceError, naming what (b0, b1) and its zone, unless u is in zone III."""
+    zone = ZONES[evolution.zone_codes(u.trace)]
+    if zone != "III":
+        raise ConvergenceError(f"{what} ({b0}, {b1}) is in zone {zone}; double zeros "
+                               "live in zone III (|trace| > 2)")
+
+
 def find_double_zero(
     seed,
     cfg: IntegratorConfig = DEFAULT_CONFIG,
@@ -309,8 +317,10 @@ def find_double_zero(
     to 8 times) before being taken.  Stops once max(|u12|, |u21|) <=
     DZ_TARGET, after at most DZ_MAX_ITER iterations, each a residual check;
     the seed's is the first; one still above DZ_ACCEPT then raises
-    ConvergenceError.  Converges to machine-level zeros in a handful of
-    iterations for seeds inside the tongue.
+    ConvergenceError.  So does a seed or end point outside zone III, so
+    that no search ends on a trivial double zero, a +-identity map at
+    beta1 = 0.  Converges to machine-level zeros in a handful of iterations
+    for seeds inside the tongue.
 
     After its input checks and cfg.check_steps it builds one
     evolution._MathieuRun of five nodes.  Each point, the seed and every
@@ -340,12 +350,7 @@ def find_double_zero(
         return u, (f[:, 1::2] - f[:, 2::2]) / (2.0 * h)
 
     u, jac = evaluate(b0, b1)
-    zone = ZONES[evolution.zone_codes(u.trace)]
-    if zone != "III":
-        raise ConvergenceError(
-            f"seed ({b0}, {b1}) is in zone {zone}; double zeros live in "
-            "zone III (|trace| > 2)"
-        )
+    _require_zone_iii("seed", b0, b1, u)
 
     def resid(u):
         return max(abs(u.u12), abs(u.u21))
@@ -373,6 +378,7 @@ def find_double_zero(
             f"did not reach |u12|,|u21| <= {DZ_ACCEPT:g} in {DZ_MAX_ITER} iterations; "
             f"residual {resid(u):.3e} at ({b0}, {b1})"
         )
+    _require_zone_iii("end point", b0, b1, u)
     return DoubleZeroResult(beta0=b0, beta1=b1, u=u, iterations=it)
 
 

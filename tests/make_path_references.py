@@ -30,7 +30,7 @@ nothing from softsqueeze, so the constants are an oracle that shares no
 code with the package; the test itself does not need mpmath.  The file
 name does not match pytest's test_*.py pattern, so it is not collected.
 
-    python tests/make_path_references.py      # about ten seconds
+    python tests/make_path_references.py      # about 25 seconds
 """
 
 import math
@@ -41,8 +41,9 @@ DIGITS = 40
 PRINT_DIGITS = 30
 SERIES_TERMS = 80   # terms j of theta - 2s; the last is below 1e-60 for |s| <= pi/2
 
-# (b, beta0): two bench-range stages that chain (same beta0)
-TARGETS = [("2.0", "0.2"), ("1.5", "0.2")]
+# (b, beta0): two bench-range stages that chain (same beta0), and two
+# stages near opposite corners of the bench range
+TARGETS = [("2.0", "0.2"), ("1.5", "0.2"), ("0.8", "0.05"), ("3.0", "0.4")]
 TAUS = [0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 1.0, 1.15, 1.3, 1.45, math.pi / 2]
 
 

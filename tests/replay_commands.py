@@ -22,7 +22,8 @@ command differs and 0 if none does, so byte identity on these commands is
 its exit status.  The commands are the README's `softsqueeze` lines, the
 benchmark's warm-up commands, seeded sessions of its three workloads
 (plane_scan, refine and pulse_design, at seed 17), failure cases and, last,
-double zeros on each path of a prepared Mathieu run.  Each
+double zeros on each path of a prepared Mathieu run and two searches that
+end outside zone III.  Each
 runs in-process through cli.main, in a fresh temporary directory, and its
 digest covers its stdout, its stderr and every file it wrote there.  The
 package is imported from the checkout the script sits in.  The file name
@@ -119,13 +120,17 @@ FAILURES = [
 
 # after the rest, so that the earlier commands keep their numbers: a
 # halved Newton trial, then a one-period interval whose half-period pieces
-# differ in step count, and an interval that is not one period
+# differ in step count, and an interval that is not one period; then two
+# seeds whose searches end on a trivial double zero (the identity and minus
+# the identity at beta1 ~ 0), outside zone III
 DOUBLE_ZEROS = [
     ["scan", "--double-zero", "--seed", "1.1,0.65", "--steps", "2000"],
     ["scan", "--double-zero", "--seed", "1.2,0.85", "--from", "0", "--to", "2pi",
      "--steps", "2000"],
     ["scan", "--double-zero", "--seed", "1.2,0.85", "--from", "0", "--to", "5",
      "--steps", "2000"],
+    ["scan", "--double-zero", "--seed", "1.0,0.05", "--steps", "2000"],
+    ["scan", "--double-zero", "--seed", "0.27,0.05", "--steps", "2000"],
 ]
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from softsqueeze import design
+from softsqueeze import design, evolution
 from softsqueeze.core import ConstantBeta
 from softsqueeze.design import (
     ConstantTail,
@@ -649,6 +649,22 @@ def test_slope_rule_at_the_zeros_is_one_tolerance():
     assert np.all(np.isfinite(ThetaDerivedBeta(a).beta_array(np.linspace(-HALF_PI, HALF_PI, 9))))
 
 
+def test_lemma_reports_the_ansatz_zero_checks():
+    # the slope rule is decided once per ansatz; the report carries it
+    a = ThetaAnsatz.from_targets(-0.88, 0.64)
+    assert validate_lemma(a).theta_zeros is a.zero_checks
+
+
+def test_nan_slope_is_singular():
+    # a NaN slope at tau = 0 is not +-2: the profile rejects the ansatz as
+    # the lemma report does, where it used to return NaN for beta
+    a = ThetaAnsatz(2.0, 0.0, math.nan, 2.0, 0.2)
+    with pytest.raises(SingularityError, match="^theta vanishes at tau = 0.0 with theta' = nan"):
+        ThetaDerivedBeta(a).beta_array(np.linspace(-1.0, 1.0, 5))
+    assert [(z.tau, z.ok) for z in a.zero_checks] == [(0.0, False)]
+    assert not validate_lemma(a).ok
+
+
 @pytest.mark.parametrize("b,beta0", [(0.3, 0.0), (-0.88, 0.64), (-2.0, 0.1), (0.2, 5.0)])
 def test_lemma_reads_the_slopes_that_theta_eval_gives(b, beta0):
     # the report's slopes are side_zeros' and slope0, bit for bit theta'
@@ -1037,10 +1053,16 @@ def test_verify_matches_full_span_integration_at_default_steps():
     assert np.max(np.abs(rep.total.as_array() - total.as_array())) <= 1e-12
 
 
-def test_verify_odd_steps_take_half_rounded_up_per_piece():
+def test_verify_odd_steps_take_half_rounded_up_per_piece(monkeypatch):
+    # the pulse's cfg goes to integrate_symmetric, which runs each half
+    # piece in ceil(2001 / 2) = 1001 steps
     cfg = IntegratorConfig(steps=2001)
+    halves = []
+    real = evolution.integrate
+    monkeypatch.setattr(evolution, "integrate",
+                        lambda prof, t0, t1, c: halves.append(c.steps) or real(prof, t0, t1, c))
     rep = verify_design(REFLECTED, cfg)
-    half = IntegratorConfig(steps=1001)
+    assert halves == [1001] * len(REFLECTED.profile.pieces)
     centred = [ThetaDerivedBeta(a) for a in REFLECTED.ansatzes] + [ConstantBeta(0.2)]
     for (t0, t1, _), prof, m in zip(REFLECTED.profile.pieces, centred, rep.stage_matrices):
-        assert m == integrate_symmetric(prof, (t1 - t0) / 2.0, half)
+        assert m == integrate_symmetric(prof, (t1 - t0) / 2.0, cfg)

@@ -252,6 +252,17 @@ def test_symmetric_matches_direct_integration():
         assert entrywise_err(u_sym, u_dir) < 1e-8
 
 
+@pytest.mark.parametrize("steps", [2000, 2001])
+def test_symmetric_counts_its_steps_over_the_whole_interval(steps):
+    # cfg.steps counts all of [-tau, tau], as in integrate: U = u(tau, 0)
+    # runs ceil(steps / 2) of them, and the result is U D U^-1 D
+    theta = design.ThetaDerivedBeta(ThetaAnsatz.from_targets(2.0, 0.2))
+    for prof, tau in ((MathieuBeta(0.9, 0.4), 1.3), (theta, PI / 2)):
+        u = integrate(prof, 0.0, tau, IntegratorConfig(math.ceil(steps / 2)))
+        want = u @ SymplecticMatrix2(u.u22, u.u12, u.u21, u.u11)
+        assert integrate_symmetric(prof, tau, IntegratorConfig(steps)) == want
+
+
 def test_symmetric_result_is_equidiagonal():
     u = integrate_symmetric(MathieuBeta(1.1, 0.3), 1.7, DEFAULT_CONFIG)
     assert abs(u.u11 - u.u22) < 1e-10
@@ -572,6 +583,32 @@ PATH_REFERENCES = {
         (1.45, "0.524017872354572554063251078344", "1.41798238724715206650169473789", "-0.312607978764084673830225226414", "1.06242061839999801422821210519"),
         (1.5707963267948966, "0.485606902085977937199977580432", "1.5444591021632773092386400749", "-0.323737934723985272304194820044", "1.02963940144218493377141558379"),
     ),
+    (0.8, 0.05): (
+        (0.1, "0.98649879770950586521464498875", "0.0995510459070034876869206982202", "-0.268301530958454426332626189666", "0.986610733063701327706977926619"),
+        (0.25, "0.918413720396688599621158620743", "0.243312867491770431158006453315", "-0.626344167633155224708777087979", "0.922898238247494437394277832703"),
+        (0.4, "0.804023082082099126183261556352", "0.375154485374951305114552752667", "-0.876394266346070803177905815693", "0.834822749472811259228575845708"),
+        (0.55, "0.663201151637454668100059763108", "0.495402030684364764991299618174", "-0.973367704572831897583260992418", "0.780746024450657258904182279441"),
+        (0.7, "0.520405232000605524141367260788", "0.615599703010926199784436870735", "-0.904255153678257563993410306748", "0.851914563282194977525721912663"),
+        (0.85, "0.398392862230665403132593801059", "0.762671965460740342900224008563", "-0.707893130543252200081369230743", "1.15491465438460227490921608974"),
+        (1.0, "0.309732259908292506718054236691", "0.975724173313191897867621033478", "-0.477746315097449261861335425947", "1.72358982498685713826537700642"),
+        (1.15, "0.251960025031386661545702156057", "1.28547069440774978786786070721", "-0.30709871949240412444311157147", "2.40210166563912093880110175299"),
+        (1.3, "0.213174624201080283177620421924", "1.6882733720029899787160816", "-0.223107516456543961508926801621", "2.9240512242429422543034228471"),
+        (1.45, "0.182032074294453961737955622477", "2.14736450639213446161357842335", "-0.198864438257553776277303253465", "3.14760772750022817213078607695"),
+        (1.5707963267948966, "0.158147791931945383333744372491", "2.52927970168644012901851049987", "-0.197684739914931702578411005561", "3.16159962710805023550296778901"),
+    ),
+    (3.0, 0.4): (
+        (0.1, "1.00605880151857568068366944804", "0.100199959079129949484268460122", "0.119861403053290216511886786993", "1.00591546553098886317515529927"),
+        (0.25, "1.03578743957045902373217552487", "0.252799791417570293969853860789", "0.26719207454019129932746279902", "1.03066136924280482241438545249"),
+        (0.4, "1.08266364927240241668082317722", "0.409323505991322803580263784648", "0.344368602123623863005534595103", "1.05384360539059999983174943401"),
+        (0.55, "1.1349747673184909812787692518", "0.567633870333426445472123101236", "0.339863512731046647852308839187", "1.05105247752339416187620709064"),
+        (0.7, "1.1810778907319014519886488785", "0.722638476295921169099987459653", "0.264915877968201464732902109558", "1.00877208501736963809154223233"),
+        (0.85, "1.21216484163742368938447002927", "0.868341290344124803225088489677", "0.1443989144298691921725087501", "0.928411302674082525265780834981"),
+        (1.0, "1.22356703128641012335790533483", "0.999905970161536364592872696504", "0.00712229062765509420005037492479", "0.823102940147847829763164294593"),
+        (1.15, "1.21471058459355905889059868948", "1.11493557350293030756294555357", "-0.122324815866889533567660782813", "0.710964177163874897952814326428"),
+        (1.3, "1.18800468373789032093453408644", "1.21363457786517942679724192886", "-0.229515604148117986333990728893", "0.607280372309879938958610421907"),
+        (1.45, "1.14706920003659842058520507725", "1.29785375040897955316762324709", "-0.312822232287523748949620145321", "0.517843642384762896613783145624"),
+        (1.5707963267948966, "1.10585104205636561910565883154", "1.35642138312832956481657648899", "-0.368617014018788505092586725262", "0.452140461042776564056807072211"),
+    ),
 }
 
 
@@ -611,14 +648,30 @@ def _reference_path(bs, beta0, tail):
     return pulse, taus, want
 
 
-# Every row of integrate_path at the default steps lies within 2e-13 of the
-# lemma's reference.  Measured after the splitting at joins: 7.1e-14 (with
-# tail) and 6.8e-14; a single step grid per segment read 4.9e-12 and 5.9e-12.
-@pytest.mark.parametrize("bs,tail", [((2.0, 1.5), True), ((1.5, 2.0, 1.5), False)])
-def test_path_rows_match_the_lemma_reference(bs, tail):
-    pulse, taus, want = _reference_path(bs, 0.2, tail)
+# Every row of integrate_path at the default steps lies within its bound of
+# the lemma's reference.  The two chains at beta0 = 0.2 keep 2e-13: measured
+# after the splitting at joins, 7.1e-14 (with tail) and 6.8e-14, now 1.1e-14
+# and 9.3e-15; a single step grid per segment read 4.9e-12 and 5.9e-12.
+# Each stage near a corner of the bench range, with and without a tail, and
+# a two-stage chain of it, bound about 2.5x the measured 3.8e-13, 3.7e-15
+# and 9.1e-14 at (0.8, 0.05) and 8.4e-16, 5.6e-16 and 4.1e-15 at (3.0, 0.4).
+# The 3.8e-13 is RK4 truncation in the stage, not a defect: the 7.0-long
+# quarter-period tail takes about 69% of the steps, and the error reads
+# 9.5e-11, 3.8e-13 and 5.3e-15 at 5000, 20000 and 80000 steps.
+@pytest.mark.parametrize("bs,beta0,tail,bound", [
+    ((2.0, 1.5), 0.2, True, 2e-13),
+    ((1.5, 2.0, 1.5), 0.2, False, 2e-13),
+    ((0.8,), 0.05, True, 1e-12),
+    ((0.8,), 0.05, False, 1e-14),
+    ((0.8, 0.8), 0.05, False, 2.5e-13),
+    ((3.0,), 0.4, True, 2e-15),
+    ((3.0,), 0.4, False, 1.5e-15),
+    ((3.0, 3.0), 0.4, False, 1e-14),
+])
+def test_path_rows_match_the_lemma_reference(bs, beta0, tail, bound):
+    pulse, taus, want = _reference_path(bs, beta0, tail)
     mats = integrate_path(pulse.profile, taus)
-    assert max(_rel_err(u, w) for u, w in zip(mats, want)) < 2e-13
+    assert max(_rel_err(u, w) for u, w in zip(mats, want)) < bound
 
 
 def test_reference_stage_lands_on_its_fourier_map():

@@ -579,6 +579,31 @@ def test_find_double_zero_rejects_stable_seed():
         find_double_zero((0.9, 0.5), FAST)
 
 
+# seeds from which Newton converges to a trivial double zero, where beta1 is
+# about 0 and the one-period map is +-identity (trace +-2, zone II): beta0
+# = 1 from (1.0, 0.05), beta0 = 1/4 from (0.27, 0.05), and beta0 = 1 from
+# the bench seed (1.2, 0.85) on [0, 2pi] after 20 iterations
+@pytest.mark.parametrize("seed, interval, beta0", [
+    pytest.param((1.0, 0.05), [], 1.0, id="identity"),
+    pytest.param((0.27, 0.05), [], 0.25, id="minus-identity"),
+    pytest.param((1.2, 0.85), ["--from", "0", "--to", "2pi"], 1.0, id="from-0"),
+])
+def test_find_double_zero_refuses_an_end_point_outside_zone_iii(capsys, seed, interval,
+                                                                 beta0):
+    tau = (0.0, 2.0 * PI) if interval else ()
+    with pytest.raises(ConvergenceError) as exc:
+        find_double_zero(seed, REFINE_CFG, *tau)
+    message = str(exc.value)
+    end = re.fullmatch(r"end point \((\S+), (\S+)\) is in zone II; double zeros live in "
+                       r"zone III \(\|trace\| > 2\)", message)
+    assert end
+    b0, b1 = map(float, end.groups())
+    assert abs(b0 - beta0) < 1e-11 and abs(b1) < 1e-5
+    argv = ["scan", "--double-zero", "--seed", "%r,%r" % seed, *interval, "--steps", "2000"]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", f"numerical failure: {message}\n")
+
+
 def test_max_steps_enforced_by_scan_locus_and_double_zero(monkeypatch):
     monkeypatch.setattr(IntegratorConfig, "max_steps", 2000)
     cfg = IntegratorConfig(steps=3000)
