@@ -27,10 +27,12 @@ The product is the level-wise pairwise tree over all steps: each level
 multiplies neighbours, later step on the left, and an odd last element is
 carried up.  The engine walks it in aligned blocks of n = 2^k steps, n
 taken from the run's width w and a fixed element budget B
-(_BLOCK_ELEMENTS): the largest with (n + 3) w at most 4 B, and at most
-B / 2 (_block_steps).  So a narrow run takes few long blocks, whose numpy
-calls are long enough to outweigh their fixed cost, and a run of B
-columns takes blocks of one step.  A mathieu_batch run has at most B
+(_BLOCK_ELEMENTS): the largest with (n + 3) w at most 4 B (_block_steps).
+So a narrow run takes few long blocks, whose numpy calls are long enough
+to outweigh their fixed cost (a one-column run of up to 2 B steps takes
+one), and a run of B columns takes blocks of one step.  The budget, not
+the block, bounds a generic profile's beta_array calls: _sampler asks for
+at most B + 1 samples at a time.  A mathieu_batch run has at most B
 columns, and mathieu_batch chunks and pairs its nodes so that no run is
 narrower than B / 2 unless its batch is.  Every array of a block is a
 view into one flat workspace, filled with out= arithmetic in the order of
@@ -41,8 +43,9 @@ and may then run any number of times.  A plan of w columns takes one
 fresh workspace of at most (8 n + 4) w + 4 w bit_length(steps) doubles,
 2 n + 1 more if each of its intervals has one column, and 7 more to start
 it on a 64-byte boundary (_workspace); for w at most B that is under
-33 B + 4 w bit_length(steps).  So memory is bounded for any step count,
-and no block allocates anything.
+40 B + 4 w bit_length(steps); a one-column run's is 1.3 MB at most at
+B = 8192.  So memory is bounded for any step count, and no block
+allocates anything.
 A run has at most three block shapes, the first block, the full blocks
 and a shorter last one, whose layouts may differ, and the plan takes the
 views of each once (_block), into the workspace and a grid index of
@@ -160,8 +163,8 @@ class ZoneReport:
 # RK4 step-map engine
 
 # The engine's element budget B.  A block of n steps over w <= B columns
-# holds at most 4 B - 3 w step maps and B / 2 steps (_block_steps); the latter
-# keeps a one-column run's beta_array calls at 8193 samples.  B also bounds
+# holds at most 4 B - 3 w step maps (_block_steps), and _sampler hands a
+# profile's beta_array at most B + 1 samples per call.  B also bounds
 # a mathieu_batch run's columns, so a wide run's stack of block products,
 # 4 doubles per column and level, spans at most B columns: a chunk has at
 # most B nodes, or B / 2 when its two half-period pieces run together.
@@ -172,11 +175,11 @@ _BLOCK_ELEMENTS = 8192
 
 def _block_steps(w: int, steps: int) -> int:
     """Steps per block of a run of w columns: the largest power of 2, n,
-    with (n + 3) w <= 4 B, at least 1 and at most B / 2, or all the steps
-    if fewer.  The 3 w keeps a run of B columns at one step per block, and so
-    the widest runs' workspace within mathieu_batch's bound."""
+    with (n + 3) w <= 4 B, at least 1, or all the steps if fewer.  The 3 w
+    keeps a run of B columns at one step per block, and so the widest runs'
+    workspace within mathieu_batch's bound."""
     n = max(4 * _BLOCK_ELEMENTS // w - 3, 1)
-    return min(1 << (n.bit_length() - 1), max(_BLOCK_ELEMENTS // 2, 1), steps)
+    return min(1 << (n.bit_length() - 1), steps)
 
 
 def _workspace(size: int) -> np.ndarray:
@@ -416,10 +419,11 @@ def _sampler(pieces: list, which: list):
     """beta_at for _rk4, one column per interval, that copies in the
     samples of interval i from pieces[which[i]].beta_array, neighbouring
     intervals of one piece together.  It asks for them in pieces contiguous
-    in memory, whole rows of taus or, laid out steps last, whole intervals,
-    of about _BLOCK_ELEMENTS samples, so that the temporaries of a costly
-    profile stay small whatever the block."""
+    in memory of at most _BLOCK_ELEMENTS + 1 samples, whole rows of taus or,
+    laid out steps last, whole intervals, a longer one cut, so that the
+    temporaries of a costly profile stay small whatever the block."""
     edges = [0, *(i for i in range(1, len(which)) if which[i] != which[i - 1]), len(which)]
+    size = _BLOCK_ELEMENTS + 1
 
     def beta_at(taus, rows):
         rows = rows[..., 0]
@@ -429,9 +433,10 @@ def _sampler(pieces: list, which: list):
         for s, e in zip(edges, edges[1:]):
             t, r = (taus[s:e], rows[s:e]) if steps_last else (taus[:, s:e], rows[:, s:e])
             profile = pieces[which[s]]
-            step = _BLOCK_ELEMENTS // t.shape[1] + 1
+            step = max(size // t.shape[1], 1)
             for i in range(0, len(t), step):
-                r[i:i + step] = profile.beta_array(t[i:i + step])
+                for j in range(0, t.shape[1], size):
+                    r[i:i + step, j:j + size] = profile.beta_array(t[i:i + step, j:j + size])
     return beta_at
 
 

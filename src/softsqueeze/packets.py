@@ -5,6 +5,11 @@ and the 2x2 covariance are the whole story: mean' = u mean and
 Sigma' = u Sigma u^T.  det Sigma is preserved by any unit-determinant u,
 which is the moment-level expression of unitarity and the main invariant
 asserted by the tests.
+
+shadow and congruence transport every row of one integrate_path result at
+once, as arrays, with the operations of propagate and apply_to_state in
+the same order, so each row is bit for bit the one-matrix result, and the
+first row that fails a check raises the ValueError its own call raises.
 """
 
 from __future__ import annotations
@@ -14,7 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DET_ROUNDING, BetaProfile, CanonicalState, SymplecticMatrix2, _csv_rows
+from .core import (
+    DET_ROUNDING, BetaProfile, CanonicalState, SymplecticMatrix2, _csv_rows, _det_gate,
+)
 from . import evolution
 from .evolution import DEFAULT_CONFIG, IntegratorConfig
 
@@ -46,19 +53,19 @@ class MomentState:
 
     def __post_init__(self):
         vals = (self.q, self.p, self.sqq, self.sqp, self.spp)
-        if not all(math.isfinite(v) for v in vals):
+        fault = _moment_faults(*vals, self.bound_slack)
+        if fault == 1:
             raise ValueError(f"moment state must be finite, got {vals}")
-        if self.sqq < 0.0 or self.spp < 0.0:
+        if fault == 2:
             raise ValueError("covariance diagonal must be nonnegative")
-        det = self.cov_det
-        if det < 0.25 - self.bound_slack - DET_ROUNDING * (self.sqq * self.spp + self.sqp**2):
+        if fault == 3:
             raise ValueError(
-                f"uncertainty bound violated: det Sigma = {det!r} < 1/4"
+                f"uncertainty bound violated: det Sigma = {self.cov_det!r} < 1/4"
             )
 
     @property
     def cov_det(self) -> float:
-        return self.sqq * self.spp - self.sqp**2
+        return self.sqq * self.spp - self.sqp * self.sqp
 
     @property
     def delta_q(self) -> float:
@@ -67,6 +74,18 @@ class MomentState:
     @property
     def delta_p(self) -> float:
         return math.sqrt(self.spp)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _moment_faults(q, p, sqq, sqp, spp, slack):
+    """MomentState's checks, elementwise over arrays or scalars: 0 where a
+    state passes, else its first failing one: 1 a moment not finite, 2 a
+    negative variance, 3 det Sigma under 1/4 by more than slack and the
+    rounding floor DET_ROUNDING (sqq spp + sqp^2)."""
+    square = sqp * sqp
+    low = sqq * spp - square < 0.25 - slack - DET_ROUNDING * (sqq * spp + square)
+    finite = np.isfinite((q, p, sqq, sqp, spp)).all(axis=0)
+    return np.select([~finite, (sqq < 0.0) | (spp < 0.0), low], [1, 2, 3], 0)
 
 
 def gaussian_init(kappa: float, q0: float = 0.0, p0: float = 0.0) -> MomentState:
@@ -86,24 +105,35 @@ def propagate(u: SymplecticMatrix2, s: MomentState, det_tol: float = 1e-6) -> Mo
     det Sigma picks up the factor (det u)^2, so a matrix admitted with
     |det - 1| <= det_tol can push a minimum-uncertainty state below 1/4 by
     about 2 * det_tol * det Sigma; the output state's bound gate is widened
-    accordingly rather than silently renormalizing anything.
+    accordingly rather than silently renormalizing anything.  u must pass
+    require_symplectic(det_tol).  One row of _transport.
     """
-    u.require_symplectic(det_tol)
-    q = u.u11 * s.q + u.u12 * s.p
-    p = u.u21 * s.q + u.u22 * s.p
+    moments, slack = _transport(np.array([[u.u11], [u.u12], [u.u21], [u.u22]]), s, det_tol)
+    return MomentState(*(float(m[0]) for m in moments), bound_slack=slack)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _transport(u, s: MomentState, det_tol: float):
+    """propagate's (q, p, sqq, sqp, spp) arrays and bound slack of s through
+    each matrix of u, entry rows (u11, u12, u21, u22).  The first matrix
+    that fails require_symplectic(det_tol), or its state MomentState's
+    checks, raises the ValueError that propagate raises for it alone."""
+    u11, u12, u21, u22 = u
+    q = u11 * s.q + u12 * s.p
+    p = u21 * s.q + u22 * s.p
     # u Sigma u^T written out
-    aq = u.u11 * s.sqq + u.u12 * s.sqp
-    ap = u.u11 * s.sqp + u.u12 * s.spp
-    bq = u.u21 * s.sqq + u.u22 * s.sqp
-    bp = u.u21 * s.sqp + u.u22 * s.spp
+    aq = u11 * s.sqq + u12 * s.sqp
+    ap = u11 * s.sqp + u12 * s.spp
+    bq = u21 * s.sqq + u22 * s.sqp
+    bp = u21 * s.sqp + u22 * s.spp
+    moments = (q, p, aq * u11 + ap * u12, aq * u21 + ap * u22, bq * u21 + bp * u22)
     slack = max(s.bound_slack, 3.0 * det_tol * max(1.0, s.cov_det))
-    return MomentState(
-        q=q, p=p,
-        sqq=aq * u.u11 + ap * u.u12,
-        sqp=aq * u.u21 + ap * u.u22,
-        spp=bq * u.u21 + bp * u.u22,
-        bound_slack=slack,
-    )
+    bad = ~_det_gate(u11, u12, u21, u22, det_tol)[0] | (_moment_faults(*moments, slack) > 0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        SymplecticMatrix2(*(float(e[k]) for e in u)).require_symplectic(det_tol)
+        MomentState(*(float(m[k]) for m in moments), bound_slack=slack)  # raises
+    return moments, slack
 
 
 def delta_q(u: SymplecticMatrix2) -> float:
@@ -146,16 +176,17 @@ def congruence(
     inits = [s if isinstance(s, CanonicalState) else CanonicalState(*s) for s in inits]
     if not inits:
         raise ValueError("need at least one initial state")
-    mats = evolution.integrate_path(profile, taus, cfg)
-    taus = np.asarray([float(t) for t in taus])
-    qs = np.empty((len(taus), len(inits)))
-    ps = np.empty_like(qs)
-    for i, u in enumerate(mats):
-        for j, s in enumerate(inits):
-            out = evolution.apply_to_state(u, s)
-            qs[i, j] = out.q
-            ps[i, j] = out.p
-    return CongruenceResult(taus=taus, qs=qs, ps=ps)
+    u11, u12, u21, u22 = _entries(evolution.integrate_path(profile, taus, cfg))[..., None]
+    q0, p0 = np.array([(s.q, s.p) for s in inits]).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        # evolution.apply_to_state of every state at every grid point
+        qs = u11 * q0 + u12 * p0
+        ps = u21 * q0 + u22 * p0
+    bad = ~(np.isfinite(qs) & np.isfinite(ps))
+    if bad.any():
+        k = int(np.argmax(bad))
+        CanonicalState(float(qs.flat[k]), float(ps.flat[k]))  # raises
+    return CongruenceResult(taus=np.asarray([float(t) for t in taus]), qs=qs, ps=ps)
 
 
 @dataclass(frozen=True)
@@ -186,24 +217,20 @@ def shadow(
     cfg: IntegratorConfig = DEFAULT_CONFIG,
     belt_radius: float = 10.0,
 ) -> ShadowResult:
-    """Moment transport along a tau grid: (tau, qbar, pbar, dq, dp)."""
+    """Moment transport along a tau grid: (tau, qbar, pbar, dq, dp), each
+    row propagate(u(tau, taus[0]), init, det_tol=1e-4), all rows at once
+    (_transport)."""
     mats = evolution.integrate_path(profile, taus, cfg)
-    taus = np.asarray([float(t) for t in taus])
-    n = len(taus)
-    q_mean = np.empty(n)
-    p_mean = np.empty(n)
-    dq = np.empty(n)
-    dp = np.empty(n)
-    for k, u in enumerate(mats):
-        s = propagate(u, init, det_tol=1e-4)
-        q_mean[k] = s.q
-        p_mean[k] = s.p
-        dq[k] = s.delta_q
-        dp[k] = s.delta_p
+    (q, p, sqq, _, spp), _ = _transport(_entries(mats), init, 1e-4)
     return ShadowResult(
-        taus=taus, q_mean=q_mean, p_mean=p_mean, dq=dq, dp=dp,
-        belt_radius=belt_radius,
+        taus=np.asarray([float(t) for t in taus]), q_mean=q, p_mean=p,
+        dq=np.sqrt(sqq), dp=np.sqrt(spp), belt_radius=belt_radius,
     )
+
+
+def _entries(mats) -> np.ndarray:
+    """The (4, n) entry rows (u11, u12, u21, u22) of n matrices."""
+    return np.array([(u.u11, u.u12, u.u21, u.u22) for u in mats]).T
 
 
 def write_shadow_csv(result: ShadowResult, fileobj):

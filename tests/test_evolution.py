@@ -139,7 +139,7 @@ def test_max_steps_enforced_before_sampling(monkeypatch):
 
 def test_each_beta_sample_taken_once(monkeypatch):
     # consecutive blocks share a node, which the engine carries over instead
-    # of sampling it again: 19 blocks of at most 2 steps sample 2 * 37 + 1 points
+    # of sampling it again: 5 blocks of at most 8 steps sample 2 * 37 + 1 points
     monkeypatch.setattr(evolution, "_BLOCK_ELEMENTS", 4)
     taus = []
 
@@ -907,7 +907,7 @@ def test_one_period_with_unequal_pieces_stays_under_memory_bound():
 
 
 @pytest.mark.parametrize("width,steps,n", [
-    (1, 5000, 4096),     # a one-column run: beta_array pieces of 8193 samples
+    (1, 5000, 5000),     # a one-column run: one block
     (7, 5000, 4096),
     (8, 5000, 2048),
     (48, 500, 500),      # refine's 24-node window pass: one block
@@ -916,13 +916,13 @@ def test_one_period_with_unequal_pieces_stays_under_memory_bound():
     (8192, 5000, 1),     # the widest run
 ])
 def test_block_steps_follow_the_run_width(monkeypatch, poisoned_workspace, width, steps, n):
-    # a block holds about 4 B step-columns and at most B / 2 steps, and the
-    # run's workspace stays within the bound of mathieu_batch's docstring,
-    # (8 n + 4) w + 4 w bit_length(steps) doubles, 2 n + 1 more for one column
+    # a block holds about 4 B step-columns, and the run's workspace stays
+    # within the bound of mathieu_batch's docstring, (8 n + 4) w + 4 w
+    # bit_length(steps) doubles, 2 n + 1 more for one column
     budget = evolution._BLOCK_ELEMENTS
     assert budget == 8192
     assert evolution._block_steps(width, steps) == n
-    assert (n + 3) * width <= 4 * budget and n <= budget // 2
+    assert (n + 3) * width <= 4 * budget
     blocks = []
     real = evolution._step_deltas
 
@@ -938,6 +938,41 @@ def test_block_steps_follow_the_run_width(monkeypatch, poisoned_workspace, width
     assert blocks[0] == n and sum(blocks) == steps
     bound = (8 * n + 4) * width + 4 * width * steps.bit_length() + (2 * n + 1) * (width == 1)
     assert len(poisoned_workspace) == 1 and poisoned_workspace[0] <= bound
+
+
+def test_one_column_theta_run_is_one_block_sampled_in_budget_pieces(monkeypatch,
+                                                                    poisoned_workspace):
+    # a designed stage at 10000 steps runs as one block of 20001 beta rows,
+    # and _sampler hands beta_array at most B + 1 of them per call; the
+    # same run at a budget of 4, in 8-step blocks and 5-sample pieces, gives
+    # the same bits
+    budget = evolution._BLOCK_ELEMENTS
+    assert budget == 8192
+    profile = design.ThetaDerivedBeta(ThetaAnsatz.from_targets(2.0, 0.3))
+    cfg = IntegratorConfig(steps=10000)
+    blocks, samples = [], []
+    real_deltas, real_beta = evolution._step_deltas, design.ThetaDerivedBeta.beta_array
+
+    def recorded_deltas(k, b1, *args):
+        blocks.append(b1.shape[0])
+        return real_deltas(k, b1, *args)
+
+    def recorded_beta(self, taus):
+        samples.append(np.size(taus))
+        return real_beta(self, taus)
+
+    monkeypatch.setattr(evolution, "_step_deltas", recorded_deltas)
+    monkeypatch.setattr(design.ThetaDerivedBeta, "beta_array", recorded_beta)
+    u = integrate(profile, -PI / 2, PI / 2, cfg)
+    assert blocks == [10000]
+    assert sum(samples) == 20001 and max(samples) == budget + 1
+    monkeypatch.setattr(evolution, "_BLOCK_ELEMENTS", 4)
+    blocks.clear()
+    samples.clear()
+    small = integrate(profile, -PI / 2, PI / 2, cfg)
+    assert len(blocks) == 1250 and max(samples) == 5
+    assert (small.u11, small.u12, small.u21, small.u22) == (u.u11, u.u12, u.u21, u.u22)
+    assert poisoned_workspace
 
 
 @pytest.mark.parametrize("nodes,block,axis", [(160, (2, 2, 64, 320), 2), (8, (2, 2, 16, 500), 3)])
@@ -986,6 +1021,26 @@ def test_narrow_batches_reuse_their_memory():
         run()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults / (20 * len(batches)) < 1.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux minor-fault counts")
+def test_designed_pulse_runs_reuse_their_memory():
+    # a one-column run of 20000 steps takes a 16384-step block, a workspace
+    # of 1.3 MB and beta_array pieces of 8193 samples; repeated runs fault
+    # in no fresh pages
+    resource = pytest.importorskip("resource")
+    profile = design.ThetaDerivedBeta(ThetaAnsatz.from_targets(2.0, 0.3))
+
+    def run():
+        integrate(profile, -PI / 2, PI / 2, DEFAULT_CONFIG)
+
+    run()
+    run()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        run()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / 20 < 1.0
 
 
 @pytest.mark.parametrize("beta0,beta1,tau1", [

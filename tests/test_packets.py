@@ -5,18 +5,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from softsqueeze import evolution
 from softsqueeze.core import (
     DET_ROUNDING,
     CanonicalState,
     ConstantBeta,
+    MathieuBeta,
     SymplecticMatrix2,
     free_motion,
     rotation_matrix,
     squeezed_fourier,
 )
-from softsqueeze.design import ThetaAnsatz, build_chain
-from softsqueeze.evolution import IntegratorConfig
+from softsqueeze.design import ConstantTail, ThetaAnsatz, build_chain, quarter_period
+from softsqueeze.evolution import IntegratorConfig, apply_to_state, integrate_path
 from softsqueeze.packets import (
     MomentState,
     backcast_error,
@@ -304,3 +307,142 @@ def test_shadow_two_stage_amplifier_endpoint():
     mid = len(taus) // 2
     assert np.argmax(res.dq) not in (0, len(taus) - 1)
     assert res.dq[mid] > res.dq[0]
+
+
+# ---------------------------------------------------------------------------
+# the row layer: shadow and congruence transport all rows at once
+
+
+def _loop_moments(u, s):
+    """propagate's arithmetic for one matrix in plain Python floats, as the
+    per-row loop did it: (q, p, sqq, sqp, spp), unchecked."""
+    q = u.u11 * s.q + u.u12 * s.p
+    p = u.u21 * s.q + u.u22 * s.p
+    aq = u.u11 * s.sqq + u.u12 * s.sqp
+    ap = u.u11 * s.sqp + u.u12 * s.spp
+    bq = u.u21 * s.sqq + u.u22 * s.sqp
+    bp = u.u21 * s.sqp + u.u22 * s.spp
+    return q, p, aq * u.u11 + ap * u.u12, aq * u.u21 + ap * u.u22, bq * u.u21 + bp * u.u22
+
+
+def _loop_propagate(u, s):
+    """A shadow row in plain Python floats: (q, p, dq, dp)."""
+    q, p, sqq, _, spp = _loop_moments(u, s)
+    return q, p, math.sqrt(sqq), math.sqrt(spp)
+
+
+def _shadow_rows(res):
+    return list(zip(res.q_mean.tolist(), res.p_mean.tolist(), res.dq.tolist(), res.dp.tolist()))
+
+
+def _propagated_rows(mats, init):
+    rows = []
+    for u in mats:
+        s = propagate(u, init, det_tol=1e-4)
+        rows.append((s.q, s.p, s.delta_q, s.delta_p))
+    return rows
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(
+    bs=st.lists(st.floats(0.6, 3.0), min_size=1, max_size=2),
+    beta0=st.floats(0.02, 0.4),
+    tail=st.booleans(),
+    points=st.integers(2, 40),
+    init=st.tuples(st.floats(0.2, 5.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    states=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=1,
+                    max_size=3),
+)
+def test_path_rows_match_the_per_row_transports(bs, beta0, tail, points, init, states):
+    # every shadow row is propagate's of its matrix, and every congruence
+    # entry apply_to_state's, bit for bit; both equal the plain-Python loop
+    pulse = build_chain([ThetaAnsatz.from_targets(b, beta0) for b in bs],
+                        ConstantTail(beta0, quarter_period(beta0)) if tail else None)
+    lo, hi = pulse.profile.domain()
+    taus = np.linspace(lo, hi, points)
+    cfg = IntegratorConfig(steps=3000)
+    mats = integrate_path(pulse.profile, taus, cfg)
+    s0 = gaussian_init(*init)
+    rows = _shadow_rows(shadow(pulse.profile, s0, taus, cfg))
+    assert rows == _propagated_rows(mats, s0) == [_loop_propagate(u, s0) for u in mats]
+    inits = [CanonicalState(q, p) for q, p in states]
+    res = congruence(pulse.profile, inits, taus, cfg)
+    for i, u in enumerate(mats):
+        for j, s in enumerate(inits):
+            out = apply_to_state(u, s)
+            assert (res.qs[i, j], res.ps[i, j]) == (out.q, out.p)
+            assert (out.q, out.p) == (u.u11 * s.q + u.u12 * s.p, u.u21 * s.q + u.u22 * s.p)
+
+
+def test_zone_iii_shadow_past_8pi_keeps_its_rows():
+    # entries of u grow to about 1e5 at 12pi, where the computed det Sigma
+    # passes only within its rounding floor; every row is kept, and is
+    # propagate's
+    profile = MathieuBeta(1.5, 1.2)
+    taus = np.linspace(0.0, 12 * PI, 61)
+    init = gaussian_init(1.0, 0.3, -0.2)
+    res = shadow(profile, init, taus)
+    mats = integrate_path(profile, taus)
+    assert len(res.dq) == 61 and res.dq[-1] > 1e4
+    assert _shadow_rows(res) == _propagated_rows(mats, init)
+
+
+SQUEEZE = SymplecticMatrix2(1e160, 0.0, 0.0, 1e-160)  # passes the gate; moments overflow
+SHRINK = SymplecticMatrix2(1.0 - 9e-5, 0.0, 0.0, 1.0)  # |det - 1| = 9e-5 passes the 1e-4 gate
+HALF = SymplecticMatrix2(0.5, 0.0, 0.0, 1.0)           # fails the gate, and the bound after it
+# det Sigma 0.24001, within its slack of 0.01; after SHRINK it is 0.23997 < 0.24
+NEAR_BOUND = MomentState(0.5, -0.5, 0.5, 0.0, 0.48002, bound_slack=0.01)
+
+
+def _path_message(call, mats, monkeypatch):
+    """The ValueError message of call() with integrate_path returning mats."""
+    monkeypatch.setattr(evolution, "integrate_path", lambda profile, taus, cfg: mats)
+    with pytest.raises(ValueError) as err:
+        call()
+    return str(err.value)
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("bad,later,start", [
+    (HALF, SQUEEZE, "matrix is not symplectic"),
+    (SHRINK, HALF, "uncertainty bound violated"),
+    (SQUEEZE, SHRINK, "moment state must be finite"),
+])
+def test_first_failing_shadow_row_raises_its_per_row_message(monkeypatch, k, bad, later, start):
+    # row k fails one check, a later row another: shadow raises what the
+    # per-row loop raises, the message of row k
+    good = rotation_matrix(1.0, 0.3)
+    mats = [SymplecticMatrix2.identity()] + [good] * (k - 1) + [bad, good, later]
+    with pytest.raises(ValueError) as err:
+        _propagated_rows(mats, NEAR_BOUND)
+    want = str(err.value)
+    assert want.startswith(start)
+    got = _path_message(lambda: shadow(ConstantBeta(1.0), NEAR_BOUND, range(len(mats))), mats,
+                        monkeypatch)
+    assert got == want
+
+
+def test_row_failing_the_gate_and_the_bound_raises_the_gate_message(monkeypatch):
+    # HALF leaves det Sigma at 0.06, below the bound, but the gate comes first
+    with pytest.raises(ValueError, match="uncertainty bound violated: det Sigma = 0.06"):
+        MomentState(*_loop_moments(HALF, NEAR_BOUND), bound_slack=NEAR_BOUND.bound_slack)
+    mats = [SymplecticMatrix2.identity(), HALF]
+    got = _path_message(lambda: shadow(ConstantBeta(1.0), NEAR_BOUND, [0.0, 1.0]), mats,
+                        monkeypatch)
+    assert got.startswith("matrix is not symplectic: |det - 1| = 5.000e-01 exceeds 1.0e-04")
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_first_non_finite_congruence_entry_raises_its_per_row_message(monkeypatch, k):
+    big = SymplecticMatrix2(1e308, 0.0, 0.0, 1e-308)
+    mats = [SymplecticMatrix2.identity()] * k + [big, SymplecticMatrix2(1e308, 1e308, 0.0, 1.0)]
+    inits = [CanonicalState(0.0, 1.0), CanonicalState(10.0, 0.0), CanonicalState(-10.0, 0.0)]
+    with pytest.raises(ValueError) as err:
+        for u in mats:
+            for s in inits:
+                apply_to_state(u, s)
+    want = str(err.value)
+    assert want == "canonical state must be finite, got (inf, 0.0)"
+    got = _path_message(lambda: congruence(ConstantBeta(1.0), inits, range(len(mats))), mats,
+                        monkeypatch)
+    assert got == want
